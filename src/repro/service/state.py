@@ -22,12 +22,16 @@ Two pieces compose the service's robustness story:
       A ``kill -9`` mid-append at worst tears the final line -- a trace
       that was therefore never acknowledged -- so recovery never loses
       an accepted trace and never resurrects an unacknowledged one.
+      An append that fails while the service runs (a full disk) is
+      truncated away before the batch is refused.
     - ``snapshot.json`` -- an atomic whole-file snapshot of the
       aggregate as of journal sequence N.  Periodic compaction writes
       the snapshot first, then atomically rewrites the journal without
-      the lines the snapshot covers; recovery filters replayed lines by
-      ``seq > snapshot.seq``, so a crash *between* the two writes
-      double-counts nothing.
+      the lines the snapshot covers -- the header plus the raw bytes of
+      the uncovered tail, found through a byte-offset index, so its
+      cost follows the unfolded backlog; recovery filters replayed
+      lines by ``seq > snapshot.seq``, so a crash *between* the two
+      writes double-counts nothing.
 
 Recovery is therefore: load snapshot (if any), salvage the journal's
 intact prefix, replay the ``seq > snapshot.seq`` tail through the very
@@ -39,6 +43,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,12 +55,12 @@ from repro.core.pipeline import ArestPipeline
 from repro.probing.records import Trace
 from repro.probing.sanitize import AnomalyKind
 from repro.service.wire import canonical_json
-from repro.util.atomicio import atomic_write_text, durable_append
-from repro.util.journal import (
-    append_json_line,
-    rewrite_json_lines,
-    salvage_decode,
+from repro.util.atomicio import (
+    atomic_write_text,
+    atomic_writer,
+    durable_append,
 )
+from repro.util.journal import salvage_decode
 
 logger = logging.getLogger(__name__)
 
@@ -460,7 +466,14 @@ class RecoveryInfo:
 
 
 class ServiceState:
-    """Durable aggregate + ingest journal for one service instance."""
+    """Durable aggregate + ingest journal for one service instance.
+
+    Alongside the journal it keeps a byte-offset index over the lines
+    the snapshot does not cover yet: ``(seq, start offset)`` pairs in
+    file order, plus the journal's last good length.  Compaction bisects
+    the index for its cut and copies the uncovered tail as raw bytes;
+    a refused append truncates back to the good length.
+    """
 
     def __init__(
         self,
@@ -481,6 +494,16 @@ class ServiceState:
         self._journal = self.directory / INGEST_FILENAME
         self._snapshot = self.directory / SNAPSHOT_FILENAME
         self._config = {"asn": asn, "version": _VERSION}
+        self._header = (
+            json.dumps(
+                {
+                    "kind": _JOURNAL_KIND,
+                    "version": _VERSION,
+                    "config": self._config,
+                }
+            )
+            + "\n"
+        ).encode("ascii")
         #: highest sequence number handed out (next append gets +1)
         self._last_seq = 0
         #: every seq <= watermark has been folded into the aggregate
@@ -489,9 +512,16 @@ class ServiceState:
         self._fed_ahead: set[int] = set()
         #: seq the current snapshot covers
         self._snapshot_seq = 0
-        #: journal lines not yet compacted away
-        self._journal_lines = 0
-        self._journal_exists = False
+        #: the index: the journal line starting at byte ``_offsets[i]``
+        #: has seq ``_seqs[i]``; it lists exactly the lines with
+        #: ``seq > _snapshot_seq``, and both lists ascend
+        self._seqs: list[int] = []
+        self._offsets: list[int] = []
+        #: bytes of the journal's intact prefix: header + whole lines
+        self._journal_size = 0
+        #: the file on disk ends at ``_journal_size``, so appends may go
+        #: straight to it; until then the next accept rewrites it first
+        self._journal_ready = False
 
     # -- recovery ------------------------------------------------------------
 
@@ -515,24 +545,22 @@ class ServiceState:
             info.snapshot_seq = self._snapshot_seq
         entries, damaged = self._load_journal()
         info.damaged_lines = damaged
-        keep: list[tuple[int, Trace]] = []
         max_seq = self._snapshot_seq
-        for seq, trace in entries:
+        for seq, offset, trace in entries:
             max_seq = max(max_seq, seq)
             if seq > self._snapshot_seq:
-                keep.append((seq, trace))
-        for seq, trace in keep:
-            self.aggregate.merge(
-                analyze_trace(trace, asn=self.asn, pipeline=self.pipeline)
-            )
-            info.replayed += 1
+                self._seqs.append(seq)
+                self._offsets.append(offset)
+                self.aggregate.merge(
+                    analyze_trace(trace, asn=self.asn, pipeline=self.pipeline)
+                )
+                info.replayed += 1
         self._last_seq = max_seq
         self._fed_watermark = max_seq
         self._fed_ahead.clear()
-        self._journal_lines = len(entries)
         if damaged:
             # compact the torn tail away so the next append starts clean
-            self._rewrite_journal(keep)
+            self._rewrite_journal()
         return info
 
     def _load_snapshot(self) -> dict | None:
@@ -560,14 +588,21 @@ class ServiceState:
             )
         return record
 
-    def _load_journal(self) -> tuple[list[tuple[int, Trace]], int]:
+    def _load_journal(self) -> tuple[list[tuple[int, int, Trace]], int]:
+        """Salvage the journal's intact lines and measure its good length.
+
+        Returns ``((seq, start offset, trace) per intact line, damaged
+        line count)`` and sets :attr:`_journal_size`.  An unterminated
+        final line is torn even when it parses: every append ends with
+        a newline, so the append that wrote it never returned.
+        """
         if not self._journal.exists():
             return [], 0
-        lines = self._journal.read_text(encoding="utf-8").splitlines()
-        header_line = lines[0] if lines else ""
+        data = self._journal.read_bytes()
+        header_line, _, body = data.partition(b"\n")
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError:
+        except ValueError:
             raise StateMismatchError(
                 f"not an AReST ingest journal (unparseable header): "
                 f"{self._journal}"
@@ -582,20 +617,52 @@ class ServiceState:
                 f"differently-configured service; delete it or restart "
                 f"with the original settings"
             )
-        self._journal_exists = True
+        # bytes, not text: offsets are byte offsets, and json.loads
+        # refuses a line of invalid UTF-8 as damage instead of failing
+        # the whole read
+        lines = body.split(b"\n")
+        # the piece after the last newline: empty unless an append tore
+        unterminated = lines[-1]
+        if not unterminated:
+            lines.pop()
+        starts = []
+        offset = len(header_line) + 1
+        for line in lines:
+            starts.append(offset)
+            offset += len(line) + 1
 
         def decode(record: dict) -> tuple[int, Trace]:
             return int(record["seq"]), trace_from_json(record["trace"])
 
-        entries, damaged = salvage_decode(
-            lines[1:],
+        decoded, damaged = salvage_decode(
+            lines,
             decode,
             path=self._journal,
             label="ingest journal",
             noun="accepted trace(s)",
             logger=logger,
         )
-        return entries, damaged
+        if unterminated and not damaged:
+            logger.warning(
+                "ingest journal %s: line %d has no newline (its append "
+                "never finished); discarding it",
+                self._journal,
+                len(lines) + 1,
+            )
+            if unterminated.strip():
+                decoded.pop()
+            damaged = 1
+        self._journal_size = (
+            starts[len(lines) - damaged] if damaged else len(data)
+        )
+        self._journal_ready = not damaged
+        # salvage_decode skips blank lines: decoded[i] is the i-th
+        # non-blank line of the intact prefix
+        nonblank = [start for start, line in zip(starts, lines) if line.strip()]
+        return [
+            (seq, start, trace)
+            for (seq, trace), start in zip(decoded, nonblank)
+        ], damaged
 
     # -- accept + ingest -----------------------------------------------------
 
@@ -604,23 +671,44 @@ class ServiceState:
 
         One write + one fsync for the whole batch; callers acknowledge
         (202) only after this returns, which is what makes the
-        zero-accepted-trace-loss guarantee hold under ``kill -9``.
+        zero-accepted-trace-loss guarantee hold under ``kill -9``.  A
+        batch whose append fails is refused whole: it uses no seq and
+        leaves no byte in the journal.
         """
-        if not self._journal_exists:
-            self._rewrite_journal([])
-        seqs: list[int] = []
-        block = []
-        for trace in traces:
-            self._last_seq += 1
-            seqs.append(self._last_seq)
-            block.append(
-                json.dumps(
-                    {"seq": self._last_seq, "trace": trace_to_json(trace)}
+        if not self._journal_ready:
+            self._rewrite_journal()
+        first = self._last_seq + 1
+        seqs = list(range(first, first + len(traces)))
+        lines = [
+            json.dumps({"seq": seq, "trace": trace_to_json(trace)}) + "\n"
+            for seq, trace in zip(seqs, traces)
+        ]
+        if not lines:
+            return seqs
+        try:
+            durable_append(self._journal, "".join(lines))
+        except OSError:
+            # the append may have landed whole (only the fsync failed)
+            # or torn: either way cut it off, or a client retry would
+            # count it twice and the next append would merge with it
+            try:
+                self._truncate_journal()
+            except OSError:
+                logger.exception(
+                    "cannot truncate %s after a failed append; the "
+                    "next accept rewrites it",
+                    self._journal,
                 )
-            )
-        if block:
-            durable_append(self._journal, "".join(l + "\n" for l in block))
-            self._journal_lines += len(block)
+                self._journal_ready = False
+            raise
+        offset = self._journal_size
+        for seq, line in zip(seqs, lines):
+            self._seqs.append(seq)
+            self._offsets.append(offset)
+            # json.dumps escapes non-ASCII: characters are bytes
+            offset += len(line)
+        self._journal_size = offset
+        self._last_seq = seqs[-1]
         return seqs
 
     def ingest(self, seq: int, delta: SegmentAggregate) -> None:
@@ -677,28 +765,41 @@ class ServiceState:
             self._snapshot, json.dumps(snapshot, sort_keys=True) + "\n"
         )
         self._snapshot_seq = upto
-        entries, _ = self._load_journal()
-        self._rewrite_journal(
-            [(seq, trace) for seq, trace in entries if seq > upto]
-        )
+        cut = bisect_right(self._seqs, upto)
+        del self._seqs[:cut]
+        del self._offsets[:cut]
+        self._rewrite_journal()
 
     def final_checkpoint(self) -> None:
         """The drain-time flush: snapshot everything fed so far."""
         if not self._fed_ahead:
             self.compact()
 
-    def _rewrite_journal(self, entries: list[tuple[int, Trace]]) -> None:
-        rewrite_json_lines(
-            self._journal,
-            {
-                "kind": _JOURNAL_KIND,
-                "version": _VERSION,
-                "config": self._config,
-            },
-            (
-                {"seq": seq, "trace": trace_to_json(trace)}
-                for seq, trace in entries
-            ),
-        )
-        self._journal_exists = True
-        self._journal_lines = len(entries)
+    def _rewrite_journal(self) -> None:
+        """Atomically rewrite the journal as header + the indexed lines.
+
+        The one rewrite path -- journal creation (empty index),
+        compaction and torn-tail salvage.  The lines the snapshot does
+        not cover are copied as raw bytes, from the first indexed line
+        up to the good length, so the cost follows the unfolded
+        backlog and nothing is decoded or re-encoded.
+        """
+        start = self._offsets[0] if self._offsets else self._journal_size
+        tail = b""
+        if self._offsets:
+            with self._journal.open("rb") as fh:
+                fh.seek(start)
+                tail = fh.read(self._journal_size - start)
+        with atomic_writer(self._journal) as fh:
+            fh.buffer.write(self._header)
+            fh.buffer.write(tail)
+        shift = len(self._header) - start
+        self._offsets = [offset + shift for offset in self._offsets]
+        self._journal_size = len(self._header) + len(tail)
+        self._journal_ready = True
+
+    def _truncate_journal(self) -> None:
+        """Durably cut the journal back to its good length."""
+        with self._journal.open("r+b") as fh:
+            fh.truncate(self._journal_size)
+            os.fsync(fh.fileno())

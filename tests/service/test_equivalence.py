@@ -10,18 +10,24 @@ construction.
 
 from __future__ import annotations
 
+import json
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign.dataset import trace_from_json, trace_to_json
 from repro.service.state import (
+    INGEST_FILENAME,
+    SNAPSHOT_FILENAME,
     SegmentAggregate,
     ServiceState,
     analyze_trace,
     batch_aggregate,
 )
+from repro.util.journal import rewrite_json_lines
 from tests.conftest import scaled_examples
-from tests.service.conftest import trace_lists
+from tests.service.conftest import trace_lists, trace_strategy
 
 
 @st.composite
@@ -36,6 +42,53 @@ def _shuffled_with_splits(draw):
         )
     )
     return traces, order, sorted(set(boundaries))
+
+
+@st.composite
+def _stream_with_restart(draw):
+    """Accept batches, fold each in a drawn order, restart once."""
+    traces = draw(st.lists(trace_strategy(), min_size=1, max_size=10))
+    cuts = draw(
+        st.lists(st.integers(min_value=0, max_value=len(traces)), max_size=4)
+    )
+    splits = [0, *sorted(set(cuts)), len(traces)]
+    batches = [
+        (lo, hi, draw(st.permutations(range(lo, hi))))
+        for lo, hi in zip(splits, splits[1:])
+    ]
+    # the crash lands after accepting batch ``restart_at``: before its
+    # traces are folded (recovery replays them) or after
+    restart_at = draw(st.integers(min_value=0, max_value=len(batches) - 1))
+    return (
+        traces,
+        batches,
+        restart_at,
+        draw(st.booleans()),
+        draw(st.integers(min_value=1, max_value=3)),
+    )
+
+
+def _reference_compaction(journal: bytes, upto: int, scratch: Path) -> bytes:
+    """The journal rewrite by decoding: the oracle for byte compaction.
+
+    Decode every line, keep ``seq > upto``, re-encode with
+    ``trace_to_json`` -- what compaction did before it copied bytes.
+    """
+    header, *lines = journal.decode("utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    rewrite_json_lines(
+        scratch,
+        json.loads(header),
+        (
+            {
+                "seq": record["seq"],
+                "trace": trace_to_json(trace_from_json(record["trace"])),
+            }
+            for record in records
+            if record["seq"] > upto
+        ),
+    )
+    return scratch.read_bytes()
 
 
 class TestStreamingEqualsBatch:
@@ -76,3 +129,47 @@ class TestStreamingEqualsBatch:
             recovered = ServiceState(tmp, snapshot_every=2)
             recovered.recover()
             assert recovered.aggregate.segments_json() == expected
+
+    @settings(max_examples=scaled_examples(20), deadline=None)
+    @given(_stream_with_restart())
+    def test_compaction_is_byte_exact_across_a_restart(self, case):
+        traces, batches, restart_at, before_fold, snapshot_every = case
+        with tempfile.TemporaryDirectory() as tmp:
+            state_dir = Path(tmp) / "state"
+            journal = state_dir / INGEST_FILENAME
+
+            def compact(state: ServiceState) -> None:
+                before = journal.read_bytes()
+                state.compact()
+                upto = json.loads(
+                    (state_dir / SNAPSHOT_FILENAME).read_text()
+                )["seq"]
+                assert journal.read_bytes() == _reference_compaction(
+                    before, upto, Path(tmp) / "reference.jsonl"
+                )
+
+            def restart() -> ServiceState:
+                fresh = ServiceState(state_dir, snapshot_every=snapshot_every)
+                fresh.recover()
+                return fresh
+
+            state = restart()
+            for index, (lo, hi, order) in enumerate(batches):
+                seqs = state.accept(traces[lo:hi])
+                crash = index == restart_at
+                if crash and before_fold:
+                    state = restart()
+                    continue
+                for position in order:
+                    state.ingest(
+                        seqs[position - lo], analyze_trace(traces[position])
+                    )
+                    if state.compaction_due:
+                        compact(state)
+                if crash:
+                    state = restart()
+            compact(state)
+
+            expected = batch_aggregate(traces).segments_json()
+            assert state.aggregate.segments_json() == expected
+            assert restart().aggregate.segments_json() == expected

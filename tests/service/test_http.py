@@ -455,7 +455,6 @@ class TestDiskFull:
     ):
         import errno
 
-        from repro.service.state import ServiceState
         from repro.util.atomicio import DiskFullError
 
         traces = corpus(2)
@@ -467,13 +466,18 @@ class TestDiskFull:
                 )
                 assert status == 202
 
-                def full(self, batch):
+                def torn(path, text, encoding="utf-8"):
+                    # the volume fills part-way through the batch
+                    with open(path, "a", encoding=encoding) as fh:
+                        fh.write(text[:7])
                     raise DiskFullError(
-                        tmp_path / "state" / "ingest.jsonl",
+                        path,
                         OSError(errno.ENOSPC, "No space left on device"),
                     )
 
-                monkeypatch.setattr(ServiceState, "accept", full)
+                monkeypatch.setattr(
+                    "repro.service.state.durable_append", torn
+                )
                 status, headers, body = await svc.request(
                     "POST", "/trace", _lines(traces)
                 )
@@ -493,5 +497,15 @@ class TestDiskFull:
                     'arest_ingest_rejected_total{reason="disk-full"} 2'
                     in metrics.decode()
                 )
+                # the refusal used no seq: every acknowledged trace folds
+                # in behind a watermark that reaches the accepted total
+                await svc.service.queue.join()
+                _, _, body = await svc.request("GET", "/report")
+                service = json.loads(body)["service"]
+                assert service["fed_watermark"] == 4
+                assert service["queue"]["accepted_total"] == 4
+                _, _, segments = await svc.request("GET", "/segments")
+                return segments
 
-        asyncio.run(run())
+        served = asyncio.run(run())
+        assert served == batch_aggregate(traces * 2).segments_json()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.service.state import (
     analyze_trace,
     batch_aggregate,
 )
+from repro.util.atomicio import DiskFullError
 from tests.service.conftest import corpus
 
 
@@ -80,6 +83,122 @@ class TestTornTail:
         fresh.recover()
         # the torn seq 3 was never acknowledged; reusing it is fine
         assert fresh.accept(corpus(1)) == [3]
+
+    def test_unterminated_final_line_is_torn_even_if_it_parses(
+        self, tmp_path
+    ):
+        traces = corpus(4)
+        state = ServiceState(tmp_path)
+        state.accept(traces[:3])
+        journal = tmp_path / INGEST_FILENAME
+        # the append died between the record and its newline
+        journal.write_bytes(journal.read_bytes()[:-1])
+
+        fresh = ServiceState(tmp_path)
+        info = fresh.recover()
+        assert (info.replayed, info.damaged_lines) == (2, 1)
+        # so the next append starts on a line boundary
+        fresh.accept(traces[3:])
+        again = ServiceState(tmp_path)
+        assert again.recover().damaged_lines == 0
+        assert again.aggregate.segments_json() == (
+            batch_aggregate([*traces[:2], traces[3]]).segments_json()
+        )
+
+
+def _refuse_next_append(monkeypatch, journal, landed=None) -> None:
+    """Fail the next fsync with ENOSPC, as a full journal volume would.
+
+    The torn-ENOSPC emulation of the checkpoint tests: ``landed`` bytes
+    of the refused append reach the file first (``None``: all of them,
+    only the durability barrier fails).  Later fsyncs go through.
+    """
+    real_fsync = os.fsync
+    size = journal.stat().st_size
+    calls = []
+
+    def torn_fsync(fd):
+        calls.append(fd)
+        if len(calls) > 1:
+            return real_fsync(fd)
+        if landed is not None:
+            os.ftruncate(fd, size + landed)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("repro.util.atomicio.os.fsync", torn_fsync)
+
+
+class TestRefusedAppend:
+    def test_refused_batch_uses_no_seq(self, tmp_path, monkeypatch):
+        traces = corpus(6)
+        state = ServiceState(tmp_path, snapshot_every=6)
+        _feed_all(state, traces[:2])
+        _refuse_next_append(monkeypatch, tmp_path / INGEST_FILENAME)
+        with pytest.raises(DiskFullError):
+            state.accept(traces[2:4])
+        monkeypatch.undo()
+        seqs = state.accept(traces[2:6])
+        assert seqs == [3, 4, 5, 6]
+        for seq, trace in zip(seqs, traces[2:6]):
+            state.ingest(seq, analyze_trace(trace))
+        # nothing is stuck ahead of the watermark, so compaction fires
+        assert state.fed_watermark == 6
+        assert state.compaction_due
+
+    @pytest.mark.parametrize(
+        "landed", [7, None], ids=["torn-line", "fsync-failed"]
+    )
+    def test_refused_batch_leaves_the_journal_as_it_was(
+        self, tmp_path, monkeypatch, landed
+    ):
+        traces = corpus(8)
+        state = ServiceState(tmp_path)
+        _feed_all(state, traces[:2])
+        journal = tmp_path / INGEST_FILENAME
+        before = journal.read_bytes()
+        _refuse_next_append(monkeypatch, journal, landed)
+        with pytest.raises(DiskFullError):
+            state.accept(traces[2:4])
+        monkeypatch.undo()
+        assert journal.read_bytes() == before
+        # the client retries the refused batch, then sends more
+        _feed_all(state, traces[2:8])
+
+        fresh = ServiceState(tmp_path)
+        info = fresh.recover()
+        assert info.damaged_lines == 0
+        assert info.replayed == 8
+        assert fresh.aggregate.segments_json() == (
+            batch_aggregate(traces).segments_json()
+        )
+
+    def test_failed_truncation_is_rewritten_by_the_next_accept(
+        self, tmp_path, monkeypatch
+    ):
+        traces = corpus(6)
+        state = ServiceState(tmp_path)
+        _feed_all(state, traces[:2])
+        journal = tmp_path / INGEST_FILENAME
+        before = journal.read_bytes()
+
+        def broken_truncate():
+            raise OSError(errno.EIO, "I/O error")
+
+        monkeypatch.setattr(state, "_truncate_journal", broken_truncate)
+        _refuse_next_append(monkeypatch, journal, landed=7)
+        with pytest.raises(DiskFullError):
+            state.accept(traces[2:4])
+        monkeypatch.undo()
+        assert journal.read_bytes() != before  # the torn bytes stayed
+        _feed_all(state, traces[2:6])
+        assert journal.read_bytes().startswith(before)
+
+        fresh = ServiceState(tmp_path)
+        info = fresh.recover()
+        assert (info.damaged_lines, info.replayed) == (0, 6)
+        assert fresh.aggregate.segments_json() == (
+            batch_aggregate(traces).segments_json()
+        )
 
 
 class TestSnapshotCompaction:
