@@ -6,11 +6,13 @@
 - :mod:`repro.campaign.runner` -- per-AS campaign execution: topology
   build, TNT probing from every VP, fingerprinting, AReST analysis and
   ground-truth extraction.
-- :mod:`repro.campaign.shards` / :mod:`repro.campaign.shardexec` /
-  :mod:`repro.campaign.scale` -- paper-scale execution: deterministic
-  ``(as_id, vp_bucket)`` shards, a work-stealing lease executor with
-  crash recovery, and the two-phase (probe, analyze) campaign driver
-  with spill-file streaming and shard-scoped checkpointing.
+- :mod:`repro.campaign.shardexec` -- the one executor both campaign
+  drivers dispatch through: persistent work-stealing workers under
+  leases and deadlines, with crash recovery and graceful shutdown.
+- :mod:`repro.campaign.shards` / :mod:`repro.campaign.scale` --
+  paper-scale execution: deterministic ``(as_id, vp_bucket)`` shards
+  and the two-phase (probe, analyze) campaign driver with spill-file
+  streaming and shard-scoped checkpointing.
 """
 
 from repro.campaign.vantage_points import VantagePoint, default_vantage_points
@@ -23,14 +25,6 @@ from repro.campaign.checkpoint import (
     FailureStub,
     QuarantineStub,
 )
-from repro.campaign.executor import (
-    ExecutionResult,
-    GracefulShutdown,
-    Quarantine,
-    SupervisedExecutor,
-    TaskOutcome,
-    TaskStatus,
-)
 from repro.campaign.runner import (
     AsCampaignResult,
     AsFailure,
@@ -40,7 +34,14 @@ from repro.campaign.runner import (
 )
 from repro.campaign.checkpoint import ShardCheckpoint
 from repro.campaign.scale import ScaleCampaign, ScaleReport
-from repro.campaign.shardexec import LeaseExecutor, WorkerControl
+from repro.campaign.shardexec import (
+    ExecutionResult,
+    GracefulShutdown,
+    LeaseExecutor,
+    TaskOutcome,
+    TaskStatus,
+    WorkerControl,
+)
 from repro.campaign.shards import (
     ShardProbeRecord,
     ShardSpec,
@@ -65,8 +66,6 @@ __all__ = [
     "QuarantineStub",
     "ExecutionResult",
     "GracefulShutdown",
-    "Quarantine",
-    "SupervisedExecutor",
     "TaskOutcome",
     "TaskStatus",
     "LeaseExecutor",

@@ -22,11 +22,11 @@ probe stage and quiesced before analysis; a bounded
 partial results through a :class:`CampaignReport`, and can checkpoint
 completed ASes to JSON so interrupted runs resume where they left off.
 
-It also survives an imperfect *execution* plane: per-AS tasks run
-under the supervised engine of :mod:`repro.campaign.executor`
-(``jobs=N`` bounded process pool, per-AS wall-clock deadlines, hung /
-SIGKILLed workers re-dispatched once then quarantined, SIGINT/SIGTERM
-drained gracefully), with the guarantee that report and checkpoint are
+It also survives an imperfect *execution* plane: per-AS tasks run on
+the lease executor of :mod:`repro.campaign.shardexec` (``jobs=N``
+persistent workers, per-AS wall-clock deadlines, hung / SIGKILLed
+workers re-dispatched once then quarantined, SIGINT/SIGTERM drained
+gracefully), with the guarantee that report and checkpoint are
 byte-identical for any ``jobs`` value.
 """
 
@@ -46,11 +46,12 @@ from repro.campaign.checkpoint import (
     QuarantineStub,
 )
 from repro.campaign.dataset import TraceDataset
-from repro.campaign.executor import (
+from repro.campaign.shardexec import (
     GracefulShutdown,
-    SupervisedExecutor,
+    LeaseExecutor,
     TaskOutcome,
     TaskStatus,
+    WorkerControl,
 )
 from repro.campaign.vantage_points import VantagePoint, default_vantage_points
 from repro.core.pipeline import ArestPipeline, AsAnalysis
@@ -375,12 +376,11 @@ class CampaignReport(Mapping):
 
 
 def _quarantine_reason(outcome: TaskOutcome) -> str:
-    """Human-stable quarantine reason for a final timeout/crash outcome."""
-    if outcome.status is TaskStatus.CRASH:
-        return "crash"
-    if outcome.error and "hung" in outcome.error:
+    """Stable quarantine reason of a final timeout/lease-loss/crash outcome:
+    ``timeout``, ``hung`` (silent past ``heartbeat_timeout``) or ``crash``."""
+    if outcome.status is TaskStatus.LEASE_EXPIRED:
         return "hung"
-    return "timeout"
+    return outcome.status.value
 
 
 def result_counters(result: AsCampaignResult) -> dict[str, int]:
@@ -419,22 +419,26 @@ def result_counters(result: AsCampaignResult) -> dict[str, int]:
     return counters
 
 
-def _campaign_worker(payload: tuple, heartbeat) -> dict:
-    """Process-pool task: rebuild the runner and run one AS.
+def _campaign_worker(payload: tuple, ctl: WorkerControl) -> dict:
+    """Pool task: rebuild the runner and run one AS.
 
-    Each worker constructs a *fresh* runner from the parent's
-    constructor kwargs, so results are a pure function of
-    ``(config, as_id)`` -- the property that makes parallel output
-    byte-identical to serial.  Stage transitions double as watchdog
-    heartbeats.  Telemetry recorded in-worker is buffered and shipped
-    back inside the outcome dict (see :meth:`_run_as_guarded`).
+    Each task constructs a *fresh* runner from the parent's constructor
+    kwargs, so results are a pure function of ``(config, as_id)`` --
+    the property that makes parallel output byte-identical to serial.
+    Stage transitions double as lease-renewing heartbeats.  Telemetry
+    recorded in-worker is buffered and shipped back inside the outcome
+    dict (see :meth:`_run_as_guarded`).  A failed AS recycles its
+    worker, so its interpreter never serves the next AS.
     """
     runner_cls, kwargs, as_id, telemetry_on, traceparent = payload
     runner = runner_cls(**kwargs)
-    runner._stage_hook = heartbeat
+    runner._stage_hook = ctl.heartbeat
     runner._telemetry_on = telemetry_on
     runner._traceparent = traceparent
-    return runner._run_as_guarded(as_id)
+    message = runner._run_as_guarded(as_id)
+    if message["status"] != "ok":
+        ctl.request_recycle()
+    return message
 
 
 class CampaignRunner:
@@ -609,20 +613,21 @@ class CampaignRunner:
     ) -> CampaignReport:
         """Run every requested AS (default: the 41 analyzed ones).
 
-        Execution is supervised (:mod:`repro.campaign.executor`):
+        Execution is supervised (:mod:`repro.campaign.shardexec`):
 
         - ``jobs=1`` (default) runs in-process, exactly the sequential
           loop it always was; ``jobs>1`` dispatches per-AS tasks to a
-          bounded process pool.  Results are *deterministic in jobs*:
-          the report and the banked checkpoint are byte-identical for
-          any job count, because each AS derives everything from
-          ``(seed, as_id)`` and assembly/banking follow ``as_ids``
-          order regardless of completion order.
-        - ``timeout_per_as`` bounds each AS in wall-clock seconds
-          (pool mode only); a worker past its deadline -- or silent
-          past ``heartbeat_timeout`` -- is SIGKILLed, re-dispatched
-          once, and quarantined on the second strike.  A worker killed
-          from outside (OOM, ``kill -9``) is handled the same way.
+          pool of ``jobs`` persistent worker processes.  Results are
+          *deterministic in jobs*: the report and the banked checkpoint
+          are byte-identical for any job count, because each AS derives
+          everything from ``(seed, as_id)`` and assembly/banking follow
+          ``as_ids`` order regardless of completion order.
+        - ``timeout_per_as`` bounds each attempt at an AS in wall-clock
+          seconds from its dispatch (pool mode only); a worker past its
+          deadline -- or silent past ``heartbeat_timeout``, its lease --
+          is SIGKILLed and replaced, the AS re-dispatched once and
+          quarantined on the second strike.  A worker killed from
+          outside (OOM, ``kill -9``) is handled the same way.
         - SIGINT/SIGTERM drain in-flight work, flush the checkpoint
           and return a partial report with ``interrupted=True``; a
           second signal aborts hard.
@@ -818,8 +823,8 @@ class CampaignRunner:
         traceparent = session.traceparent() if session is not None else None
         if jobs == 1:
 
-            def task(as_id: int, heartbeat) -> dict:
-                self._stage_hook = heartbeat
+            def task(as_id: int, ctl: WorkerControl) -> dict:
+                self._stage_hook = ctl.heartbeat
                 self._telemetry_on = telemetry_on
                 self._traceparent = traceparent
                 try:
@@ -829,14 +834,14 @@ class CampaignRunner:
                     self._telemetry_on = False
                     self._traceparent = None
 
-            engine = SupervisedExecutor(task, jobs=1)
+            engine = LeaseExecutor(task)
             payloads = [(as_id, as_id) for as_id in to_run]
         else:
-            engine = SupervisedExecutor(
+            engine = LeaseExecutor(
                 _campaign_worker,
                 jobs=jobs,
+                lease_timeout=heartbeat_timeout,
                 timeout=timeout_per_as,
-                heartbeat_timeout=heartbeat_timeout,
             )
             spawn = self._spawn_config()
             payloads = [
@@ -983,7 +988,7 @@ class CampaignRunner:
             report.record_failure(
                 as_id, outcome.last_stage or "worker", outcome.error or ""
             )
-        else:  # TIMEOUT / CRASH past the re-dispatch budget
+        else:  # TIMEOUT / LEASE_EXPIRED / CRASH past the re-dispatch budget
             report.record_quarantine(
                 as_id,
                 _quarantine_reason(outcome),

@@ -46,13 +46,18 @@ import time
 from pathlib import Path
 
 from repro.campaign.checkpoint import ShardCheckpoint
-from repro.campaign.executor import GracefulShutdown, TaskOutcome, TaskStatus
 from repro.campaign.runner import (
     AsCampaignResult,
     CampaignRunner,
     result_counters,
 )
-from repro.campaign.shardexec import LeaseExecutor, WorkerControl
+from repro.campaign.shardexec import (
+    GracefulShutdown,
+    LeaseExecutor,
+    TaskOutcome,
+    TaskStatus,
+    WorkerControl,
+)
 from repro.campaign.shards import (
     ShardProbeRecord,
     ShardSpec,
@@ -627,15 +632,11 @@ class ScaleCampaign(CampaignRunner):
                         key[0],
                         {"stage": "probe", "error": outcome.error or ""},
                     )
-                else:  # TIMEOUT / CRASH past the re-dispatch budget
+                else:  # LEASE_EXPIRED / CRASH past the re-dispatch budget
                     store.record_quarantine(
                         key,
                         {
-                            "reason": (
-                                "crash"
-                                if outcome.status is TaskStatus.CRASH
-                                else "lease-expired"
-                            ),
+                            "reason": outcome.status.value,
                             "attempts": outcome.attempts,
                             "detail": outcome.error or "",
                         },

@@ -1,49 +1,58 @@
-"""Work-stealing shard execution with lease-based crash recovery.
+"""The campaign executor: keyed tasks on persistent, leased workers.
 
-:class:`~repro.campaign.executor.SupervisedExecutor` spawns one fresh
-process per task -- the right call for 41 heavyweight per-AS tasks, and
-exactly the wrong one for tens of thousands of small shards, where
-process spawn would dominate wall clock.  This module keeps a fixed
-pool of **persistent workers** that *pull* work: a worker that finishes
-early immediately claims the next pending shard, so fast workers steal
-the queue out from under slow ones and the pool drains at the speed of
-its healthiest members (self-scheduling pull is work stealing with one
-shared deque).
+Every campaign dispatches through :class:`LeaseExecutor`:
+:meth:`~repro.campaign.runner.CampaignRunner.run_portfolio` runs one
+task per AS, :class:`~repro.campaign.scale.ScaleCampaign` one task per
+shard.  A fixed pool of **persistent workers** *pulls* work: a worker
+that finishes early immediately claims the next pending task, so fast
+workers steal the queue out from under slow ones and the pool drains at
+the speed of its healthiest members (self-scheduling pull is work
+stealing with one shared deque).
 
-Persistence raises the stakes on failure -- a wedged worker now blocks
-a whole stream of shards, not one task -- so every claim carries a
-**lease**:
+Persistence raises the stakes on failure -- a wedged worker blocks a
+whole stream of tasks, not one -- so every claim is bounded:
 
-- granting a shard to a worker starts a lease of ``lease_timeout``
+- granting a task to a worker starts a **lease** of ``lease_timeout``
   seconds; every message from the worker (stage heartbeats, results)
-  renews it;
-- a worker whose lease expires is presumed lost: it is SIGKILLed, a
-  replacement is spawned, and the shard returns to the queue;
-- likewise a worker that dies outright (OOM kill, segfault,
-  ``kill -9``) -- detected by its corpse -- has its in-flight shard
-  re-queued;
-- re-dispatch is bounded (``max_redispatch``); a shard that keeps
-  killing workers is quarantined instead of poisoning the pool
-  forever.
+  renews it.  A worker whose lease expires is presumed lost;
+- with ``timeout`` set, an attempt still running that long after its
+  grant has missed its **deadline**, however chatty the worker is;
+- a lost or late worker is SIGKILLed and replaced, and its task
+  returns to the queue; likewise a worker that dies outright (OOM
+  kill, segfault, ``kill -9``) -- detected by its corpse;
+- re-dispatch is bounded (``max_redispatch``); a task that keeps
+  killing workers is quarantined -- its final outcome carries the
+  ``TIMEOUT``, ``LEASE_EXPIRED`` or ``CRASH`` status -- instead of
+  poisoning the pool forever.
 
-Workers can also ask to be **recycled** (the RSS watchdog's graceful
-degradation): the request is honoured *between* shards -- the worker
-finishes its current shard, delivers the result, and exits cleanly;
-the supervisor spawns a fresh process for the next claim.  Memory
-pressure therefore throttles admission without ever interrupting a
-write.
+A delivered answer always wins: the supervisor reads a worker's pipe
+before judging it, so a result that arrived just before a deadline,
+a lease expiry or the worker's exit is settled ``OK``, never re-run.
 
-Determinism: like the supervised engine, this executor imposes no
-ordering -- outcomes are keyed, and callers that assemble results in
-plan order get byte-identical output for any ``jobs`` value, because
-each shard is itself a pure function of the campaign config.
-``jobs=1`` runs every shard in-process with no subprocess, no pickling
-and no leases: exactly a plain loop.
+Workers can also ask to be **recycled**: the request is honoured
+*between* tasks -- the worker delivers its result and exits cleanly;
+the supervisor spawns a fresh process for the next claim.  The RSS
+watchdog uses it to degrade gracefully under memory pressure, and the
+classic runner after a failed AS, so a failed task's interpreter never
+serves the next one.  A raising task function always ends its worker.
+
+A :class:`GracefulShutdown` flag (SIGINT or SIGTERM) passed as ``stop``
+halts granting, drains in-flight tasks (deadlines and leases still
+enforced) and marks the result ``interrupted``.
+
+Determinism: the executor imposes no ordering -- outcomes are keyed,
+and callers that assemble results in plan order get byte-identical
+output for any ``jobs`` value, because each task is itself a pure
+function of the campaign config.  ``jobs=1`` runs every task
+in-process with no subprocess, no pickling, no leases and no
+deadlines: exactly a plain loop.
 """
 
 from __future__ import annotations
 
+import enum
 import logging
+import multiprocessing
 import os
 import signal
 import time
@@ -51,24 +60,108 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Any, Callable, Sequence
 
-from repro.campaign.executor import (
-    ExecutionResult,
-    Quarantine,
-    SupervisedExecutor,
-    TaskOutcome,
-    TaskStatus,
-)
-
 logger = logging.getLogger(__name__)
 
-#: shard callable: ``fn(payload, ctl)`` with ``ctl.heartbeat(note)`` for
+#: task callable: ``fn(payload, ctl)`` with ``ctl.heartbeat(note)`` for
 #: liveness/lease renewal and ``ctl.request_recycle()`` for a graceful
-#: between-shards process replacement
+#: between-tasks process replacement
 ShardFn = Callable[[Any, "WorkerControl"], Any]
 
 
+class TaskStatus(enum.Enum):
+    """How one task ended."""
+
+    OK = "ok"
+    #: the task function raised (deterministic failure; never re-dispatched)
+    ERROR = "error"
+    #: the attempt outran its deadline and its worker was killed
+    TIMEOUT = "timeout"
+    #: the worker went silent past its lease and was killed
+    LEASE_EXPIRED = "lease-expired"
+    #: the worker process died without delivering a result
+    CRASH = "crash"
+
+
+@dataclass(slots=True)
+class TaskOutcome:
+    """Final state of one task after supervision (and any re-dispatch)."""
+
+    key: Any
+    status: TaskStatus
+    #: the task function's return value (``OK`` only)
+    value: Any = None
+    #: error description (every status but ``OK``)
+    error: str | None = None
+    #: dispatch attempts consumed (> 1 means the task was re-dispatched)
+    attempts: int = 1
+    #: last heartbeat note received from the worker, if any
+    last_stage: str | None = None
+    #: supervisor-observed wall-clock seconds per heartbeat stage, for
+    #: tasks that never returned a value -- the post-mortem of where a
+    #: killed worker spent its life
+    stage_seconds: dict[str, float] | None = None
+
+
+@dataclass(slots=True)
+class ExecutionResult:
+    """Everything :meth:`LeaseExecutor.run` observed."""
+
+    #: final outcome per task key (tasks never dispatched are absent)
+    outcomes: dict[Any, TaskOutcome] = field(default_factory=dict)
+    #: True when a shutdown request cut the batch short
+    interrupted: bool = False
+
+
+class GracefulShutdown:
+    """Context manager turning SIGINT/SIGTERM into a drain request.
+
+    Inside the block the first signal sets :attr:`requested` instead of
+    raising, so the supervisor can stop dispatching, drain in-flight
+    workers and flush durable state.  A second SIGINT restores the
+    default handler's behaviour (KeyboardInterrupt) for operators who
+    really mean it.  Previous handlers are restored on exit; when not
+    running in the main thread (where ``signal`` refuses handlers) the
+    manager degrades to a plain manual flag.
+    """
+
+    def __init__(self) -> None:
+        self.requested = False
+        self._previous: dict[int, Any] = {}
+        self._strikes = 0
+
+    def __call__(self) -> bool:
+        return self.requested
+
+    def request(self) -> None:
+        """Request shutdown programmatically (tests, embedding)."""
+        self.requested = True
+
+    def _handle(self, signum: int, frame) -> None:
+        self.requested = True
+        self._strikes += 1
+        logger.warning(
+            "received %s: draining in-flight work (repeat to force)",
+            signal.Signals(signum).name,
+        )
+        if self._strikes >= 2:
+            raise KeyboardInterrupt
+
+    def __enter__(self) -> "GracefulShutdown":
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                self._previous[signum] = signal.signal(signum, self._handle)
+            except ValueError:  # not the main thread
+                pass
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for signum, previous in self._previous.items():
+            signal.signal(signum, previous)
+        self._previous.clear()
+
+
 class WorkerControl:
-    """The worker-side handle a shard function talks to."""
+    """The worker-side handle a task function talks to."""
 
     __slots__ = ("_send", "recycle_requested", "stages")
 
@@ -85,17 +178,17 @@ class WorkerControl:
             self._send(("hb", note))
 
     def request_recycle(self) -> None:
-        """Ask for a fresh process after the current shard completes."""
+        """Ask for a fresh process after the current task completes."""
         self.recycle_requested = True
 
 
 def _worker_entry(fn: ShardFn, conn: Connection) -> None:
-    """Persistent worker loop: pull a shard, run it, report, repeat.
+    """Persistent worker loop: pull a task, run it, report, repeat.
 
     SIGINT is ignored (the supervisor handles Ctrl-C and drains).  A
-    raising shard function is reported then the process exits -- a
-    fresh interpreter replaces it, so one shard's wreckage cannot leak
-    into the next shard's run.  A recycle request exits cleanly after
+    raising task function is reported then the process exits -- a
+    fresh interpreter replaces it, so one task's wreckage cannot leak
+    into the next task's run.  A recycle request exits cleanly after
     the result is delivered.
     """
     try:
@@ -128,11 +221,12 @@ def _worker_entry(fn: ShardFn, conn: Connection) -> None:
 
 @dataclass(slots=True)
 class _Assignment:
-    """One leased shard in flight on one worker."""
+    """One leased task in flight on one worker."""
 
     key: Any
     payload: Any
     attempts: int
+    #: grant time (the deadline clock)
     started: float
     #: last message of any kind (the lease renewal clock)
     last_beat: float
@@ -163,26 +257,37 @@ def _close_stage(assignment: _Assignment, now: float) -> None:
     assignment.stage_started = now
 
 
+def _mp_context():
+    """Fork where available (cheap, inherits imports), else spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+
+
 class LeaseExecutor:
-    """Run keyed shards on a pool of persistent, leased workers.
+    """Run keyed tasks on a pool of persistent, leased workers.
 
     Parameters
     ----------
     fn:
-        The shard function, ``fn(payload, ctl) -> value``.  With
+        The task function, ``fn(payload, ctl) -> value``.  With
         ``jobs > 1`` it must be picklable and runs in long-lived
-        subprocesses, one shard at a time per process.
+        subprocesses, one task at a time per process.
     jobs:
         Worker pool size.  ``1`` selects the in-process path: plain
-        sequential loop, no leases, no subprocesses.
+        sequential loop, no leases, no deadlines, no subprocesses.
     lease_timeout:
         Seconds of worker silence after which its claim is presumed
         lost and re-dispatched (``None`` disables lease expiry;
         worker *death* is still detected and recovered).
+    timeout:
+        Per-attempt wall-clock deadline in seconds, counted from the
+        grant (``None`` = unbounded).
     watch_interval:
         Supervisor poll cadence in seconds.
     max_redispatch:
-        Re-dispatch budget per shard before quarantine (default 1).
+        Re-dispatch budget per task before quarantine (default 1).
     """
 
     def __init__(
@@ -190,6 +295,7 @@ class LeaseExecutor:
         fn: ShardFn,
         jobs: int = 1,
         lease_timeout: float | None = None,
+        timeout: float | None = None,
         watch_interval: float = 0.05,
         max_redispatch: int = 1,
     ) -> None:
@@ -197,6 +303,8 @@ class LeaseExecutor:
             raise ValueError("jobs must be >= 1")
         if lease_timeout is not None and lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be positive")
         if watch_interval <= 0:
             raise ValueError("watch_interval must be positive")
         if max_redispatch < 0:
@@ -204,6 +312,7 @@ class LeaseExecutor:
         self.fn = fn
         self.jobs = jobs
         self.lease_timeout = lease_timeout
+        self.timeout = timeout
         self.watch_interval = watch_interval
         self.max_redispatch = max_redispatch
         #: observational execution tallies (telemetry only -- results
@@ -229,10 +338,10 @@ class LeaseExecutor:
     ) -> ExecutionResult:
         """Drain ``tasks`` (``(key, payload)`` pairs) through the pool.
 
-        ``on_complete`` fires once per shard in completion order with
+        ``on_complete`` fires once per task in completion order with
         its final outcome.  ``stop`` is polled between grants; once
-        true no new shard is leased, in-flight shards drain (leases
-        still enforced) and the result is marked interrupted.
+        true no new task is leased, in-flight tasks drain (leases and
+        deadlines still enforced) and the result is marked interrupted.
         """
         keys = [key for key, _ in tasks]
         if len(set(keys)) != len(keys):
@@ -260,7 +369,7 @@ class LeaseExecutor:
             except KeyboardInterrupt:
                 result.interrupted = True
                 break
-            except Exception as exc:  # noqa: BLE001 -- per-shard isolation
+            except Exception as exc:  # noqa: BLE001 -- per-task isolation
                 outcome = TaskOutcome(
                     key=key,
                     status=TaskStatus.ERROR,
@@ -292,13 +401,36 @@ class LeaseExecutor:
         self.stats["workers_spawned"] += 1
         return _Worker(process=process, conn=supervisor_conn)
 
+    def _overdue(
+        self, assignment: _Assignment, now: float
+    ) -> tuple[TaskStatus, str] | None:
+        """Why an attempt's worker must be killed now, or None.
+
+        The deadline outranks the lease: a worker both late and silent
+        counts as late.
+        """
+        running = now - assignment.started
+        if self.timeout is not None and running > self.timeout:
+            return TaskStatus.TIMEOUT, (
+                f"worker exceeded its deadline after {running:.1f}s"
+            )
+        if (
+            self.lease_timeout is not None
+            and now - assignment.last_beat > self.lease_timeout
+        ):
+            return TaskStatus.LEASE_EXPIRED, (
+                f"lease expired after {now - assignment.last_beat:.1f}s "
+                f"of silence"
+            )
+        return None
+
     def _run_pool(
         self,
         tasks: Sequence[tuple[Any, Any]],
         on_complete: Callable[[TaskOutcome], None] | None,
         stop: Callable[[], bool] | None,
     ) -> ExecutionResult:
-        ctx = SupervisedExecutor._mp_context()
+        ctx = _mp_context()
         result = ExecutionResult()
         pending: list[tuple[Any, Any, int]] = [
             (key, payload, 1) for key, payload in tasks
@@ -312,18 +444,21 @@ class LeaseExecutor:
                 on_complete(outcome)
 
         def fail_or_requeue(
-            assignment: _Assignment, reason: str, detail: str, now: float
+            assignment: _Assignment,
+            status: TaskStatus,
+            detail: str,
+            now: float,
         ) -> None:
-            """A lease expiry or worker death: steal back the shard."""
+            """A deadline, lease loss or worker death: steal back the task."""
             _close_stage(assignment, now)
             if stopping:
                 return  # interrupted run: resume will re-attempt
             if assignment.attempts <= self.max_redispatch:
                 self.stats["shards_redispatched"] += 1
                 logger.warning(
-                    "shard %r %s after %.1fs (attempt %d); re-queueing",
+                    "task %r %s after %.1fs (attempt %d); re-queueing",
                     assignment.key,
-                    reason,
+                    status.value,
                     now - assignment.started,
                     assignment.attempts,
                 )
@@ -332,30 +467,22 @@ class LeaseExecutor:
                 )
                 return
             self.stats["shards_quarantined"] += 1
-            status = (
-                TaskStatus.CRASH if reason == "crashed" else TaskStatus.TIMEOUT
-            )
-            outcome = TaskOutcome(
-                key=assignment.key,
-                status=status,
-                error=detail,
-                attempts=assignment.attempts,
-                last_stage=assignment.last_stage,
-                stage_seconds=dict(assignment.stage_seconds),
-            )
-            result.quarantined[assignment.key] = Quarantine(
-                key=assignment.key,
-                reason="crash" if status is TaskStatus.CRASH else "lease-expired",
-                attempts=assignment.attempts,
-                detail=detail,
-            )
             logger.warning(
-                "shard %r quarantined after %d attempt(s): %s",
+                "task %r quarantined after %d attempt(s): %s",
                 assignment.key,
                 assignment.attempts,
                 detail,
             )
-            finish(outcome)
+            finish(
+                TaskOutcome(
+                    key=assignment.key,
+                    status=status,
+                    error=detail,
+                    attempts=assignment.attempts,
+                    last_stage=assignment.last_stage,
+                    stage_seconds=dict(assignment.stage_seconds),
+                )
+            )
 
         try:
             while pending or any(
@@ -365,7 +492,7 @@ class LeaseExecutor:
                     stopping = True
                     result.interrupted = True
                     pending.clear()
-                # Grant: every idle slot pulls the next pending shard.
+                # Grant: every idle slot pulls the next pending task.
                 for slot in range(self.jobs):
                     if not pending:
                         break
@@ -388,7 +515,7 @@ class LeaseExecutor:
                     try:
                         worker.conn.send(("task", payload))
                     except (OSError, BrokenPipeError):
-                        pass  # corpse detected below, shard re-queued
+                        pass  # corpse detected below, task re-queued
                 self._pump(pool)
                 now = time.monotonic()
                 for slot in range(self.jobs):
@@ -396,9 +523,18 @@ class LeaseExecutor:
                     if worker is None or worker.assignment is None:
                         continue
                     assignment = worker.assignment
+                    alive = worker.process.is_alive()
+                    if assignment.message is None and (
+                        not alive or self._overdue(assignment, now)
+                    ):
+                        # Read the pipe before judging the worker: an
+                        # answer that arrived after the pump returned,
+                        # or just before the worker exited, must settle
+                        # the task, never be thrown away with its corpse.
+                        self._drain(worker, now)
                     if assignment.message is not None:
-                        kind = assignment.message[0]
-                        if kind == "res":
+                        worker.assignment = None
+                        if assignment.message[0] == "res":
                             _, value, recycle = assignment.message
                             finish(
                                 TaskOutcome(
@@ -409,7 +545,6 @@ class LeaseExecutor:
                                     last_stage=assignment.last_stage,
                                 )
                             )
-                            worker.assignment = None
                             if recycle:
                                 self.stats["workers_recycled"] += 1
                                 self._retire(worker)
@@ -431,37 +566,26 @@ class LeaseExecutor:
                             self._retire(worker)  # worker exited itself
                             pool[slot] = None
                         continue
-                    if not worker.process.is_alive():
-                        # Died mid-shard: drain any final message first
-                        # so a delivered result is never read as a crash.
-                        self._drain(worker, now)
-                        if worker.assignment.message is not None:
-                            continue  # settled next iteration
+                    stage = assignment.last_stage or "unknown"
+                    if not alive:
                         self.stats["workers_crashed"] += 1
+                        status = TaskStatus.CRASH
                         detail = (
                             f"worker died without a result (exit code "
-                            f"{worker.process.exitcode}) in stage "
-                            f"{assignment.last_stage or 'unknown'}"
+                            f"{worker.process.exitcode}) in stage {stage}"
                         )
                         self._retire(worker)
-                        pool[slot] = None
-                        fail_or_requeue(assignment, "crashed", detail, now)
-                        continue
-                    if (
-                        self.lease_timeout is not None
-                        and now - assignment.last_beat > self.lease_timeout
-                    ):
-                        self.stats["leases_expired"] += 1
-                        detail = (
-                            f"lease expired after "
-                            f"{now - assignment.last_beat:.1f}s of silence "
-                            f"in stage {assignment.last_stage or 'unknown'}"
-                        )
+                    else:
+                        overdue = self._overdue(assignment, now)
+                        if overdue is None:
+                            continue  # still working
+                        status, why = overdue
+                        if status is TaskStatus.LEASE_EXPIRED:
+                            self.stats["leases_expired"] += 1
+                        detail = f"{why} in stage {stage}"
                         self._kill(worker)
-                        pool[slot] = None
-                        fail_or_requeue(
-                            assignment, "lost its lease", detail, now
-                        )
+                    pool[slot] = None
+                    fail_or_requeue(assignment, status, detail, now)
         finally:
             for worker in pool:
                 if worker is None:

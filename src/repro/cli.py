@@ -41,15 +41,15 @@ def _positive_float(text: str) -> float:
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
-    """Supervised-engine knobs shared by campaign-running commands."""
+    """Lease-executor knobs shared by campaign-running commands."""
     parser.add_argument(
         "--jobs",
         type=_positive_int,
         default=1,
         metavar="N",
         help=(
-            "per-AS worker processes (1 = in-process; results are "
-            "byte-identical for any N)"
+            "persistent worker processes running one AS at a time "
+            "(1 = in-process; results are byte-identical for any N)"
         ),
     )
     parser.add_argument(
@@ -58,8 +58,9 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help=(
-            "wall-clock deadline per AS (workers past it are killed, "
-            "re-dispatched once, then quarantined; requires --jobs > 1)"
+            "wall-clock deadline per attempt at an AS (a worker past it "
+            "is killed and replaced, the AS re-dispatched once, then "
+            "quarantined; requires --jobs > 1)"
         ),
     )
     _add_telemetry_argument(parser)
@@ -409,15 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
             "in one columnar pass over the dataset"
         ),
     )
-    detect.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help=(
-            "run the summary on the object-path reference detector "
-            "instead of the columnar batch core (slow; the two are "
-            "byte-identical by the differential contract)"
-        ),
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -721,9 +713,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.columnar import ColumnarDetector, TraceBatch
 
     # Streaming end to end: the header read is constant-cost and the
-    # body flows through bounded columnar chunks (or, on the reference
-    # path, one trace at a time), so paper-scale spill files analyze
-    # in bounded memory.
+    # body flows through bounded columnar chunks, so paper-scale spill
+    # files analyze in bounded memory.
     header = TraceDataset.read_header(args.dataset)
     if args.segments_json:
         from repro.service.state import batch_aggregate
@@ -751,25 +742,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     counts: Counter = Counter()
     seen = set()
     total = 0
-    if args.no_columnar:
-        from repro.core.detector import ArestDetector
-
-        reference = ArestDetector()
-        for trace in TraceDataset.iter_jsonl(args.dataset):
-            total += 1
-            for segment in reference.detect(trace, {}):
+    detector = ColumnarDetector()
+    for batch in TraceBatch.iter_jsonl(args.dataset):
+        total += len(batch)
+        for segments in detector.detect_batch(batch):
+            for segment in segments:
                 if segment.key() not in seen:
                     seen.add(segment.key())
                     counts[segment.flag] += 1
-    else:
-        detector = ColumnarDetector()
-        for batch in TraceBatch.iter_jsonl(args.dataset):
-            total += len(batch)
-            for segments in detector.detect_batch(batch):
-                for segment in segments:
-                    if segment.key() not in seen:
-                        seen.add(segment.key())
-                        counts[segment.flag] += 1
     print(
         f"{total} traces toward AS{header.target_asn}, "
         f"{len(seen)} distinct segments"

@@ -291,21 +291,17 @@ class ArestPipeline:
     (:class:`~repro.core.columnar.ColumnarDetector`): each trace is a
     one-row column batch, so the pipeline's object API -- and every
     caller built on it, including the streaming service -- rides the
-    same array passes the whole-campaign batch path uses.  Pass
-    ``columnar=False`` (or an explicit :class:`ArestDetector`) for the
-    object-path reference; the two are byte-identical by the
-    differential contract, so the switch only moves the cost model.
+    same array passes the whole-campaign batch path uses.  Tests pass
+    an explicit :class:`ArestDetector`, the paper-spec oracle, as the
+    reference; the two are byte-identical by the differential contract.
     """
 
     def __init__(
-        self,
-        detector: ArestDetector | ColumnarDetector | None = None,
-        *,
-        columnar: bool = True,
+        self, detector: ArestDetector | ColumnarDetector | None = None
     ) -> None:
-        if detector is None:
-            detector = ColumnarDetector() if columnar else ArestDetector()
-        self._detector = detector
+        self._detector = (
+            detector if detector is not None else ColumnarDetector()
+        )
 
     def accumulator(
         self,

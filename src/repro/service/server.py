@@ -23,7 +23,8 @@ Routes::
     GET  /metrics   Prometheus exposition (live ingest families + the
                     recorder's stage seconds)
 
-Shutdown mirrors ``campaign.executor``'s two-strike contract: the first
+Shutdown mirrors the campaigns' two-strike contract
+(:class:`~repro.campaign.shardexec.GracefulShutdown`): the first
 SIGINT/SIGTERM stops intake and drains (flush queue, final checkpoint,
 manifest ``ok``, exit 0); a second strike abandons the drain (queued
 traces stay journaled for the next start, manifest ``interrupted``,
@@ -202,7 +203,7 @@ class ArestService:
         return sockname[0], sockname[1]
 
     def handle_signal(self, sig: int) -> None:
-        """The two-strike contract (mirrors ``campaign.executor``)."""
+        """The two-strike contract (mirrors ``GracefulShutdown``)."""
         self._strikes += 1
         name = signal.Signals(sig).name
         if self._strikes == 1:

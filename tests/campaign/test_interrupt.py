@@ -3,7 +3,9 @@
 The contract under test: however a campaign dies -- operator Ctrl-C,
 a worker killed from outside -- the checkpoint on disk stays loadable,
 and ``resume=True`` completes the portfolio with a report (and final
-checkpoint bytes) identical to a run that was never interrupted.
+checkpoint bytes) identical to a run that was never interrupted.  A
+worker that hangs or goes silent is bounded by the per-AS deadline and
+the heartbeat watchdog, and a failed AS never hands its worker on.
 """
 
 import json
@@ -13,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -72,6 +75,46 @@ class KillsWorkerOnce(CampaignRunner):
         if as_id == AS_IDS[1]:
             os.kill(os.getpid(), signal.SIGKILL)
         return super().run_as(as_id)
+
+
+class StallsInProbe(CampaignRunner):
+    """Stalls one AS at its probe stage -- spinning heartbeats, or
+    silent -- on every dispatch."""
+
+    def __init__(self, *args, victim=None, chatty=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.victim = victim
+        self.chatty = chatty
+        self._active_as = None
+
+    def _spawn_config(self):
+        return dict(
+            super()._spawn_config(), victim=self.victim, chatty=self.chatty
+        )
+
+    def _set_stage(self, stage):
+        super()._set_stage(stage)
+        if stage != "probe" or self._active_as != self.victim:
+            return
+        while self.chatty:
+            super()._set_stage("probe")  # alive, but never done
+            time.sleep(0.05)
+        time.sleep(600)
+
+    def run_as(self, as_id, telemetry_dir=None):
+        self._active_as = as_id
+        return super().run_as(as_id, telemetry_dir)
+
+
+class FailsFirstAs(CampaignRunner):
+    """Fails AS_IDS[0] outright; stamps every AS with its worker's pid."""
+
+    def run_as(self, as_id, telemetry_dir=None):
+        if as_id == AS_IDS[0]:
+            raise RuntimeError(f"boom in pid {os.getpid()}")
+        result = super().run_as(as_id, telemetry_dir)
+        result.dataset.metadata["pid"] = str(os.getpid())
+        return result
 
 
 class TestSigintInProcess:
@@ -231,3 +274,46 @@ class TestSigkilledWorker:
             a for a in AS_IDS if a != victim
         )
         assert _report_fingerprint(resumed) == _report_fingerprint(report)
+
+
+class TestWorkerDeadlines:
+    """A stalled AS is killed, re-dispatched once, then quarantined."""
+
+    def test_hanging_as_quarantined_as_timeout(self):
+        victim = AS_IDS[1]
+        report = StallsInProbe(
+            **KNOBS, victim=victim, chatty=True
+        ).run_portfolio(as_ids=AS_IDS[:3], jobs=2, timeout_per_as=2)
+        assert sorted(report) == sorted(a for a in AS_IDS[:3] if a != victim)
+        quarantine = report.quarantined[victim]
+        assert quarantine.reason == "timeout"
+        assert quarantine.attempts == 2
+        assert quarantine.last_stage == "probe"
+
+    def test_silent_as_quarantined_as_hung(self):
+        victim = AS_IDS[1]
+        report = StallsInProbe(**KNOBS, victim=victim).run_portfolio(
+            as_ids=AS_IDS[:3],
+            jobs=2,
+            timeout_per_as=120,  # generous: the watchdog must trip first
+            heartbeat_timeout=1.5,
+        )
+        assert sorted(report) == sorted(a for a in AS_IDS[:3] if a != victim)
+        quarantine = report.quarantined[victim]
+        assert quarantine.reason == "hung"
+        assert quarantine.attempts == 2
+        assert quarantine.last_stage == "probe"
+
+
+class TestFailedAsRecycle:
+    def test_failed_as_worker_serves_no_later_as(self):
+        report = FailsFirstAs(**KNOBS).run_portfolio(as_ids=AS_IDS, jobs=2)
+        failure = report.failures[AS_IDS[0]]
+        failed_pid = failure.error.rsplit(" ", 1)[1]
+        pids = [report[a].dataset.metadata["pid"] for a in AS_IDS[1:]]
+        # AS_IDS[0] ran first on its worker, so every AS that ran in
+        # that process would have followed the failure
+        assert failed_pid not in pids
+        # workers are persistent: the pool served five ASes in fewer
+        # processes, so only the recycle kept them off the failed pid
+        assert len(set(pids)) < len(pids)

@@ -174,13 +174,10 @@ class TestPipelineParity:
         self, specs, fingerprints
     ):
         traces = [build_trace(s) for s in specs]
-        analyses = []
-        for columnar in (True, False):
-            pipeline = ArestPipeline(columnar=columnar)
-            analyses.append(
-                pipeline.analyze_as(100, traces, fingerprints)
-            )
-        fast, reference = analyses
+        fast, reference = (
+            pipeline.analyze_as(100, traces, fingerprints)
+            for pipeline in (ArestPipeline(), ArestPipeline(ArestDetector()))
+        )
         assert fast.flag_counts() == reference.flag_counts()
         assert fast.segments == reference.segments
         assert fast.traces_total == reference.traces_total
@@ -199,10 +196,8 @@ class TestPipelineParity:
             ]
         )
         traces = [conflicting, conflicting]
-        for columnar in (True, False):
-            analysis = ArestPipeline(columnar=columnar).analyze_as(
-                100, traces, {}
-            )
+        for pipeline in (ArestPipeline(), ArestPipeline(ArestDetector())):
+            analysis = pipeline.analyze_as(100, traces, {})
             assert analysis.traces_total == 2
             assert analysis.traces_quarantined == 2
             assert analysis.traces_analyzed == 0

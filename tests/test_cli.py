@@ -69,7 +69,12 @@ class TestDetect:
         assert "distinct segments" in out
         assert "CO" in out
 
-    def test_no_columnar_reference_path_identical(self, tmp_path, capsys):
+    def test_summary_matches_reference_detector(self, tmp_path, capsys):
+        from collections import Counter
+
+        from repro.campaign import TraceDataset
+        from repro.core.detector import ArestDetector
+
         path = tmp_path / "traces.jsonl"
         main(
             ["run-as", "28", "--targets", "8", "--vps", "2",
@@ -77,9 +82,28 @@ class TestDetect:
         )
         capsys.readouterr()
         assert main(["detect", str(path)]) == 0
-        columnar_out = capsys.readouterr().out
-        assert main(["detect", str(path), "--no-columnar"]) == 0
-        assert capsys.readouterr().out == columnar_out
+        out = capsys.readouterr().out
+
+        # the same summary, built by the paper-spec oracle
+        reference = ArestDetector()
+        counts: Counter = Counter()
+        seen = set()
+        total = 0
+        for trace in TraceDataset.iter_jsonl(path):
+            total += 1
+            for segment in reference.detect(trace, {}):
+                if segment.key() not in seen:
+                    seen.add(segment.key())
+                    counts[segment.flag] += 1
+        asn = TraceDataset.read_header(path).target_asn
+        expected = [
+            f"{total} traces toward AS{asn}, {len(seen)} distinct segments"
+        ]
+        expected += [
+            f"  {flag.name:<4} {count}" for flag, count in counts.most_common()
+        ]
+        assert counts  # AS 28 shows SR evidence: the table is compared
+        assert out == "\n".join(expected) + "\n"
 
     def test_vendor_breakdown_json(self, tmp_path, capsys):
         import json
