@@ -461,8 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         metavar="SECONDS",
         help=(
-            "per-trace analysis deadline; a trace past it is "
-            "quarantined as poison (0 disables)"
+            "deadline for one analysis call (a worker analyzes up to "
+            "64 queued traces per call); a batch that fails or runs "
+            "past it is retried trace by trace, and a trace that fails "
+            "or runs past it alone is quarantined as poison "
+            "(0 disables)"
         ),
     )
     serve.add_argument(

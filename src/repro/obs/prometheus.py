@@ -88,8 +88,8 @@ def render_ingest_metrics(
             f"{rejected[reason]}"
         )
     lines += [
-        "# HELP arest_queue_depth Traces currently waiting in the "
-        "bounded ingest queue.",
+        "# HELP arest_queue_depth Accepted traces not yet folded in: "
+        "queued or in a batch under analysis.",
         "# TYPE arest_queue_depth gauge",
         f"arest_queue_depth {queue_depth}",
         "# HELP arest_queue_capacity Configured bound of the ingest "

@@ -2,11 +2,12 @@
 
 The batch pipeline answers "what does this dataset contain"; this
 package answers the same question *continuously*: traces stream in over
-HTTP, a bounded queue applies backpressure, workers fold each trace
-through the exact sanitize → detect projection the batch path uses, and
-a crash-safe journal + snapshot store makes every acknowledged trace
-durable.  ``GET /segments`` is byte-identical to ``arest detect
---segments-json`` over the same traces, in any arrival order.
+HTTP, a bounded queue applies backpressure, workers fold the queued
+traces in batches through the one sanitize → detect fold the batch path
+uses (:func:`~repro.service.state.batch_aggregate`), and a crash-safe
+journal + snapshot store makes every acknowledged trace durable.
+``GET /segments`` is byte-identical to ``arest detect --segments-json``
+over the same traces, in any arrival order or batching.
 
 Modules:
 
@@ -16,8 +17,8 @@ Modules:
   durable journal/snapshot store;
 - :mod:`~repro.service.ingest` -- bounded queue, watermark hysteresis,
   per-submitter fairness;
-- :mod:`~repro.service.workers` -- queue consumers with deadlines and
-  poison containment;
+- :mod:`~repro.service.workers` -- batching queue consumers with a
+  deadline per analysis call and poison containment;
 - :mod:`~repro.service.server` -- the asyncio HTTP front-end and the
   two-strike drain lifecycle.
 """

@@ -2,8 +2,9 @@
 
 The queue between the HTTP front-end and the detection workers is the
 service's memory bound: its capacity is the **only** buffer the service
-holds for unprocessed traces, so RSS stays flat no matter how fast
-submitters push.  Overflow is never silent -- admission is decided up
+holds for unprocessed traces (a batch a worker dequeued counts against
+it until folded in), so RSS stays flat no matter how fast submitters
+push.  Overflow is never silent -- admission is decided up
 front and a refused batch becomes an HTTP 429 with ``Retry-After``,
 which is the contract that lets well-behaved clients self-pace.
 
@@ -81,6 +82,8 @@ class IngestQueue:
             raise ValueError("fair_share must be >= 1")
         self.retry_after = retry_after
         self._items: asyncio.Queue[Any] = asyncio.Queue()
+        #: dequeued items not yet marked done (a worker's batch)
+        self._in_flight = 0
         self._pending_by_submitter: Counter = Counter()
         self._saturated = False
         self._draining = False
@@ -94,8 +97,14 @@ class IngestQueue:
 
     @property
     def depth(self) -> int:
-        """Traces currently queued."""
-        return self._items.qsize()
+        """Traces accepted but not yet processed.
+
+        Queued traces plus the ones a worker dequeued and has not marked
+        done (its batch under analysis), so the capacity bounds every
+        unprocessed trace the service holds, and a depth of 0 means
+        every accepted trace is folded in.
+        """
+        return self._items.qsize() + self._in_flight
 
     @property
     def draining(self) -> bool:
@@ -147,9 +156,24 @@ class IngestQueue:
 
     # -- consumption ---------------------------------------------------------
 
-    async def get(self) -> Any:
-        """Dequeue one item (its submitter's slot frees immediately)."""
-        submitter, item = await self._items.get()
+    async def get_batch(self, limit: int) -> list:
+        """Dequeue up to ``limit`` items, oldest first.
+
+        Waits for the first item only; the rest are whatever is already
+        queued, taken without waiting, so a batch never holds a trace
+        back for company.  Each item's submitter slot frees immediately;
+        the items count toward :attr:`depth` until :meth:`task_done`.
+        """
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
+        batch = [self._release(await self._items.get())]
+        while len(batch) < limit and not self._items.empty():
+            batch.append(self._release(self._items.get_nowait()))
+        return batch
+
+    def _release(self, entry: tuple[str, Any]) -> Any:
+        submitter, item = entry
+        self._in_flight += 1
         self._pending_by_submitter[submitter] -= 1
         if self._pending_by_submitter[submitter] <= 0:
             del self._pending_by_submitter[submitter]
@@ -159,9 +183,11 @@ class IngestQueue:
         """Wait until every enqueued item has been processed."""
         await self._items.join()
 
-    def task_done(self) -> None:
-        """Mark one dequeued item fully processed (for :meth:`join`)."""
-        self._items.task_done()
+    def task_done(self, n: int = 1) -> None:
+        """Mark ``n`` dequeued items fully processed (for :meth:`join`)."""
+        for _ in range(n):
+            self._items.task_done()
+        self._in_flight -= n
 
     # -- lifecycle -----------------------------------------------------------
 

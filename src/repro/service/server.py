@@ -9,8 +9,9 @@ pieces the other modules provide:
 - :class:`~repro.service.state.ServiceState` -- the crash-safe journal
   + snapshot store (a trace is 202'd only *after* its journal line is
   fsynced);
-- :class:`~repro.service.workers.WorkerPool` -- queue consumers with
-  per-request deadlines and poison containment.
+- :class:`~repro.service.workers.WorkerPool` -- queue consumers that
+  analyze dequeued traces in batches, with a deadline per analysis
+  call and poison containment down to the single trace.
 
 Routes::
 
@@ -493,6 +494,7 @@ class ArestService:
                 "count": self.pool.workers,
                 "poisoned": self.pool.poisoned,
                 "timeouts": self.pool.timeouts,
+                "batches": self.pool.batches,
             },
             "fed_watermark": self.state.fed_watermark,
         }

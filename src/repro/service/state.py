@@ -35,8 +35,8 @@ Two pieces compose the service's robustness story:
 
 Recovery is therefore: load snapshot (if any), salvage the journal's
 intact prefix, replay the ``seq > snapshot.seq`` tail through the very
-same per-trace analysis used live, and merge.  The result is
-byte-identical to a run that never crashed.
+same batched fold the workers run live (:func:`batch_aggregate`), and
+merge.  The result is byte-identical to a run that never crashed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from repro.campaign.dataset import trace_from_json, trace_to_json
 from repro.core.flags import Flag, STRONG_FLAGS
@@ -74,6 +76,10 @@ _VERSION = 1
 
 #: the three hop-area buckets the aggregate tracks
 _AREAS = ("sr", "mpls", "ip")
+
+#: most traces one accumulator folds: the chunk size of
+#: :func:`batch_aggregate` and the most a worker analyzes per call
+MAX_BATCH = 64
 
 
 class StateMismatchError(ValueError):
@@ -404,7 +410,17 @@ class SegmentAggregate:
 
 
 # ---------------------------------------------------------------------------
-# per-trace analysis (the pure function workers run, possibly in a thread)
+# analysis (the pure functions workers run, possibly in a thread)
+
+
+def _fold(
+    traces: Iterable[Trace], asn: int | None, pipeline: ArestPipeline
+) -> SegmentAggregate:
+    """Feed ``traces`` through one fresh accumulator; project it once."""
+    accumulator = pipeline.accumulator(asn, {})
+    for trace in traces:
+        accumulator.feed(trace)
+    return SegmentAggregate.from_analysis(accumulator.finish())
 
 
 def analyze_trace(
@@ -417,31 +433,41 @@ def analyze_trace(
 
     Pure with respect to shared state: the accumulator is fresh per
     call, so a poisoned or timed-out analysis can be abandoned without
-    ever having touched the service's live aggregate.
+    ever having touched the service's live aggregate.  Workers fall
+    back to it, one trace at a time, when a whole batch fails.
     """
     pipeline = pipeline if pipeline is not None else ArestPipeline()
-    accumulator = pipeline.accumulator(asn, {})
-    accumulator.feed(trace)
-    return SegmentAggregate.from_analysis(accumulator.finish())
+    return _fold((trace,), asn, pipeline)
 
 
 def batch_aggregate(
-    traces,
+    traces: Iterable[Trace],
     *,
     asn: int | None = None,
     pipeline: ArestPipeline | None = None,
 ) -> SegmentAggregate:
-    """The batch reference: fold a whole trace set into one aggregate.
+    """Fold a trace set into one aggregate, :data:`MAX_BATCH` at a time.
 
-    This is the exact per-trace fold the streaming service performs --
-    so ``arest detect --segments-json`` and ``GET /segments`` are
-    byte-identical by construction, and the Hypothesis equivalence
-    property guards the construction.
+    Each chunk of up to :data:`MAX_BATCH` traces runs through one
+    accumulator and is projected and merged once, which amortizes those
+    per-call costs over the chunk; a streamed input stays in bounded
+    memory, since the accumulator's segment and anomaly lists live for
+    one chunk only.  Every aggregate field is a per-trace sum or union,
+    so the result is byte-identical to merging :func:`analyze_trace`
+    over the traces one by one (the differential tests hold it to
+    that).
+
+    This one fold is the batch reference ``arest detect
+    --segments-json`` prints, the call a service worker makes per
+    dequeued batch, and recovery's journal replay -- so ``GET
+    /segments`` equals the batch bytes by construction.  Pure like
+    :func:`analyze_trace`.
     """
     pipeline = pipeline if pipeline is not None else ArestPipeline()
     total = SegmentAggregate()
-    for trace in traces:
-        total.merge(analyze_trace(trace, asn=asn, pipeline=pipeline))
+    traces = iter(traces)
+    while chunk := list(islice(traces, MAX_BATCH)):
+        total.merge(_fold(chunk, asn, pipeline))
     return total
 
 
@@ -533,7 +559,7 @@ class ServiceState:
         dropping it loses nothing accepted), lines the snapshot already
         covers are skipped by sequence number (so a crash between
         snapshot and journal truncation double-counts nothing), and the
-        tail is replayed through the same per-trace analysis used live.
+        tail is replayed through the same batched fold used live.
         """
         info = RecoveryInfo()
         snapshot = self._load_snapshot()
@@ -546,15 +572,17 @@ class ServiceState:
         entries, damaged = self._load_journal()
         info.damaged_lines = damaged
         max_seq = self._snapshot_seq
+        tail = []
         for seq, offset, trace in entries:
             max_seq = max(max_seq, seq)
             if seq > self._snapshot_seq:
                 self._seqs.append(seq)
                 self._offsets.append(offset)
-                self.aggregate.merge(
-                    analyze_trace(trace, asn=self.asn, pipeline=self.pipeline)
-                )
-                info.replayed += 1
+                tail.append(trace)
+        self.aggregate.merge(
+            batch_aggregate(tail, asn=self.asn, pipeline=self.pipeline)
+        )
+        info.replayed = len(tail)
         self._last_seq = max_seq
         self._fed_watermark = max_seq
         self._fed_ahead.clear()
@@ -711,16 +739,17 @@ class ServiceState:
         self._last_seq = seqs[-1]
         return seqs
 
-    def ingest(self, seq: int, delta: SegmentAggregate) -> None:
-        """Fold one analyzed trace's delta in and advance the watermark."""
+    def ingest(self, seqs: Iterable[int], delta: SegmentAggregate) -> None:
+        """Fold one analyzed batch's delta in (one merge for the whole
+        batch) and advance the watermark over every seq it covers."""
         self.aggregate.merge(delta)
-        if seq == self._fed_watermark + 1:
-            self._fed_watermark = seq
-            while self._fed_watermark + 1 in self._fed_ahead:
-                self._fed_watermark += 1
-                self._fed_ahead.remove(self._fed_watermark)
-        else:
-            self._fed_ahead.add(seq)
+        ahead = self._fed_ahead
+        ahead.update(seqs)
+        watermark = self._fed_watermark
+        while watermark + 1 in ahead:
+            watermark += 1
+            ahead.remove(watermark)
+        self._fed_watermark = watermark
 
     @property
     def fed_watermark(self) -> int:

@@ -1,19 +1,26 @@
 """Detection workers: queue consumers with poison containment.
 
-Each worker task loops ``queue.get() → analyze → fold into state``.
-The analysis step is a *pure* per-trace projection
-(:func:`repro.service.state.analyze_trace`): it touches no shared
-state, so the two failure modes a hostile input can cause are both
-contained without corrupting the aggregate:
+Each worker task loops ``queue.get_batch() → analyze → fold into
+state``.  A wake-up takes up to :data:`~repro.service.state.MAX_BATCH`
+queued traces and analyzes them in **one** call of
+:func:`~repro.service.state.batch_aggregate` -- one accumulator, one
+projection, one merge into the live aggregate and one executor round
+trip for the whole batch.  The analysis is a *pure* projection: it
+touches no shared state, so the two failure modes a hostile input can
+cause are both contained without corrupting the aggregate:
 
-- **exception** -- the worker catches it, folds in a poison delta
-  (collected + quarantined + a ``poison-trace`` anomaly, keeping the
-  reconciliation invariant intact) and moves on;
-- **timeout** -- the analysis runs on a worker-owned thread pool and is
-  awaited with a deadline.  On expiry the future is abandoned (its
-  eventual result, if any, is never read) and the pool is replaced so
-  the hung thread cannot serialize later traces behind it; the trace is
-  quarantined as poison.
+- **exception** -- the batch is discarded whole (its accumulator was
+  private, nothing was folded) and re-run one trace at a time through
+  :func:`~repro.service.state.analyze_trace`; only a trace that fails
+  alone is quarantined, as a poison delta (collected + quarantined + a
+  ``poison-trace`` anomaly, keeping the reconciliation invariant
+  intact);
+- **timeout** -- each analysis call runs on a worker-owned thread pool
+  and is awaited with one ``detect_timeout`` deadline.  On expiry the
+  future is abandoned (its eventual result, if any, is never read) and
+  the pool is replaced so the hung thread cannot serialize later calls
+  behind it; the batch is then retried trace by trace under the same
+  deadline, so a hung trace is quarantined after two deadlines.
 
 Either way the worker itself survives -- the acceptance criterion is
 that no input can kill a worker -- and every dequeued trace is
@@ -28,7 +35,13 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 from repro.service.ingest import IngestQueue
-from repro.service.state import SegmentAggregate, ServiceState, analyze_trace
+from repro.service.state import (
+    MAX_BATCH,
+    SegmentAggregate,
+    ServiceState,
+    analyze_trace,
+    batch_aggregate,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +67,10 @@ class WorkerPool:
         self.telemetry = telemetry
         #: traces quarantined because their analysis failed or hung
         self.poisoned = 0
-        #: traces that ran past the per-request deadline
+        #: traces that ran past the deadline when analyzed alone
         self.timeouts = 0
+        #: analysis calls made (one per batch, plus one per retried trace)
+        self.batches = 0
         self._tasks: list[asyncio.Task] = []
         self._executor: ThreadPoolExecutor | None = None
         self._stopping = False
@@ -80,7 +95,7 @@ class WorkerPool:
         (the analysis result wins, the CancelledError is lost), and a
         worker whose cancel was eaten would otherwise re-block on an
         empty queue forever.  The loop re-checks the flag between
-        traces, so a swallowed cancel still ends the worker.
+        batches, so a swallowed cancel still ends the worker.
         """
         self._stopping = True
         for task in self._tasks:
@@ -100,10 +115,10 @@ class WorkerPool:
 
     async def _run(self, index: int) -> None:
         while not self._stopping:
-            seq, trace = await self.queue.get()
+            batch = await self.queue.get_batch(MAX_BATCH)
             try:
-                delta = await self._analyze(seq, trace)
-                self.state.ingest(seq, delta)
+                delta = await self._analyze(batch)
+                self.state.ingest([seq for seq, _ in batch], delta)
                 if self.state.compaction_due:
                     self._compact()
             except asyncio.CancelledError:
@@ -113,54 +128,85 @@ class WorkerPool:
                 # here is a bug worth a log line, never a dead worker
                 logger.exception("worker %d: unexpected error", index)
             finally:
-                self.queue.task_done()
+                self.queue.task_done(len(batch))
 
-    async def _analyze(self, seq: int, trace) -> SegmentAggregate:
-        """One trace's pure projection, bounded and contained.
+    async def _analyze(self, batch: list) -> SegmentAggregate:
+        """One batch's pure projection, bounded and contained.
 
-        Every path through the analysis -- clean, poisoned, timed out
-        -- lands one ``detect`` latency observation, so the histogram's
-        count equals the traces dequeued and its tail shows the
-        deadline ceiling.
+        The whole batch is one call under one deadline.  If it raises or
+        expires, it is discarded and every trace is re-run alone (a
+        batch of one goes there directly: its call is the retry).
+        Every dequeued trace lands exactly one ``detect`` latency
+        observation -- a batch's seconds over its size, or a retried
+        trace's own call -- so the histogram's count equals the traces
+        dequeued and its tail shows the deadline ceiling.
         """
-        tel = self.telemetry
-        if tel is None or not tel.enabled:
-            return await self._analyze_inner(seq, trace)
-        tick = tel.clock()
-        try:
-            return await self._analyze_inner(seq, trace)
-        finally:
-            tel.observe("detect", tel.clock() - tick)
-
-    async def _analyze_inner(self, seq: int, trace) -> SegmentAggregate:
-        if self._executor is None:
+        if len(batch) > 1:
+            tick = self._tick()
             try:
-                return analyze_trace(
-                    trace, asn=self.state.asn, pipeline=self.state.pipeline
+                delta = await self._call(
+                    batch_aggregate, [trace for _, trace in batch]
                 )
             except Exception as exc:
-                return self._poison(seq, f"{type(exc).__name__}: {exc}")
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._executor,
-            partial(
-                analyze_trace,
-                trace,
-                asn=self.state.asn,
-                pipeline=self.state.pipeline,
-            ),
+                logger.warning(
+                    "batch of %d traces (seq %d..%d) failed, retrying "
+                    "trace by trace: %s",
+                    len(batch),
+                    batch[0][0],
+                    batch[-1][0],
+                    _describe(exc),
+                )
+            else:
+                self._observe(tick, len(batch))
+                return delta
+        total = SegmentAggregate()
+        for seq, trace in batch:
+            tick = self._tick()
+            try:
+                delta = await self._call(analyze_trace, trace)
+            except asyncio.TimeoutError as exc:
+                self.timeouts += 1
+                delta = self._poison(seq, _describe(exc))
+            except Exception as exc:
+                delta = self._poison(seq, _describe(exc))
+            self._observe(tick, 1)
+            total.merge(delta)
+        return total
+
+    async def _call(self, analysis, subject) -> SegmentAggregate:
+        """Run ``analysis(subject)`` (a batch or one trace) once, under
+        the deadline when one is set.
+
+        On expiry the hung thread is abandoned and the pool replaced,
+        so later calls never queue behind it; the ``TimeoutError``
+        propagates to the caller.
+        """
+        self.batches += 1
+        call = partial(
+            analysis, subject, asn=self.state.asn, pipeline=self.state.pipeline
+        )
+        if self._executor is None:
+            return call()
+        future = asyncio.get_running_loop().run_in_executor(
+            self._executor, call
         )
         try:
             return await asyncio.wait_for(future, self.detect_timeout)
         except asyncio.TimeoutError:
-            # the hung thread is abandoned; replace the pool so later
-            # traces never queue behind it
-            self.timeouts += 1
             self._executor.shutdown(wait=False)
             self._executor = self._new_executor()
-            return self._poison(seq, "per-request deadline exceeded")
-        except Exception as exc:
-            return self._poison(seq, f"{type(exc).__name__}: {exc}")
+            raise
+
+    def _tick(self) -> float | None:
+        tel = self.telemetry
+        return tel.clock() if tel is not None and tel.enabled else None
+
+    def _observe(self, tick: float | None, traces: int) -> None:
+        if tick is not None:
+            seconds = (self.telemetry.clock() - tick) / traces
+            self.telemetry.histogram("detect").observe_many(
+                [seconds] * traces
+            )
 
     def _poison(self, seq: int, detail: str) -> SegmentAggregate:
         self.poisoned += 1
@@ -175,3 +221,9 @@ class WorkerPool:
                 self.state.compact()
         else:
             self.state.compact()
+
+
+def _describe(exc: Exception) -> str:
+    if isinstance(exc, asyncio.TimeoutError):
+        return "analysis deadline exceeded"
+    return f"{type(exc).__name__}: {exc}"

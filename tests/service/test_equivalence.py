@@ -17,8 +17,10 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign.dataset import trace_from_json, trace_to_json
+from repro.core.pipeline import ArestPipeline
 from repro.service.state import (
     INGEST_FILENAME,
+    MAX_BATCH,
     SNAPSHOT_FILENAME,
     SegmentAggregate,
     ServiceState,
@@ -27,7 +29,7 @@ from repro.service.state import (
 )
 from repro.util.journal import rewrite_json_lines
 from tests.conftest import scaled_examples
-from tests.service.conftest import trace_lists, trace_strategy
+from tests.service.conftest import corpus, trace_lists, trace_strategy
 
 
 @st.composite
@@ -68,6 +70,26 @@ def _stream_with_restart(draw):
     )
 
 
+class _CountingPipeline(ArestPipeline):
+    """The default pipeline, counting the accumulators it hands out."""
+
+    accumulators = 0
+
+    def accumulator(self, *args, **kwargs):
+        self.accumulators += 1
+        return super().accumulator(*args, **kwargs)
+
+
+def _assert_same_bytes(
+    batched: SegmentAggregate, per_trace: SegmentAggregate
+) -> None:
+    """``/segments`` bytes and snapshot bytes agree."""
+    assert batched.segments_json() == per_trace.segments_json()
+    assert json.dumps(batched.as_state_dict(), sort_keys=True) == (
+        json.dumps(per_trace.as_state_dict(), sort_keys=True)
+    )
+
+
 def _reference_compaction(journal: bytes, upto: int, scratch: Path) -> bytes:
     """The journal rewrite by decoding: the oracle for byte compaction.
 
@@ -95,13 +117,30 @@ class TestStreamingEqualsBatch:
     @settings(max_examples=scaled_examples(30), deadline=None)
     @given(_shuffled_with_splits())
     def test_any_order_merges_to_the_batch_bytes(self, case):
-        traces, order, _boundaries = case
-        total = SegmentAggregate()
+        traces, order, boundaries = case
+        per_trace = SegmentAggregate()
         for index in order:
-            total.merge(analyze_trace(traces[index]))
-        assert total.segments_json(65001) == batch_aggregate(
+            per_trace.merge(analyze_trace(traces[index]))
+        # the same drawn order, folded batch by batch in the drawn splits
+        arrived = [traces[index] for index in order]
+        splits = [0, *boundaries, len(arrived)]
+        batched = SegmentAggregate()
+        for lo, hi in zip(splits, splits[1:]):
+            batched.merge(batch_aggregate(arrived[lo:hi]))
+        _assert_same_bytes(batched, per_trace)
+        assert per_trace.segments_json(65001) == batch_aggregate(
             traces
         ).segments_json(65001)
+
+    def test_batch_fold_crosses_its_chunk_boundary(self):
+        traces = corpus(2 * MAX_BATCH + 3)
+        pipeline = _CountingPipeline()
+        batched = batch_aggregate(traces, pipeline=pipeline)
+        assert pipeline.accumulators == 3
+        per_trace = SegmentAggregate()
+        for trace in traces:
+            per_trace.merge(analyze_trace(trace))
+        _assert_same_bytes(batched, per_trace)
 
     @settings(max_examples=scaled_examples(15), deadline=None)
     @given(_shuffled_with_splits())
@@ -119,7 +158,7 @@ class TestStreamingEqualsBatch:
             # ...fold in the drawn arrival order, compacting when due
             for index in order:
                 state.ingest(
-                    seqs[index], analyze_trace(traces[index])
+                    [seqs[index]], analyze_trace(traces[index])
                 )
                 if state.compaction_due:
                     state.compact()
@@ -162,7 +201,7 @@ class TestStreamingEqualsBatch:
                     continue
                 for position in order:
                     state.ingest(
-                        seqs[position - lo], analyze_trace(traces[position])
+                        [seqs[position - lo]], analyze_trace(traces[position])
                     )
                     if state.compaction_due:
                         compact(state)

@@ -15,8 +15,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro.probing.sanitize import TraceSanitizer
 from repro.service.server import ArestService, ServiceConfig
-from repro.service.state import batch_aggregate
+from repro.service.state import (
+    MAX_BATCH,
+    SegmentAggregate,
+    ServiceState,
+    batch_aggregate,
+)
 from repro.service.wire import trace_to_json
 from tests.service.conftest import corpus
 
@@ -97,11 +103,57 @@ class TestRoutes:
                 acked = json.loads(body)
                 assert acked["accepted"] == len(traces)
                 await svc.service.queue.join()
+                # one posted request, one dequeued batch, one analysis
+                # call; the detect histogram still counts traces
+                _, _, report = await svc.request("GET", "/report")
+                workers = json.loads(report)["service"]["workers"]
+                assert workers["batches"] == 1
+                _, _, metrics = await svc.request("GET", "/metrics")
+                assert (
+                    'arest_stage_latency_seconds_count{stage="detect"} '
+                    f"{len(traces)}" in metrics.decode()
+                )
                 status, headers, body = await svc.request(
                     "GET", "/segments"
                 )
                 assert status == 200
                 assert headers["content-type"] == "application/json"
+                return body
+
+        served = asyncio.run(run())
+        assert served == batch_aggregate(traces).segments_json()
+
+    def test_zero_depth_means_every_trace_is_folded(
+        self, tmp_path, monkeypatch
+    ):
+        """Clients poll ``/healthz`` until ``queue_depth`` is 0: a batch
+        a worker dequeued still counts until it is folded in."""
+        traces = corpus(8)
+        # the last trace holds its batch in analysis for a while
+        traces[-1] = replace(traces[-1], flow_id=777)
+        real = TraceSanitizer.sanitize
+
+        def stall(self, trace):
+            if trace.flow_id == 777:
+                time.sleep(0.3)
+            return real(self, trace)
+
+        monkeypatch.setattr(TraceSanitizer, "sanitize", stall)
+
+        async def run():
+            async with _Service(tmp_path, detect_timeout=30.0) as svc:
+                status, _, _ = await svc.request(
+                    "POST", "/trace", _lines(traces)
+                )
+                assert status == 202
+                deadline = time.monotonic() + 60
+                while True:
+                    _, _, body = await svc.request("GET", "/healthz")
+                    if json.loads(body)["queue_depth"] == 0:
+                        break
+                    assert time.monotonic() < deadline, "never drained"
+                    await asyncio.sleep(0.001)
+                _, _, body = await svc.request("GET", "/segments")
                 return body
 
         served = asyncio.run(run())
@@ -178,6 +230,63 @@ class TestRoutes:
                 assert status == 405
 
         asyncio.run(run())
+
+
+class TestWorkers:
+    def test_two_workers_fold_to_the_batch_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """Batches analyzed on two workers fold out of order; the bytes,
+        the watermark and the drained journal must not notice."""
+        traces = corpus(3 * MAX_BATCH + 8)
+        # the first trace stalls the first batch, so the other worker's
+        # batches fold ahead of it
+        traces[0] = replace(traces[0], flow_id=777)
+        real = TraceSanitizer.sanitize
+
+        def stall(self, trace):
+            if trace.flow_id == 777:
+                time.sleep(0.5)
+            return real(self, trace)
+
+        monkeypatch.setattr(TraceSanitizer, "sanitize", stall)
+        folded: list[int] = []
+        real_ingest = ServiceState.ingest
+
+        def ingest(self, seqs, delta):
+            folded.append(min(seqs))
+            real_ingest(self, seqs, delta)
+
+        monkeypatch.setattr(ServiceState, "ingest", ingest)
+        posts = [traces[i : i + 40] for i in range(0, len(traces), 40)]
+
+        async def run():
+            async with _Service(
+                tmp_path, workers=2, detect_timeout=30.0, snapshot_every=50
+            ) as svc:
+                replies = await asyncio.gather(
+                    *(
+                        svc.request("POST", "/trace", _lines(post))
+                        for post in posts
+                    )
+                )
+                assert [status for status, _, _ in replies] == (
+                    [202] * len(posts)
+                )
+                await asyncio.wait_for(svc.service.queue.join(), timeout=60)
+                _, _, report = await svc.request("GET", "/report")
+                service = json.loads(report)["service"]
+                assert service["queue"]["accepted_total"] == len(traces)
+                assert service["fed_watermark"] == len(traces)
+                assert service["workers"]["poisoned"] == 0
+                _, _, body = await svc.request("GET", "/segments")
+                return body
+
+        served = asyncio.run(run())
+        assert folded != sorted(folded)
+        assert served == batch_aggregate(traces).segments_json()
+        journal = (tmp_path / "state" / "ingest.jsonl").read_text()
+        assert len(journal.splitlines()) == 1
 
 
 class TestBackpressure:
@@ -263,20 +372,21 @@ class TestBackpressure:
 
 
 class TestPoisonContainment:
+    """Poison injected into the sanitizer, which every analysis runs:
+    the batched call and the trace-by-trace retry alike."""
+
     def test_poison_exception_never_kills_a_worker(
         self, tmp_path, monkeypatch
     ):
-        import repro.service.workers as workers_mod
-
         traces = corpus(4)
-        real = workers_mod.analyze_trace
+        real = TraceSanitizer.sanitize
 
-        def explosive(trace, **kwargs):
+        def explosive(self, trace):
             if trace.flow_id == 666:
                 raise RuntimeError("crafted poison")
-            return real(trace, **kwargs)
+            return real(self, trace)
 
-        monkeypatch.setattr(workers_mod, "analyze_trace", explosive)
+        monkeypatch.setattr(TraceSanitizer, "sanitize", explosive)
         poison = replace(traces[1], flow_id=666)
         stream = [traces[0], poison, traces[2], traces[3]]
 
@@ -304,17 +414,15 @@ class TestPoisonContainment:
     def test_hung_analysis_hits_the_deadline(
         self, tmp_path, monkeypatch
     ):
-        import repro.service.workers as workers_mod
-
         traces = corpus(2)
-        real = workers_mod.analyze_trace
+        real = TraceSanitizer.sanitize
 
-        def hang(trace, **kwargs):
+        def hang(self, trace):
             if trace.flow_id == 666:
                 time.sleep(5)
-            return real(trace, **kwargs)
+            return real(self, trace)
 
-        monkeypatch.setattr(workers_mod, "analyze_trace", hang)
+        monkeypatch.setattr(TraceSanitizer, "sanitize", hang)
         stream = [replace(traces[0], flow_id=666), traces[1]]
 
         async def run():
@@ -336,6 +444,39 @@ class TestPoisonContainment:
                 assert doc["anomalies"]["poison-trace"] == 1
 
         asyncio.run(run())
+
+    def test_poison_mid_batch_quarantines_only_that_trace(
+        self, tmp_path, monkeypatch
+    ):
+        traces = corpus(9)
+        real = TraceSanitizer.sanitize
+
+        def explosive(self, trace):
+            if trace.flow_id == 666:
+                raise RuntimeError("crafted poison")
+            return real(self, trace)
+
+        monkeypatch.setattr(TraceSanitizer, "sanitize", explosive)
+        stream = [*traces[:4], replace(traces[4], flow_id=666), *traces[5:]]
+
+        async def run():
+            async with _Service(tmp_path) as svc:
+                status, _, _ = await svc.request(
+                    "POST", "/trace", _lines(stream)
+                )
+                assert status == 202
+                await asyncio.wait_for(svc.service.queue.join(), timeout=60)
+                pool = svc.service.pool
+                assert (pool.poisoned, pool.timeouts) == (1, 0)
+                # one failed batch call, then one call per trace
+                assert pool.batches == 1 + len(stream)
+                _, _, body = await svc.request("GET", "/segments")
+                return body
+
+        served = asyncio.run(run())
+        expected = batch_aggregate([*traces[:4], *traces[5:]])
+        expected.merge(SegmentAggregate.poison())
+        assert served == expected.segments_json()
 
 
 class TestDrain:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.service.ingest import (
     REASON_DRAINING,
     REASON_QUEUE_FULL,
@@ -51,7 +53,7 @@ class TestHysteresis:
 
         async def pop(n):
             for _ in range(n):
-                await queue.get()
+                await queue.get_batch(1)
                 queue.task_done()
 
         asyncio.run(pop(2))
@@ -86,11 +88,68 @@ class TestFairness:
         assert not queue.admit(1, "a").accepted
 
         async def pop_one():
-            await queue.get()
+            await queue.get_batch(1)
             queue.task_done()
 
         asyncio.run(pop_one())
         assert queue.admit(1, "a").accepted
+
+
+class TestGetBatch:
+    def test_takes_what_is_queued_up_to_the_limit(self):
+        import asyncio
+
+        queue = IngestQueue(8, low_watermark=0, fair_share=3)
+        _fill(queue, 3, "a")
+        queue.enqueue(["b0", "b1"], "b")
+
+        async def run():
+            first = await queue.get_batch(4)
+            # the fifth item is already queued: no waiting for it
+            rest = await asyncio.wait_for(queue.get_batch(4), timeout=1)
+            return first, rest
+
+        first, rest = asyncio.run(run())
+        assert first == [0, 1, 2, "b0"]
+        assert rest == ["b1"]
+        # every dequeued item freed its submitter's slot
+        assert queue.admit(3, "a").accepted
+        assert queue.admit(3, "b").accepted
+
+    def test_waits_for_the_first_item_only(self):
+        import asyncio
+
+        queue = IngestQueue(8)
+
+        async def run():
+            getter = asyncio.create_task(queue.get_batch(64))
+            await asyncio.sleep(0)
+            assert not getter.done()
+            _fill(queue, 2)
+            return await asyncio.wait_for(getter, timeout=1)
+
+        assert asyncio.run(run()) == [0, 1]
+        queue.task_done(2)
+        assert queue.depth == 0
+
+    def test_a_dequeued_batch_counts_until_done(self):
+        import asyncio
+
+        queue = IngestQueue(4, low_watermark=1, fair_share=4)
+        _fill(queue, 4)
+        batch = asyncio.run(queue.get_batch(3))
+        # the batch is still unprocessed: depth and the bound keep it
+        assert queue.depth == 4
+        assert not queue.admit(1, "a").accepted
+        queue.task_done(len(batch))
+        assert queue.depth == 1
+        assert queue.admit(3, "a").accepted
+
+    def test_limit_must_be_positive(self):
+        import asyncio
+
+        with pytest.raises(ValueError):
+            asyncio.run(IngestQueue(4).get_batch(0))
 
 
 class TestLifecycle:

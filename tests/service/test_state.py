@@ -24,7 +24,7 @@ from tests.service.conftest import corpus
 def _feed_all(state: ServiceState, traces) -> None:
     seqs = state.accept(list(traces))
     for seq, trace in zip(seqs, traces):
-        state.ingest(seq, analyze_trace(trace, asn=state.asn))
+        state.ingest([seq], analyze_trace(trace, asn=state.asn))
 
 
 class TestJournalRoundTrip:
@@ -140,7 +140,7 @@ class TestRefusedAppend:
         seqs = state.accept(traces[2:6])
         assert seqs == [3, 4, 5, 6]
         for seq, trace in zip(seqs, traces[2:6]):
-            state.ingest(seq, analyze_trace(trace))
+            state.ingest([seq], analyze_trace(trace))
         # nothing is stuck ahead of the watermark, so compaction fires
         assert state.fed_watermark == 6
         assert state.compaction_due
@@ -243,14 +243,29 @@ class TestSnapshotCompaction:
         state = ServiceState(tmp_path, snapshot_every=1)
         seqs = state.accept(traces)
         # fold seq 2 ahead of seq 1: compaction must refuse
-        state.ingest(seqs[1], analyze_trace(traces[1]))
+        state.ingest([seqs[1]], analyze_trace(traces[1]))
         assert not state.compaction_due
         with pytest.raises(RuntimeError):
             state.compact()
-        state.ingest(seqs[0], analyze_trace(traces[0]))
-        state.ingest(seqs[2], analyze_trace(traces[2]))
+        state.ingest([seqs[0]], analyze_trace(traces[0]))
+        state.ingest([seqs[2]], analyze_trace(traces[2]))
         assert state.fed_watermark == 3
         assert state.compaction_due
+
+    def test_batched_ingest_advances_over_every_seq(self, tmp_path):
+        traces = corpus(6)
+        state = ServiceState(tmp_path, snapshot_every=6)
+        seqs = state.accept(traces)
+        # the second batch folds first: the watermark waits for the first
+        state.ingest(seqs[3:], batch_aggregate(traces[3:]))
+        assert state.fed_watermark == 0
+        assert not state.compaction_due
+        state.ingest(seqs[:3], batch_aggregate(traces[:3]))
+        assert state.fed_watermark == 6
+        assert state.compaction_due
+        assert state.aggregate.segments_json() == (
+            batch_aggregate(traces).segments_json()
+        )
 
     def test_garbled_snapshot_falls_back_to_the_journal(self, tmp_path):
         traces = corpus(3)
