@@ -337,9 +337,7 @@ class NetworkDynamics:
         values therefore stay a pure function of (network, mutation
         history) -- the property the fast-path differential and resume
         byte-identity tests pin.  Converging before the engine flush
-        would be wrong twice over: programs would embed pre-mutation
-        IGP paths, and *which* stale SPF entries converge sees depends
-        on the engine's memoization mode.
+        would be wrong: programs would embed pre-mutation IGP paths.
         """
         self._controller.invalidate()
         self._engine.invalidate_caches()

@@ -66,15 +66,14 @@ _MAX_WALK = 512
 _DEFAULT_INITIAL_TTL = 64
 
 
-def _ecmp_digest(flow_id: int, node: int, target: int) -> int:
-    """The per-flow ECMP hash bucket (bit-identical to the historical
-    inline SHA-256)."""
+def _ecmp_bucket(flow_id: int, node: int, target: int) -> int:
+    """The per-flow ECMP hash bucket.
+
+    Not memoized: its one caller, :meth:`ForwardingEngine._flow_next_hop`,
+    already caches the resolved hop per (node, target, flow).
+    """
     digest = hashlib.sha256(f"{flow_id}:{node}:{target}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
-
-
-#: memoized bucket -- the same flow re-resolves the same hop once per probe
-_ecmp_bucket = lru_cache(maxsize=1 << 16)(_ecmp_digest)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -184,7 +183,6 @@ class ForwardingEngine:
         self._next_hop_cache: dict[tuple[int, int, int], int] = {}
         #: (node, prev, vp) -> reply skeleton, shared by walk recorders
         self._reply_skeletons: dict = {}
-        self._memoize = True
 
     def invalidate_caches(self) -> None:
         """Drop memoized routing state (call after topology changes).
@@ -200,29 +198,6 @@ class ForwardingEngine:
         self._igp.invalidate()
         self._epoch += 1
         self.stats.epoch_transitions += 1
-
-    @property
-    def memoize(self) -> bool:
-        """Memoize deterministic routing primitives (on by default).
-
-        Turning this off makes every walk recompute ECMP scans, flow
-        hash buckets and return-path hop counts from scratch -- the
-        pre-memoization cost model.  Results are bit-identical either
-        way; the campaign benchmark uses the switch to time its
-        reference leg honestly.
-        """
-        return self._memoize
-
-    @memoize.setter
-    def memoize(self, on: bool) -> None:
-        changed = on != self._memoize
-        self._memoize = on
-        self._igp.memoize = on
-        if changed and not on:
-            # Drop state the memoized mode accumulated; re-assigning the
-            # same value is a no-op so steady-state callers keep the SPF
-            # distance fields the seed engine also kept warm.
-            self.invalidate_caches()
 
     @property
     def network(self) -> Network:
@@ -548,9 +523,8 @@ class ForwardingEngine:
         if truth is not None:
             # positional: router_id, asn, received_labels, received_planes,
             # pushed (fixed up below if a push happens), uniform
-            make_hop = _truth_hop if self._memoize else TruthHop
             truth.append(
-                make_hop(
+                _truth_hop(
                     node,
                     router.asn,
                     packet.stack.labels() if received_stack is not None else (),
@@ -573,7 +547,7 @@ class ForwardingEngine:
                     received_stack if router.rfc4950 else None,
                     packet,
                 )
-            packet.stack.decrement_ttl(self._memoize)
+            packet.stack.decrement_ttl()
             return self._label_ops(node, prev, final, packet, received_stack, truth)
 
         # Plain IP processing.  The final router is still a router: it
@@ -594,8 +568,7 @@ class ForwardingEngine:
                 self._push_program(router, packet, program)
                 if truth is not None and truth:
                     last = truth[-1]
-                    make_hop = _truth_hop if self._memoize else TruthHop
-                    truth[-1] = make_hop(
+                    truth[-1] = _truth_hop(
                         last.router_id,
                         last.asn,
                         last.received_labels,
@@ -705,7 +678,7 @@ class ForwardingEngine:
                     if out_label is None:
                         self._pop(packet)  # PHP at the penultimate hop
                     else:
-                        packet.stack.swap(out_label, self._memoize)
+                        packet.stack.swap(out_label)
                         packet.planes[0] = "rsvp"
                     return self._after_forwarding_pop(
                         node, prev, packet, received_stack, router, nh
@@ -728,12 +701,12 @@ class ForwardingEngine:
             if nh == target and domain.explicit_null:
                 # signal explicit-null: the endpoint still receives an
                 # MPLS header, carrying only label 0
-                packet.stack.swap(0, self._memoize)
+                packet.stack.swap(0)
                 packet.planes[0] = "sr"
             elif nh == target and domain.php:
                 self._pop(packet)  # PHP toward the segment endpoint
             else:
-                packet.stack.swap(domain.label_on_wire(nh, index), self._memoize)
+                packet.stack.swap(domain.label_on_wire(nh, index))
                 packet.planes[0] = "sr"
             return nh
         # SR -> LDP interworking: downstream neighbour is LDP-only.  The
@@ -743,7 +716,7 @@ class ForwardingEngine:
         if binding == int(ReservedLabel.IMPLICIT_NULL):
             self._pop(packet)
         else:
-            packet.stack.swap(binding, self._memoize)
+            packet.stack.swap(binding)
             packet.planes[0] = "ldp"
         return nh
 
@@ -760,7 +733,7 @@ class ForwardingEngine:
             if binding == int(ReservedLabel.IMPLICIT_NULL):
                 self._pop(packet)
             else:
-                packet.stack.swap(binding, self._memoize)
+                packet.stack.swap(binding)
                 packet.planes[0] = "ldp"
             return nh
         # LDP -> SR interworking: downstream speaks SR only.  This border
@@ -774,7 +747,7 @@ class ForwardingEngine:
         if nh == egress:
             self._pop(packet)
         else:
-            packet.stack.swap(domain.label_on_wire(nh, index), self._memoize)
+            packet.stack.swap(domain.label_on_wire(nh, index))
             packet.planes[0] = "sr"
         return nh
 
@@ -878,7 +851,7 @@ class ForwardingEngine:
             packet.planes.pop(0)
         if packet.uniform:
             if packet.stack:
-                packet.stack.set_top_ttl(popped.ttl, self._memoize)
+                packet.stack.set_top_ttl(popped.ttl)
             else:
                 packet.ip_ttl = popped.ttl
 
@@ -896,24 +869,9 @@ class ForwardingEngine:
         if router.icmp_silent:
             return None
         if router.icmp_response_rate < 1.0 and packet is not None:
-            if self._memoize:
-                draw = unit_hash(
-                    "icmp-drop", node, packet.flow_id, packet.dest.value
-                )
-            else:
-                # pre-change cost model: every deterministic draw pays a
-                # fresh SHA-256 (bit-identical to unit_hash)
-                text = (
-                    f"icmp-drop\x1f{node}\x1f{packet.flow_id}"
-                    f"\x1f{packet.dest.value}"
-                )
-                draw = (
-                    int.from_bytes(
-                        hashlib.sha256(text.encode("utf-8")).digest()[:8],
-                        "big",
-                    )
-                    / 2**64
-                )
+            draw = unit_hash(
+                "icmp-drop", node, packet.flow_id, packet.dest.value
+            )
             if draw >= router.icmp_response_rate:
                 # ICMP rate limiting: this flow's probes expiring here are
                 # consistently policed away (a '*' in the traceroute).
@@ -957,11 +915,6 @@ class ForwardingEngine:
     # -- helpers ------------------------------------------------------------------------
 
     def _flow_next_hop(self, node: int, target: int, flow_id: int) -> int:
-        if not self._memoize:
-            hops = self._igp.ecmp_next_hops(node, target)
-            if len(hops) == 1:
-                return hops[0]
-            return hops[_ecmp_digest(flow_id, node, target) % len(hops)]
         key = (node, target, flow_id)
         cached = self._next_hop_cache.get(key)
         if cached is not None:
@@ -988,12 +941,8 @@ class ForwardingEngine:
         """(reply IP TTL, return-path hop count) for one responder.
 
         One helper so every reply builder pays the hop-count lookup once.
-        The unmemoized cost model resolved the reply TTL and the truth
-        hop count independently -- two path walks per reply.
         """
         hops = self._return_hops(responder, vp)
-        if not self._memoize:
-            hops = self._return_hops(responder, vp)
         vendor = self._network.router(responder).vendor
         profile = VENDOR_PROFILES.get(vendor)
         if profile is None:
@@ -1005,6 +954,3 @@ class ForwardingEngine:
                 else profile.ttl_signature.time_exceeded
             )
         return max(1, initial - hops), hops
-
-    def _reply_ttl(self, responder: int, vp: int, echo: bool) -> int:
-        return self._reply_meta(responder, vp, echo)[0]

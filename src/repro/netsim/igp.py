@@ -36,10 +36,6 @@ class ShortestPaths:
         self._ecmp_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         #: (src, dst) -> shortest-path hop count
         self._hop_count_cache: dict[tuple[int, int], int] = {}
-        #: memoize derived lookups (ECMP sets, hop counts) beyond the SPF
-        #: distance fields.  Results are identical either way; benchmarks
-        #: turn this off to measure the unmemoized cost model.
-        self.memoize: bool = True
 
     def invalidate(self) -> None:
         """Drop cached SPF results (call after topology changes)."""
@@ -94,17 +90,11 @@ class ShortestPaths:
 
     def ecmp_next_hops(self, src: int, dst: int) -> list[int]:
         """Every neighbour on a shortest path, lowest router id first."""
-        if not self.memoize:
-            return list(self._ecmp_scan(src, dst))
-        return list(self._ecmp(src, dst))
-
-    def _ecmp(self, src: int, dst: int) -> tuple[int, ...]:
-        cached = self._ecmp_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        result = self._ecmp_scan(src, dst)
-        self._ecmp_cache[(src, dst)] = result
-        return result
+        hops = self._ecmp_cache.get((src, dst))
+        if hops is None:
+            hops = self._ecmp_scan(src, dst)
+            self._ecmp_cache[(src, dst)] = hops
+        return list(hops)
 
     def _ecmp_scan(self, src: int, dst: int) -> tuple[int, ...]:
         distances = self._distances_to(dst)
@@ -143,8 +133,6 @@ class ShortestPaths:
         """
         if src == dst:
             return 0
-        if not self.memoize:
-            return len(self.path(src, dst)) - 1
         cached = self._hop_count_cache.get((src, dst))
         if cached is not None:
             return cached

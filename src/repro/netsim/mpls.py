@@ -91,25 +91,6 @@ class LabelStackEntry:
         if not 0 <= self.ttl <= MAX_TTL:
             raise ValueError(f"LSE-TTL out of 8-bit range: {self.ttl}")
 
-    def with_ttl(self, ttl: int) -> "LabelStackEntry":
-        """A copy with the TTL replaced."""
-        return replace(self, ttl=ttl)
-
-    def with_label(self, label: int) -> "LabelStackEntry":
-        """A copy with the label replaced."""
-        return replace(self, label=label)
-
-    def decremented(self) -> "LabelStackEntry":
-        """Return a copy with TTL decremented by one.
-
-        Raises :class:`ValueError` if the TTL is already zero; the
-        forwarding engine must check for expiry before decrementing past
-        zero, as a real LSR would drop the packet and emit ICMP.
-        """
-        if self.ttl == 0:
-            raise ValueError("cannot decrement an expired LSE-TTL")
-        return replace(self, ttl=self.ttl - 1)
-
     def encode(self) -> int:
         """Pack into the 32-bit on-wire representation (Fig. 2)."""
         return (
@@ -216,48 +197,39 @@ class LabelStack:
         self._fix_bottom()
         return entry
 
-    def swap(self, new_label: int, memoize: bool = False) -> None:
-        """SWAP: replace the top label, keeping TC and TTL.
-
-        ``memoize`` serves the result from the shared LSE cache; off, it
-        copies through :func:`dataclasses.replace` as the pre-memoization
-        engine did (identical entries either way).
-        """
+    def swap(self, new_label: int) -> None:
+        """SWAP: replace the top label, keeping TC and TTL."""
         if not self._entries:
             raise IndexError("swap on empty label stack")
         entry = self._entries[0]
-        if memoize:
-            self._entries[0] = _cached_lse(
-                new_label, entry.tc, entry.bottom_of_stack, entry.ttl
-            )
-        else:
-            self._entries[0] = entry.with_label(new_label)
+        self._entries[0] = _cached_lse(
+            new_label, entry.tc, entry.bottom_of_stack, entry.ttl
+        )
 
-    def decrement_ttl(self, memoize: bool = False) -> None:
-        """Decrement the top LSE-TTL (every transit LSR does this)."""
+    def decrement_ttl(self) -> None:
+        """Decrement the top LSE-TTL (every transit LSR does this).
+
+        Raises :class:`ValueError` if the TTL is already zero; the
+        forwarding engine must check for expiry before decrementing past
+        zero, as a real LSR would drop the packet and emit ICMP.
+        """
         if not self._entries:
             raise IndexError("TTL decrement on empty label stack")
         entry = self._entries[0]
-        if memoize:
-            if entry.ttl == 0:
-                raise ValueError("cannot decrement an expired LSE-TTL")
-            self._entries[0] = _cached_lse(
-                entry.label, entry.tc, entry.bottom_of_stack, entry.ttl - 1
-            )
-        else:
-            self._entries[0] = entry.decremented()
+        if entry.ttl == 0:
+            raise ValueError("cannot decrement an expired LSE-TTL")
+        self._entries[0] = _cached_lse(
+            entry.label, entry.tc, entry.bottom_of_stack, entry.ttl - 1
+        )
 
-    def set_top_ttl(self, ttl: int, memoize: bool = False) -> None:
+    def set_top_ttl(self, ttl: int) -> None:
         """Overwrite the top entry's TTL."""
         if not self._entries:
             raise IndexError("TTL set on empty label stack")
         entry = self._entries[0]
-        if memoize:
-            self._entries[0] = _cached_lse(
-                entry.label, entry.tc, entry.bottom_of_stack, ttl
-            )
-        else:
-            self._entries[0] = entry.with_ttl(ttl)
+        self._entries[0] = _cached_lse(
+            entry.label, entry.tc, entry.bottom_of_stack, ttl
+        )
 
     # -- wire format --------------------------------------------------------
 

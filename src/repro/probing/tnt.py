@@ -16,7 +16,6 @@ trace records, which the evaluation harness uses for scoring.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from hashlib import sha256
 
 from repro.netsim.forwarding import ForwardingEngine, ReplyKind, TruthHop
@@ -263,13 +262,6 @@ class TntProber:
         by_router: dict[int, list[TruthHop]] = {}
         for t in truth:
             by_router.setdefault(t.router_id, []).append(t)
-        annotate = (
-            TraceHop.with_annotation
-            if self._engine.memoize
-            # pre-change cost model: annotation copied hops through
-            # dataclasses.replace and its per-call field introspection
-            else replace
-        )
         hops = []
         for hop in trace.hops:
             info = self._matching_truth(hop, by_router)
@@ -277,8 +269,7 @@ class TntProber:
                 hops.append(hop)
                 continue
             hops.append(
-                annotate(
-                    hop,
+                hop.with_annotation(
                     truth_asn=info.asn,
                     # A destination reply is not forwarding evidence: the
                     # PE answers on the target's behalf, so the labels it

@@ -49,9 +49,13 @@ def _rtt_jitter(seed: int, flow_id: int, ttl: int) -> float:
     return (int.from_bytes(digest[:8], "big") / 2**64) * 0.3
 
 
-def _quote_scan(
+@lru_cache(maxsize=1 << 14)
+def _quote_entries(
     stack: tuple[LabelStackEntry, ...],
 ) -> tuple[QuotedLse, ...]:
+    """Measurement records for a quoted stack, memoized: probes of
+    different flows expiring at the same tunnel position quote identical
+    stacks."""
     return tuple(
         QuotedLse(
             label=e.label,
@@ -61,11 +65,6 @@ def _quote_scan(
         )
         for e in stack
     )
-
-
-#: memoized conversion -- probes of different flows expiring at the same
-#: tunnel position quote identical stacks
-_quote_entries = lru_cache(maxsize=1 << 14)(_quote_scan)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -311,26 +310,13 @@ class ParisTraceroute:
         is_destination: bool = False,
     ) -> TraceHop:
         round_trip_hops = ttl + reply.truth_forward_hops
-        if self._engine.memoize:
-            jitter = _rtt_jitter(self._seed, flow_id, ttl)
-        else:
-            # pre-change cost model: every draw pays a fresh SHA-256
-            # (bit-identical to unit_hash)
-            text = f"{self._seed}\x1frtt\x1f{flow_id}\x1f{ttl}"
-            jitter = (
-                int.from_bytes(
-                    sha256(text.encode("utf-8")).digest()[:8], "big"
-                )
-                / 2**64
-            ) * 0.3
+        jitter = _rtt_jitter(self._seed, flow_id, ttl)
         rtt = round_trip_hops * _HOP_LATENCY_MS + jitter
-        if reply.quoted_stack is None:
-            lses = None
-        elif self._engine.memoize:
-            lses = _quote_entries(reply.quoted_stack)
-        else:
-            # pre-change cost model: records rebuilt per reply
-            lses = _quote_scan(reply.quoted_stack)
+        lses = (
+            None
+            if reply.quoted_stack is None
+            else _quote_entries(reply.quoted_stack)
+        )
         return TraceHop(
             probe_ttl=ttl,
             address=reply.source_ip,

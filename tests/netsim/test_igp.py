@@ -97,11 +97,27 @@ class TestShortestPaths:
     def test_invalidate_clears_cache(self):
         net, routers = build_ring(chord=False)
         igp = ShortestPaths(net)
+        pairs = [
+            (src.router_id, dst.router_id)
+            for src in routers
+            for dst in routers
+            if src is not dst
+        ]
+        # Warm every derived cache, not just the SPF distance fields.
+        for src, dst in pairs:
+            igp.ecmp_next_hops(src, dst)
+            igp.hop_count(src, dst)
         before = igp.distance(routers[0].router_id, routers[3].router_id)
         net.add_link(routers[0], routers[3], cost=1)
         igp.invalidate()
         after = igp.distance(routers[0].router_id, routers[3].router_id)
         assert after < before
+        fresh = ShortestPaths(net)
+        for src, dst in pairs:
+            assert igp.ecmp_next_hops(src, dst) == fresh.ecmp_next_hops(
+                src, dst
+            )
+            assert igp.hop_count(src, dst) == fresh.hop_count(src, dst)
 
 
 @settings(max_examples=25, deadline=None)

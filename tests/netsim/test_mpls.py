@@ -30,21 +30,6 @@ class TestLabelStackEntry:
         entry = LabelStackEntry(label=1, tc=1, bottom_of_stack=True, ttl=1)
         assert entry.encode() == (1 << 12) | (1 << 9) | (1 << 8) | 1
 
-    def test_decremented(self):
-        entry = LabelStackEntry(label=5, ttl=2)
-        assert entry.decremented().ttl == 1
-
-    def test_decrement_expired_rejected(self):
-        entry = LabelStackEntry(label=5, ttl=0)
-        with pytest.raises(ValueError):
-            entry.decremented()
-
-    def test_with_helpers_do_not_mutate(self):
-        entry = LabelStackEntry(label=5, ttl=9)
-        other = entry.with_label(6)
-        assert entry.label == 5 and other.label == 6
-        assert other.ttl == 9
-
     def test_decode_word_out_of_range(self):
         with pytest.raises(ValueError):
             LabelStackEntry.decode(2**32)
@@ -105,6 +90,12 @@ class TestLabelStack:
         stack = LabelStack([LabelStackEntry(label=1, ttl=9)])
         stack.decrement_ttl()
         assert stack.top.ttl == 8
+
+    def test_decrement_expired_rejected(self):
+        stack = LabelStack([LabelStackEntry(label=5, ttl=0)])
+        with pytest.raises(ValueError):
+            stack.decrement_ttl()
+        assert stack.top.ttl == 0
 
     def test_empty_properties(self):
         stack = LabelStack()

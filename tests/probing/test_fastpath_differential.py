@@ -4,8 +4,9 @@ The tentpole contract: recording one instrumented walk per flow and
 synthesizing every probe's reply from it must be a *pure performance*
 change.  Whatever the topology, TTL model, vendor mix, fault plan or
 retry policy, the fast path must emit Traces byte-identical to the
-reference per-probe walker running with every memoization switched off
-(``engine.memoize = False``, the pre-change cost model).
+reference per-probe walker (``TntProber(fast_path=False)``), which
+records no walk and forwards every probe hop by hop.  This suite is the
+check that the two agree.
 
 Three code paths are exercised: the fused single-pass synthesizer
 (fault-free, retry-free), the generic cached-walk prober (faults or
@@ -57,13 +58,12 @@ def _trace_pair(config, plan=None, retry=None):
     """One fast-path trace and one reference trace of the same chain.
 
     Each leg gets its own freshly built network (and fault injector, if
-    any) so no state crosses over; the reference leg runs with
-    ``memoize = False`` -- the full pre-change cost model.
+    any) so no state crosses over; the reference leg walks every probe
+    through the engine and records nothing.
     """
     traces = {}
     for fast in (False, True):
         chain = build_chain(config)
-        chain.engine.memoize = fast
         if plan is not None:
             chain.engine.faults = FaultInjector(plan, config["seed"])
         prober = TntProber(
@@ -132,7 +132,6 @@ def _churn_trace_pair(config, plan):
             )
             chain.controller.invalidate()
             chain.engine.invalidate_caches()
-        chain.engine.memoize = fast
         chain.engine.dynamics = NetworkDynamics(
             plan,
             chain.network,
