@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign.dataset import TraceDataset, _trace_from_json, _trace_to_json
+from repro.campaign.dataset import TraceDataset, TraceDecoder, trace_to_json
 from repro.fingerprint.records import Fingerprint, FingerprintMethod
 from repro.netsim.addressing import IPv4Address
 from repro.netsim.faults import FaultCounters
@@ -169,7 +169,7 @@ def _dataset_to_json(dataset: TraceDataset) -> dict:
     return {
         "target_asn": dataset.target_asn,
         "metadata": dataset.metadata,
-        "traces": [_trace_to_json(t) for t in dataset],
+        "traces": [trace_to_json(t) for t in dataset],
     }
 
 
@@ -178,8 +178,9 @@ def _dataset_from_json(record: dict) -> TraceDataset:
         target_asn=int(record["target_asn"]),
         metadata=dict(record.get("metadata", {})),
     )
+    decoder = TraceDecoder()
     for trace in record.get("traces", ()):
-        dataset.add(_trace_from_json(trace))
+        dataset.add(decoder.decode(trace))
     return dataset
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from repro.campaign.dataset import TraceDataset, _trace_to_json
+from repro.campaign.dataset import TraceDataset, trace_to_json
 from repro.netsim.faults import FaultCounters, FaultInjector
 from repro.probing.tnt import TntProber
 from repro.topogen.anaximander import build_target_list
@@ -307,7 +307,7 @@ def probe_shard(
                                 vp_router, destination, vp_name=vp.vp_id
                             )
                             bin_probe(clock() - tick)
-                            line = json.dumps(_trace_to_json(trace)) + "\n"
+                            line = json.dumps(trace_to_json(trace)) + "\n"
                             fh.write(line)
                             digest.update(line.encode("utf-8"))
                             count += 1
@@ -316,7 +316,7 @@ def probe_shard(
                         trace = prober.trace(
                             vp_router, destination, vp_name=vp.vp_id
                         )
-                        line = json.dumps(_trace_to_json(trace)) + "\n"
+                        line = json.dumps(trace_to_json(trace)) + "\n"
                         fh.write(line)
                         digest.update(line.encode("utf-8"))
                         count += 1

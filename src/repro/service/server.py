@@ -438,7 +438,7 @@ class ArestService:
         # acknowledgement is the crash-safety promise
         try:
             tick = self.recorder.clock()
-            seqs = self.state.accept(decoded.traces)
+            seqs = self.state.accept(decoded.texts)
             self.recorder.observe("bank", self.recorder.clock() - tick)
         except DiskFullError as exc:
             # ENOSPC/EDQUOT is environmental, not terminal: the batch

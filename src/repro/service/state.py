@@ -17,8 +17,13 @@ Two pieces compose the service's robustness story:
     (:mod:`repro.util.journal` + :mod:`repro.util.atomicio`):
 
     - ``ingest.jsonl`` -- header line (kind/version/config signature)
-      then one line per *accepted* trace, appended with
-      write+flush+fsync **before** the service acknowledges the trace.
+      then one ``{"seq": N, "trace": <text>}`` line per *accepted*
+      trace, appended with write+flush+fsync **before** the service
+      acknowledges the trace.  ``<text>`` is the trace's JSON object
+      exactly as the client sent it (surrounding whitespace stripped),
+      so accepting a trace never encodes it again; for a line
+      :func:`~repro.campaign.dataset.trace_to_json` wrote, the journal
+      line is the one a re-encode would have produced.
       A ``kill -9`` mid-append at worst tears the final line -- a trace
       that was therefore never acknowledged -- so recovery never loses
       an accepted trace and never resurrects an unacknowledged one.
@@ -35,7 +40,9 @@ Two pieces compose the service's robustness story:
 
 Recovery is therefore: load snapshot (if any), salvage the journal's
 intact prefix, replay the ``seq > snapshot.seq`` tail through the very
-same batched fold the workers run live (:func:`batch_aggregate`), and
+same batched fold the workers run live (:func:`batch_aggregate`), with
+the workers' containment -- a chunk that raises is re-run trace by
+trace and a trace that fails alone is quarantined as poison -- and
 merge.  The result is byte-identical to a run that never crashed.
 """
 
@@ -51,7 +58,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from repro.campaign.dataset import trace_from_json, trace_to_json
+from repro.campaign.dataset import TraceDecoder
 from repro.core.flags import Flag, STRONG_FLAGS
 from repro.core.pipeline import ArestPipeline
 from repro.probing.records import Trace
@@ -471,6 +478,22 @@ def batch_aggregate(
     return total
 
 
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def poison_delta(seq: int, detail: str) -> SegmentAggregate:
+    """Quarantine trace ``seq``, whose analysis failed on its own.
+
+    Logs the quarantine and returns the trace's
+    :meth:`SegmentAggregate.poison` delta.  The workers and recovery's
+    journal replay both quarantine through it, so a poison trace is
+    counted and reported the same way live and after a restart.
+    """
+    logger.warning("trace seq=%d quarantined as poison: %s", seq, detail)
+    return SegmentAggregate.poison()
+
+
 # ---------------------------------------------------------------------------
 # durable store
 
@@ -559,7 +582,8 @@ class ServiceState:
         dropping it loses nothing accepted), lines the snapshot already
         covers are skipped by sequence number (so a crash between
         snapshot and journal truncation double-counts nothing), and the
-        tail is replayed through the same batched fold used live.
+        tail is replayed through the same batched fold used live, with
+        the same containment (:meth:`_replay`).
         """
         info = RecoveryInfo()
         snapshot = self._load_snapshot()
@@ -578,10 +602,8 @@ class ServiceState:
             if seq > self._snapshot_seq:
                 self._seqs.append(seq)
                 self._offsets.append(offset)
-                tail.append(trace)
-        self.aggregate.merge(
-            batch_aggregate(tail, asn=self.asn, pipeline=self.pipeline)
-        )
+                tail.append((seq, trace))
+        self.aggregate.merge(self._replay(tail))
         info.replayed = len(tail)
         self._last_seq = max_seq
         self._fed_watermark = max_seq
@@ -590,6 +612,46 @@ class ServiceState:
             # compact the torn tail away so the next append starts clean
             self._rewrite_journal()
         return info
+
+    def _replay(self, tail: list[tuple[int, Trace]]) -> SegmentAggregate:
+        """The journal tail's aggregate, contained as a worker contains it.
+
+        Each chunk of up to :data:`MAX_BATCH` traces folds in one
+        :func:`batch_aggregate` call.  A chunk that raises is discarded
+        and re-run one trace at a time, and a trace that fails alone
+        folds in as :func:`poison_delta` -- so a trace the live worker
+        quarantined is quarantined again here instead of stopping the
+        service from starting on its own state dir.
+        """
+        total = SegmentAggregate()
+        for lo in range(0, len(tail), MAX_BATCH):
+            chunk = tail[lo : lo + MAX_BATCH]
+            try:
+                delta = batch_aggregate(
+                    [trace for _, trace in chunk],
+                    asn=self.asn,
+                    pipeline=self.pipeline,
+                )
+            except Exception as exc:
+                logger.warning(
+                    "journal replay: batch of %d traces (seq %d..%d) "
+                    "failed, retrying trace by trace: %s",
+                    len(chunk),
+                    chunk[0][0],
+                    chunk[-1][0],
+                    _failure(exc),
+                )
+                delta = SegmentAggregate()
+                for seq, trace in chunk:
+                    try:
+                        one = analyze_trace(
+                            trace, asn=self.asn, pipeline=self.pipeline
+                        )
+                    except Exception as failure:
+                        one = poison_delta(seq, _failure(failure))
+                    delta.merge(one)
+            total.merge(delta)
+        return total
 
     def _load_snapshot(self) -> dict | None:
         if not self._snapshot.exists():
@@ -659,8 +721,10 @@ class ServiceState:
             starts.append(offset)
             offset += len(line) + 1
 
+        decoder = TraceDecoder()
+
         def decode(record: dict) -> tuple[int, Trace]:
-            return int(record["seq"]), trace_from_json(record["trace"])
+            return int(record["seq"]), decoder.decode(record["trace"])
 
         decoded, damaged = salvage_decode(
             lines,
@@ -694,8 +758,15 @@ class ServiceState:
 
     # -- accept + ingest -----------------------------------------------------
 
-    def accept(self, traces: list[Trace]) -> list[int]:
-        """Durably journal a batch of traces; returns their seqs.
+    def accept(self, texts: list[str]) -> list[int]:
+        """Durably journal a batch of trace texts; returns their seqs.
+
+        Each text is one trace's JSON object as received -- what
+        :func:`~repro.service.wire.decode_body` keeps of a line it
+        decoded -- and is journaled verbatim as ``{"seq": N, "trace":
+        <text>}``.  A text holding a newline would split its journal
+        line, so such a batch is refused whole (``ValueError``) before
+        anything is written.
 
         One write + one fsync for the whole batch; callers acknowledge
         (202) only after this returns, which is what makes the
@@ -703,16 +774,32 @@ class ServiceState:
         batch whose append fails is refused whole: it uses no seq and
         leaves no byte in the journal.
         """
+        for text in texts:
+            if not isinstance(text, str):
+                raise TypeError(
+                    f"accept() journals trace texts, not "
+                    f"{type(text).__name__} objects"
+                )
+            if "\n" in text:
+                raise ValueError(
+                    "a journaled trace text must not contain a newline"
+                )
         if not self._journal_ready:
             self._rewrite_journal()
         first = self._last_seq + 1
-        seqs = list(range(first, first + len(traces)))
+        seqs = list(range(first, first + len(texts)))
         lines = [
-            json.dumps({"seq": seq, "trace": trace_to_json(trace)}) + "\n"
-            for seq, trace in zip(seqs, traces)
+            f'{{"seq": {seq}, "trace": {text}}}\n'
+            for seq, text in zip(seqs, texts)
         ]
         if not lines:
             return seqs
+        # the index counts bytes, and a non-ASCII text is longer in
+        # UTF-8 than in characters
+        sizes = [
+            len(line) if line.isascii() else len(line.encode("utf-8"))
+            for line in lines
+        ]
         try:
             durable_append(self._journal, "".join(lines))
         except OSError:
@@ -730,11 +817,10 @@ class ServiceState:
                 self._journal_ready = False
             raise
         offset = self._journal_size
-        for seq, line in zip(seqs, lines):
+        for seq, size in zip(seqs, sizes):
             self._seqs.append(seq)
             self._offsets.append(offset)
-            # json.dumps escapes non-ASCII: characters are bytes
-            offset += len(line)
+            offset += size
         self._journal_size = offset
         self._last_seq = seqs[-1]
         return seqs

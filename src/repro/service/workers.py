@@ -41,6 +41,7 @@ from repro.service.state import (
     ServiceState,
     analyze_trace,
     batch_aggregate,
+    poison_delta,
 )
 
 logger = logging.getLogger(__name__)
@@ -210,10 +211,9 @@ class WorkerPool:
 
     def _poison(self, seq: int, detail: str) -> SegmentAggregate:
         self.poisoned += 1
-        logger.warning("trace seq=%d quarantined as poison: %s", seq, detail)
         if self.telemetry is not None:
             self.telemetry.count("ingest_poisoned")
-        return SegmentAggregate.poison()
+        return poison_delta(seq, detail)
 
     def _compact(self) -> None:
         if self.telemetry is not None:

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.campaign.dataset import TraceDataset
+from repro.campaign.dataset import TraceDataset, trace_to_json
 from repro.netsim.addressing import IPv4Address
 from repro.probing.records import QuotedLse, Trace, TraceHop
 
@@ -84,6 +84,32 @@ class TestJsonlRoundtrip:
         assert str(path) in message
         assert "line 2" in message
         assert isinstance(excinfo.value.__cause__, json.JSONDecodeError)
+
+        # well-formed JSON that is not a well-formed trace, too
+        def missing_key(record):
+            del record["vp_rid"]
+
+        def label_out_of_range(record):
+            record["hops"][2]["lses"][0][0] = 2**21
+
+        def hops_not_a_list(record):
+            record["hops"] = 7
+
+        for damage, cause in [
+            (missing_key, KeyError),
+            (label_out_of_range, ValueError),
+            (hops_not_a_list, TypeError),
+        ]:
+            record = trace_to_json(dataset.traces[0])
+            damage(record)
+            lines[1] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError) as excinfo:
+                TraceDataset.load_jsonl(path)
+            message = str(excinfo.value)
+            assert str(path) in message, damage
+            assert "line 2" in message, damage
+            assert type(excinfo.value.__cause__) is cause, damage
 
     def test_malformed_header_names_file_and_line_one(self, tmp_path):
         path = tmp_path / "traces.jsonl"

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import strategies as st
 
+from repro.campaign.dataset import trace_to_json
 from repro.probing.records import Trace
 from tests.conftest import make_hop, make_trace
+
+
+def texts(traces) -> list[str]:
+    """The traces as a client posts them: the texts ``accept`` journals."""
+    return [json.dumps(trace_to_json(trace)) for trace in traces]
 
 
 def corpus(n: int = 6) -> list[Trace]:

@@ -27,9 +27,15 @@ from repro.service.state import (
     analyze_trace,
     batch_aggregate,
 )
+from repro.service.wire import decode_body
 from repro.util.journal import rewrite_json_lines
 from tests.conftest import scaled_examples
-from tests.service.conftest import corpus, trace_lists, trace_strategy
+from tests.service.conftest import (
+    corpus,
+    texts,
+    trace_lists,
+    trace_strategy,
+)
 
 
 @st.composite
@@ -153,7 +159,7 @@ class TestStreamingEqualsBatch:
             splits = [0, *boundaries, len(traces)]
             seqs: list[int] = []
             for lo, hi in zip(splits, splits[1:]):
-                seqs.extend(state.accept(traces[lo:hi]))
+                seqs.extend(state.accept(texts(traces[lo:hi])))
             assert sorted(seqs) == list(range(1, len(traces) + 1))
             # ...fold in the drawn arrival order, compacting when due
             for index in order:
@@ -168,6 +174,45 @@ class TestStreamingEqualsBatch:
             recovered = ServiceState(tmp, snapshot_every=2)
             recovered.recover()
             assert recovered.aggregate.segments_json() == expected
+
+    def test_posted_text_survives_compaction_and_recovery(self, tmp_path):
+        # what a client may send that our encoder never writes: raw
+        # non-ASCII, JSON whitespace, another key order, an unknown key
+        traces = corpus(8)
+        lines = []
+        for i, trace in enumerate(traces):
+            record = trace_to_json(trace)
+            record["vp"] = f"vp-\u00e9\u2028{i}"
+            record["note"] = "unknown keys are ignored"
+            shuffled = dict(reversed(list(record.items())))
+            lines.append(
+                " \t"
+                + json.dumps(shuffled, ensure_ascii=False, indent=None)
+                .replace(", ", " ,  ")
+                + " \r"
+            )
+        decoded = decode_body("\n".join(lines))
+        assert len(decoded.traces) == len(traces)
+        assert all(not text.isascii() for text in decoded.texts)
+
+        state = ServiceState(tmp_path, snapshot_every=3)
+        seqs = state.accept(decoded.texts)
+        for seq, trace in zip(seqs[:3], decoded.traces):
+            state.ingest([seq], analyze_trace(trace))
+        # the cut lands after three non-ASCII lines: offsets counted in
+        # characters would slice the fourth line mid-record
+        state.compact()
+        journal = (tmp_path / INGEST_FILENAME).read_bytes().split(b"\n")
+        assert [json.loads(line)["seq"] for line in journal[1:-1]] == (
+            seqs[3:]
+        )
+
+        fresh = ServiceState(tmp_path, snapshot_every=3)
+        info = fresh.recover()
+        assert (info.replayed, info.damaged_lines) == (5, 0)
+        assert fresh.aggregate.segments_json() == (
+            batch_aggregate(decoded.traces).segments_json()
+        )
 
     @settings(max_examples=scaled_examples(20), deadline=None)
     @given(_stream_with_restart())
@@ -194,7 +239,7 @@ class TestStreamingEqualsBatch:
 
             state = restart()
             for index, (lo, hi, order) in enumerate(batches):
-                seqs = state.accept(traces[lo:hi])
+                seqs = state.accept(texts(traces[lo:hi]))
                 crash = index == restart_at
                 if crash and before_fold:
                     state = restart()

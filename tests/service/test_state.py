@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import asyncio
 import errno
 import json
+import logging
 import os
 
 import pytest
 
+from repro.campaign.dataset import trace_to_json
+from repro.service.ingest import IngestQueue
 from repro.service.state import (
     INGEST_FILENAME,
     SNAPSHOT_FILENAME,
@@ -17,12 +21,14 @@ from repro.service.state import (
     analyze_trace,
     batch_aggregate,
 )
+from repro.service.wire import decode_body
+from repro.service.workers import WorkerPool
 from repro.util.atomicio import DiskFullError
-from tests.service.conftest import corpus
+from tests.service.conftest import corpus, texts
 
 
 def _feed_all(state: ServiceState, traces) -> None:
-    seqs = state.accept(list(traces))
+    seqs = state.accept(texts(traces))
     for seq, trace in zip(seqs, traces):
         state.ingest([seq], analyze_trace(trace, asn=state.asn))
 
@@ -45,17 +51,43 @@ class TestJournalRoundTrip:
         # the journal line is on disk when accept() returns -- that is
         # the whole 202 contract
         state = ServiceState(tmp_path)
-        state.accept(corpus(1))
+        state.accept(texts(corpus(1)))
         lines = (tmp_path / INGEST_FILENAME).read_text().splitlines()
         assert len(lines) == 2  # header + one trace
         assert json.loads(lines[1])["seq"] == 1
+
+
+class TestVerbatimJournal:
+    def test_encoder_lines_journal_as_a_re_encode_would(self, tmp_path):
+        traces = corpus(5)
+        state = ServiceState(tmp_path)
+        seqs = state.accept(texts(traces))
+        lines = (tmp_path / INGEST_FILENAME).read_bytes().split(b"\n")
+        assert lines[1:] == [
+            (
+                json.dumps({"seq": seq, "trace": trace_to_json(trace)})
+            ).encode("ascii")
+            for seq, trace in zip(seqs, traces)
+        ] + [b""]
+
+    def test_a_text_with_a_newline_is_refused_whole(self, tmp_path):
+        state = ServiceState(tmp_path)
+        state.accept(texts(corpus(1)))
+        journal = (tmp_path / INGEST_FILENAME).read_bytes()
+        good, torn = texts(corpus(2))
+        with pytest.raises(ValueError):
+            state.accept([good, torn.replace(", ", ",\n", 1)])
+        with pytest.raises(TypeError):
+            state.accept(corpus(1))
+        assert (tmp_path / INGEST_FILENAME).read_bytes() == journal
+        assert state.accept([good]) == [2]
 
 
 class TestTornTail:
     def test_torn_final_line_is_salvaged(self, tmp_path):
         traces = corpus(4)
         state = ServiceState(tmp_path)
-        state.accept(traces)
+        state.accept(texts(traces))
         journal = tmp_path / INGEST_FILENAME
         text = journal.read_text()
         # tear the last line mid-record, as a kill -9 mid-append would
@@ -75,21 +107,21 @@ class TestTornTail:
     def test_sequence_numbering_resumes_after_salvage(self, tmp_path):
         traces = corpus(3)
         state = ServiceState(tmp_path)
-        state.accept(traces)
+        state.accept(texts(traces))
         journal = tmp_path / INGEST_FILENAME
         journal.write_text(journal.read_text()[:-20])
 
         fresh = ServiceState(tmp_path)
         fresh.recover()
         # the torn seq 3 was never acknowledged; reusing it is fine
-        assert fresh.accept(corpus(1)) == [3]
+        assert fresh.accept(texts(corpus(1))) == [3]
 
     def test_unterminated_final_line_is_torn_even_if_it_parses(
         self, tmp_path
     ):
         traces = corpus(4)
         state = ServiceState(tmp_path)
-        state.accept(traces[:3])
+        state.accept(texts(traces[:3]))
         journal = tmp_path / INGEST_FILENAME
         # the append died between the record and its newline
         journal.write_bytes(journal.read_bytes()[:-1])
@@ -98,7 +130,7 @@ class TestTornTail:
         info = fresh.recover()
         assert (info.replayed, info.damaged_lines) == (2, 1)
         # so the next append starts on a line boundary
-        fresh.accept(traces[3:])
+        fresh.accept(texts(traces[3:]))
         again = ServiceState(tmp_path)
         assert again.recover().damaged_lines == 0
         assert again.aggregate.segments_json() == (
@@ -135,9 +167,9 @@ class TestRefusedAppend:
         _feed_all(state, traces[:2])
         _refuse_next_append(monkeypatch, tmp_path / INGEST_FILENAME)
         with pytest.raises(DiskFullError):
-            state.accept(traces[2:4])
+            state.accept(texts(traces[2:4]))
         monkeypatch.undo()
-        seqs = state.accept(traces[2:6])
+        seqs = state.accept(texts(traces[2:6]))
         assert seqs == [3, 4, 5, 6]
         for seq, trace in zip(seqs, traces[2:6]):
             state.ingest([seq], analyze_trace(trace))
@@ -158,7 +190,7 @@ class TestRefusedAppend:
         before = journal.read_bytes()
         _refuse_next_append(monkeypatch, journal, landed)
         with pytest.raises(DiskFullError):
-            state.accept(traces[2:4])
+            state.accept(texts(traces[2:4]))
         monkeypatch.undo()
         assert journal.read_bytes() == before
         # the client retries the refused batch, then sends more
@@ -187,7 +219,7 @@ class TestRefusedAppend:
         monkeypatch.setattr(state, "_truncate_journal", broken_truncate)
         _refuse_next_append(monkeypatch, journal, landed=7)
         with pytest.raises(DiskFullError):
-            state.accept(traces[2:4])
+            state.accept(texts(traces[2:4]))
         monkeypatch.undo()
         assert journal.read_bytes() != before  # the torn bytes stayed
         _feed_all(state, traces[2:6])
@@ -241,7 +273,7 @@ class TestSnapshotCompaction:
     def test_compaction_waits_for_the_watermark(self, tmp_path):
         traces = corpus(3)
         state = ServiceState(tmp_path, snapshot_every=1)
-        seqs = state.accept(traces)
+        seqs = state.accept(texts(traces))
         # fold seq 2 ahead of seq 1: compaction must refuse
         state.ingest([seqs[1]], analyze_trace(traces[1]))
         assert not state.compaction_due
@@ -255,7 +287,7 @@ class TestSnapshotCompaction:
     def test_batched_ingest_advances_over_every_seq(self, tmp_path):
         traces = corpus(6)
         state = ServiceState(tmp_path, snapshot_every=6)
-        seqs = state.accept(traces)
+        seqs = state.accept(texts(traces))
         # the second batch folds first: the watermark waits for the first
         state.ingest(seqs[3:], batch_aggregate(traces[3:]))
         assert state.fed_watermark == 0
@@ -281,10 +313,56 @@ class TestSnapshotCompaction:
         )
 
 
+class TestPoisonReplay:
+    def test_recovery_quarantines_what_the_worker_quarantined(
+        self, tmp_path, caplog
+    ):
+        # a string probe TTL decodes (the codec does not type-check
+        # it) but makes the analysis raise: the live worker quarantines
+        # it, and so must a replay after kill -9
+        posted = texts(corpus(6))
+        record = json.loads(posted[2])
+        record["hops"][0]["ttl"] = "1"
+        posted[2] = json.dumps(record)
+        decoded = decode_body("\n".join(posted))
+        assert not decoded.rejections
+        with pytest.raises(TypeError):
+            batch_aggregate(decoded.traces)
+
+        async def live() -> tuple[ServiceState, WorkerPool]:
+            state = ServiceState(tmp_path)
+            state.recover()
+            queue = IngestQueue()
+            pool = WorkerPool(queue, state, detect_timeout=None)
+            queue.enqueue(
+                list(zip(state.accept(decoded.texts), decoded.traces)),
+                "test",
+            )
+            pool.start()
+            await asyncio.wait_for(queue.join(), timeout=60)
+            await pool.stop()
+            return state, pool
+
+        state, pool = asyncio.run(live())
+        assert pool.poisoned == 1
+
+        # nothing was compacted: the restart replays all six lines
+        fresh = ServiceState(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro.service.state"):
+            info = fresh.recover()
+        assert info.replayed == 6
+        assert fresh.aggregate.report_dict() == state.aggregate.report_dict()
+        assert fresh.aggregate.anomaly_counts["poison-trace"] == 1
+        assert any(
+            "seq=3 quarantined as poison" in r.getMessage()
+            for r in caplog.records
+        )
+
+
 class TestConfigGuards:
     def test_differently_configured_state_dir_is_refused(self, tmp_path):
         state = ServiceState(tmp_path, asn=65001)
-        state.accept(corpus(1))
+        state.accept(texts(corpus(1)))
         with pytest.raises(StateMismatchError):
             ServiceState(tmp_path, asn=65002).recover()
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign.dataset import TraceDataset
 from repro.service.wire import (
     REASON_BAD_JSON,
     REASON_BAD_TRACE,
@@ -92,7 +94,31 @@ class TestDecodeBody:
         trace = corpus(1)[0]
         decoded = decode_body(_line(trace))
         assert decoded.traces == [trace]
+        assert decoded.texts == [_line(trace)]
         assert not decoded.rejections
+
+    def test_only_newline_splits_lines(self, tmp_path):
+        # U+2028, U+2029 and U+0085 are line boundaries to
+        # str.splitlines() but plain characters to JSON and to a dataset
+        # file read line by line
+        vp = "vp\u2028\u2029\u0085\u00e9"
+        traces = [replace(t, vp=vp) for t in corpus(2)]
+        lines = [
+            json.dumps(trace_to_json(t), ensure_ascii=False) for t in traces
+        ]
+        decoded = decode_body(
+            f"{lines[0]}\r\n  garbage\r\n\t{lines[1]} \r\n"
+        )
+        assert decoded.traces == traces
+        assert decoded.texts == lines
+        assert [(r.lineno, r.reason) for r in decoded.rejections] == [
+            (2, REASON_BAD_JSON)
+        ]
+        dataset = tmp_path / "traces.jsonl"
+        TraceDataset(target_asn=65001, traces=traces).dump_jsonl(dataset)
+        with dataset.open("a", encoding="utf-8") as fh:
+            fh.write(lines[0] + "\n")
+        assert list(TraceDataset.iter_jsonl(dataset)) == [*traces, traces[0]]
 
 
 class TestCanonicalJson:
