@@ -10,21 +10,17 @@
   drivers dispatch through: persistent work-stealing workers under
   leases and deadlines, with crash recovery and graceful shutdown.
 - :mod:`repro.campaign.shards` / :mod:`repro.campaign.scale` --
-  paper-scale execution: deterministic ``(as_id, vp_bucket)`` shards
-  and the two-phase (probe, analyze) campaign driver with spill-file
-  streaming and shard-scoped checkpointing.
+  paper-scale execution: deterministic ``(as_id, vp_bucket)`` shards,
+  the per-VP probe loop both drivers run, and the two-phase (probe,
+  analyze) campaign driver with spill-file streaming.
+- :mod:`repro.campaign.checkpoint` -- the run directory both drivers
+  checkpoint into (format v4: ``checkpoint.jsonl`` plus ``spills/``).
 """
 
 from repro.campaign.vantage_points import VantagePoint, default_vantage_points
 from repro.campaign.dataset import TraceDataset
 from repro.campaign.anonymize import PrefixPreservingAnonymizer
-from repro.campaign.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointEntry,
-    CheckpointMismatchError,
-    FailureStub,
-    QuarantineStub,
-)
+from repro.campaign.checkpoint import CheckpointMismatchError
 from repro.campaign.runner import (
     AsCampaignResult,
     AsFailure,
@@ -59,11 +55,7 @@ __all__ = [
     "AsQuarantine",
     "CampaignReport",
     "CampaignRunner",
-    "CampaignCheckpoint",
-    "CheckpointEntry",
     "CheckpointMismatchError",
-    "FailureStub",
-    "QuarantineStub",
     "ExecutionResult",
     "GracefulShutdown",
     "TaskOutcome",

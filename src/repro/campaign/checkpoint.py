@@ -1,424 +1,97 @@
-"""JSON checkpointing for interrupted portfolio runs.
+"""Crash-safe campaign checkpoints: the run directory (format v4).
 
-The checkpoint persists, per completed AS, exactly what the paper's
-campaign would have banked on disk: the collected trace dataset and the
-interface fingerprints (plus the fault/retry tallies incurred while
-collecting them).  Everything downstream -- bdrmapIT annotation, the
-AReST pipeline, alias resolution, ground truth -- is deterministic given
-that data and the campaign seed, so resuming re-derives the analysis
-without re-firing a single probe and produces a bit-identical report.
+Both campaign planes bank into one layout, a *run directory*:
+``checkpoint.jsonl`` (the :class:`ShardCheckpoint`) plus ``spills/``
+(the traces, one JSONL dataset file per probed shard).  The checkpoint
+holds only *facts about* the data -- per-VP trace counts, SHA-256
+digests and fault/retry tallies, per-AS analysis summaries, failures
+and quarantines -- so it stays small at a million traces, and resume
+rebuilds whatever it needs from the spills after checking them against
+those facts.
 
 The file embeds a config signature (seed, probing knobs, fault plan,
-retry policy); resuming under a different configuration raises
-:class:`CheckpointMismatchError` rather than silently mixing campaigns.
-
-Since version 2 the on-disk format is JSONL: a header line (kind,
-version, config) followed by one line per banked AS.  Banking an AS
-appends a single line instead of rewriting the whole file, and a run
-killed mid-append at worst truncates the final line -- :meth:`load`
-salvages every intact line before the damage, logs what it discarded,
-and compacts the file, so ``--resume`` keeps working after a crash or
-a partially-synced copy.  Version-1 checkpoints (one JSON object) are
-still read transparently.
+retry policy, portfolio descriptor); resuming under a different
+configuration raises :class:`CheckpointMismatchError` rather than
+silently mixing campaigns.  Format 3 -- one JSONL file per portfolio
+run, datasets inline -- is refused with the format change stated, and
+left untouched.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign.dataset import TraceDataset, TraceDecoder, trace_to_json
-from repro.fingerprint.records import Fingerprint, FingerprintMethod
-from repro.netsim.addressing import IPv4Address
-from repro.netsim.faults import FaultCounters
-from repro.netsim.vendors import Vendor
 from repro.util.journal import (
     append_json_line,
     rewrite_json_lines,
     salvage_decode,
 )
-from repro.util.retry import RetryAccounting
-
-_KIND = "arest-checkpoint"
-_VERSION = 3
 
 logger = logging.getLogger(__name__)
+
+_KIND = "arest-shard-checkpoint"
+_VERSION = 4
+
+#: the checkpoint file and the spill directory inside a run directory
+CHECKPOINT_FILENAME = "checkpoint.jsonl"
+SPILL_DIRNAME = "spills"
 
 
 class CheckpointMismatchError(ValueError):
     """The checkpoint was written by a differently-configured campaign."""
 
 
-@dataclass(slots=True)
-class CheckpointEntry:
-    """Banked measurement data for one completed AS."""
-
-    dataset: TraceDataset
-    fingerprints: dict[IPv4Address, Fingerprint]
-    fault_counters: FaultCounters = field(default_factory=FaultCounters)
-    retry_accounting: RetryAccounting = field(default_factory=RetryAccounting)
-
-
-@dataclass(slots=True)
-class FailureStub:
-    """Banked record of one AS that failed deterministically mid-stage.
-
-    Carries the fault/retry tallies the AS had already incurred when it
-    failed, so a resumed run folds in exactly the same partial cost and
-    reproduces the original report without re-running the failure.
-    """
-
-    stage: str
-    error: str
-    fault_counters: FaultCounters = field(default_factory=FaultCounters)
-    retry_accounting: RetryAccounting = field(default_factory=RetryAccounting)
-
-    def as_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "error": self.error,
-            "fault_counters": self.fault_counters.as_dict(),
-            "retry_accounting": self.retry_accounting.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "FailureStub":
-        return cls(
-            stage=str(record["stage"]),
-            error=str(record["error"]),
-            fault_counters=FaultCounters.from_dict(
-                record.get("fault_counters", {})
-            ),
-            retry_accounting=RetryAccounting.from_dict(
-                record.get("retry_accounting", {})
-            ),
-        )
-
-
-@dataclass(slots=True)
-class QuarantineStub:
-    """Banked record of a poison AS (deadline/crash circuit breaker).
-
-    Resume restores the quarantine instead of re-dispatching: an AS
-    that hung or killed its worker twice has proven itself poisonous.
-    Delete the checkpoint (or drop the line) to force a re-attempt.
-    """
-
-    reason: str
-    attempts: int
-    detail: str
-    #: heartbeat stage the worker last reported before it was killed
-    last_stage: str | None = None
-    #: supervisor-observed seconds per heartbeat stage (post-mortem)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        record = {
-            "reason": self.reason,
-            "attempts": self.attempts,
-            "detail": self.detail,
-        }
-        if self.last_stage is not None:
-            record["last_stage"] = self.last_stage
-        if self.stage_seconds:
-            record["stage_seconds"] = {
-                stage: round(seconds, 3)
-                for stage, seconds in sorted(self.stage_seconds.items())
-            }
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "QuarantineStub":
-        last_stage = record.get("last_stage")
-        return cls(
-            reason=str(record["reason"]),
-            attempts=int(record["attempts"]),
-            detail=str(record.get("detail", "")),
-            last_stage=str(last_stage) if last_stage is not None else None,
-            stage_seconds={
-                str(stage): float(seconds)
-                for stage, seconds in record.get(
-                    "stage_seconds", {}
-                ).items()
-            },
-        )
-
-
-def _fingerprint_to_json(address: IPv4Address, fp: Fingerprint) -> dict:
-    return {
-        "addr": str(address),
-        "method": fp.method.value,
-        "vendor": fp.exact_vendor.value if fp.exact_vendor else None,
-        "class": sorted(v.value for v in fp.vendor_class),
-    }
-
-
-def _fingerprint_from_json(record: dict) -> tuple[IPv4Address, Fingerprint]:
-    address = IPv4Address.from_string(record["addr"])
-    fp = Fingerprint(
-        method=FingerprintMethod(record["method"]),
-        exact_vendor=Vendor(record["vendor"]) if record["vendor"] else None,
-        vendor_class=frozenset(Vendor(v) for v in record["class"]),
-    )
-    return address, fp
-
-
-def _dataset_to_json(dataset: TraceDataset) -> dict:
-    return {
-        "target_asn": dataset.target_asn,
-        "metadata": dataset.metadata,
-        "traces": [trace_to_json(t) for t in dataset],
-    }
-
-
-def _dataset_from_json(record: dict) -> TraceDataset:
-    dataset = TraceDataset(
-        target_asn=int(record["target_asn"]),
-        metadata=dict(record.get("metadata", {})),
-    )
-    decoder = TraceDecoder()
-    for trace in record.get("traces", ()):
-        dataset.add(decoder.decode(trace))
-    return dataset
-
-
-def _entry_to_json(entry: CheckpointEntry) -> dict:
-    return {
-        "dataset": _dataset_to_json(entry.dataset),
-        "fingerprints": [
-            _fingerprint_to_json(addr, fp)
-            for addr, fp in sorted(
-                entry.fingerprints.items(), key=lambda item: str(item[0])
-            )
-        ],
-        "fault_counters": entry.fault_counters.as_dict(),
-        "retry_accounting": entry.retry_accounting.as_dict(),
-    }
-
-
-def _entry_from_json(record: dict) -> CheckpointEntry:
-    return CheckpointEntry(
-        dataset=_dataset_from_json(record["dataset"]),
-        fingerprints=dict(
-            _fingerprint_from_json(fp) for fp in record.get("fingerprints", ())
-        ),
-        fault_counters=FaultCounters.from_dict(
-            record.get("fault_counters", {})
-        ),
-        retry_accounting=RetryAccounting.from_dict(
-            record.get("retry_accounting", {})
-        ),
+def _is_format_3(path: Path) -> bool:
+    """Does ``path`` hold a format-3 (or older) campaign checkpoint?"""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+    except (OSError, ValueError):
+        return False
+    return isinstance(header, dict) and header.get("kind") == (
+        "arest-checkpoint"
     )
 
 
-#: discriminator key -> codec for each banked record kind
-_RECORD_KINDS = {
-    "entry": (_entry_to_json, _entry_from_json),
-    "failure": (FailureStub.as_dict, FailureStub.from_dict),
-    "quarantine": (QuarantineStub.as_dict, QuarantineStub.from_dict),
-}
+def open_run_dir(
+    out_dir: str | Path,
+    config: dict,
+    vps_per_shard: int | None = None,
+    resume: bool = False,
+) -> "ShardCheckpoint":
+    """The checkpoint of run directory ``out_dir``, loaded when resuming.
 
-
-class CampaignCheckpoint:
-    """One checkpoint file bound to one campaign configuration.
-
-    Besides successful entries the file banks *failure stubs* (an AS
-    that errored mid-stage, with its partial fault/retry tallies) and
-    *quarantine stubs* (an AS whose worker hung or crashed past its
-    re-dispatch budget), so a resumed run reproduces the original
-    report exactly instead of re-running known-bad ASes.
+    Creates ``out_dir`` and its ``spills/`` when missing.  A format-3
+    checkpoint file -- passed as ``out_dir`` itself, or found as its
+    ``checkpoint.jsonl`` -- is refused before anything is written.
     """
-
-    def __init__(self, path: str | Path, config: dict) -> None:
-        self._path = Path(path)
-        self._config = config
-        #: as_id -> (record kind, decoded object), in banking order
-        self._records: dict[int, tuple[str, object]] = {}
-        #: does the on-disk file hold exactly ``_records`` in JSONL form?
-        self._synced = False
-
-    @property
-    def path(self) -> Path:
-        """Location of the checkpoint file."""
-        return self._path
-
-    @property
-    def _entries(self) -> dict[int, CheckpointEntry]:
-        return {
-            as_id: obj
-            for as_id, (kind, obj) in self._records.items()
-            if kind == "entry"
-        }
-
-    @property
-    def completed_as_ids(self) -> list[int]:
-        """ASes banked successfully so far, in completion order."""
-        return list(self._entries)
-
-    @property
-    def banked_failures(self) -> dict[int, FailureStub]:
-        """Failure stubs banked so far (populated by :meth:`load`)."""
-        return {
-            as_id: obj
-            for as_id, (kind, obj) in self._records.items()
-            if kind == "failure"
-        }
-
-    @property
-    def banked_quarantines(self) -> dict[int, QuarantineStub]:
-        """Quarantine stubs banked so far (populated by :meth:`load`)."""
-        return {
-            as_id: obj
-            for as_id, (kind, obj) in self._records.items()
-            if kind == "quarantine"
-        }
-
-    def load(self) -> dict[int, CheckpointEntry]:
-        """Read banked entries; missing file means a fresh start.
-
-        A truncated or garbled tail (crash mid-append, partial copy)
-        does not lose the campaign: every intact line before the first
-        damaged one is salvaged, the discard is logged, and the file is
-        compacted to the salvaged prefix so the next append starts from
-        a clean state.
-
-        Raises :class:`CheckpointMismatchError` when the file was
-        written under a different campaign configuration.
-        """
-        if not self._path.exists():
-            return {}
-        with self._path.open("r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        header_line = lines[0] if lines else ""
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
+    out_dir = Path(out_dir)
+    path = out_dir / CHECKPOINT_FILENAME
+    for candidate in (out_dir, path):
+        if candidate.is_file() and _is_format_3(candidate):
             raise ValueError(
-                f"not an AReST checkpoint (unparseable header): "
-                f"{self._path}"
-            ) from None
-        if not isinstance(header, dict) or header.get("kind") != _KIND:
-            raise ValueError(f"not an AReST checkpoint: {self._path}")
-        if header.get("config") != self._config:
-            raise CheckpointMismatchError(
-                f"checkpoint {self._path} was written by a different "
-                f"campaign configuration; delete it or rerun with the "
-                f"original settings"
+                f"{candidate} is a v3 campaign checkpoint file; campaigns "
+                f"now checkpoint into a v4 run directory "
+                f"({CHECKPOINT_FILENAME} plus {SPILL_DIRNAME}/) and v3 "
+                f"files cannot be resumed -- rerun the campaign with a "
+                f"new checkpoint directory"
             )
-        if "completed" in header:
-            # Legacy v1: the whole file is one JSON object.
-            self._records = {
-                int(as_id): ("entry", _entry_from_json(entry))
-                for as_id, entry in header.get("completed", {}).items()
-            }
-            self._flush()  # upgrade to JSONL on the spot
-            return dict(self._entries)
-        self._records = {}
-
-        def decode(record: dict) -> tuple[int, str, object]:
-            as_id = int(record["as_id"])
-            kind = next(k for k in _RECORD_KINDS if k in record)
-            return as_id, kind, _RECORD_KINDS[kind][1](record[kind])
-
-        # First damaged line: everything after it is suspect too --
-        # salvage the intact prefix and drop the rest.
-        decoded, damaged = salvage_decode(
-            lines[1:],
-            decode,
-            path=self._path,
-            label="checkpoint",
-            noun="banked AS(es)",
-            logger=logger,
-        )
-        for as_id, kind, obj in decoded:
-            self._records[as_id] = (kind, obj)
-        if damaged:
-            self._flush()  # compact away the damaged tail
-        else:
-            self._synced = True
-        return dict(self._entries)
-
-    def record(self, as_id: int, entry: CheckpointEntry) -> None:
-        """Bank one completed AS."""
-        self._bank(as_id, "entry", entry)
-
-    def record_failure(self, as_id: int, stub: FailureStub) -> None:
-        """Bank one deterministic per-AS failure with its partial tallies."""
-        self._bank(as_id, "failure", stub)
-
-    def record_quarantine(self, as_id: int, stub: QuarantineStub) -> None:
-        """Bank one circuit-broken AS so resume does not re-dispatch it."""
-        self._bank(as_id, "quarantine", stub)
-
-    def _bank(self, as_id: int, kind: str, obj: object) -> None:
-        """Durably append one record (or rewrite when out of sync).
-
-        Appends are flushed and fsynced before returning, so a crash
-        after :meth:`record` returns can never lose the banked AS; a
-        crash *during* the append at worst truncates the final line,
-        which :meth:`load` salvages.
-        """
-        replacing = self._synced and as_id in self._records
-        self._records[as_id] = (kind, obj)
-        if self._synced and not replacing:
-            encode = _RECORD_KINDS[kind][0]
-            append_json_line(self._path, {"as_id": as_id, kind: encode(obj)})
-        else:
-            self._flush()
-
-    def compact(self, order: list[int] | None = None) -> None:
-        """Atomically rewrite the file, optionally in canonical order.
-
-        ``order`` lists as_ids in the desired on-disk order (ids not in
-        the list keep their banking order, after the ordered prefix).
-        Runs that finish cleanly compact in portfolio order, so a
-        checkpoint's bytes are identical however the campaign got there
-        -- serial, parallel, or interrupted-then-resumed.
-        """
-        if order is not None:
-            ordered = {
-                as_id: self._records[as_id]
-                for as_id in order
-                if as_id in self._records
-            }
-            for as_id, record in self._records.items():
-                ordered.setdefault(as_id, record)
-            if list(ordered) == list(self._records) and self._synced:
-                return  # already canonical on disk
-            self._records = ordered
-        self._flush()
-
-    def _flush(self) -> None:
-        """Atomically rewrite header + one line per banked AS."""
-        rewrite_json_lines(
-            self._path,
-            {"kind": _KIND, "version": _VERSION, "config": self._config},
-            (
-                {"as_id": as_id, _kind: _RECORD_KINDS[_kind][0](obj)}
-                for as_id, (_kind, obj) in self._records.items()
-            ),
-        )
-        self._synced = True
-
-
-# -- shard-scoped checkpointing (format v4) ------------------------------------
-
-_SHARD_KIND = "arest-shard-checkpoint"
-_SHARD_VERSION = 4
+    (out_dir / SPILL_DIRNAME).mkdir(parents=True, exist_ok=True)
+    store = ShardCheckpoint(path, config, vps_per_shard=vps_per_shard)
+    if resume:
+        store.load()
+    return store
 
 
 class ShardCheckpoint:
-    """Shard-scoped checkpoint for paper-scale campaigns (format v4).
+    """The checkpoint file of a run directory (format v4).
 
-    Where the per-AS checkpoint banks whole trace datasets, the shard
-    checkpoint banks only *facts about* the data -- per-shard probe
-    records (spill file name, per-VP trace counts and SHA-256 digests,
-    fault/retry tallies) and per-AS analysis summaries -- while the
-    traces themselves live in the spill files the records point at.
-    That keeps the checkpoint tiny at a million traces and makes resume
-    O(records), not O(traces).
+    It banks per-shard probe records (spill file name, per-VP trace
+    counts and SHA-256 digests, fault/retry tallies) and per-AS
+    analysis summaries, failures and quarantines, while the traces
+    themselves live in the spill files the records point at.
 
     Crash-safety contract (the order matters):
 
@@ -440,11 +113,10 @@ class ShardCheckpoint:
     final checkpoint bytes are identical for **any** ``--jobs`` or
     ``--shards`` value, serial, parallel, or crashed-and-resumed.
 
-    Like the v3 format, the header embeds a config signature and
-    resuming under a different configuration raises
-    :class:`CheckpointMismatchError`.  The layout is deliberately
-    *outside* that comparison: re-sharding a resumed run is legal (the
-    banked layout simply wins).
+    The header embeds a config signature and resuming under a
+    different configuration raises :class:`CheckpointMismatchError`.
+    The layout is deliberately *outside* that comparison: re-sharding a
+    resumed run is legal (the banked layout simply wins).
     """
 
     def __init__(
@@ -491,6 +163,16 @@ class ShardCheckpoint:
         }
 
     @property
+    def vp_facts(self) -> dict[tuple[int, int], "VpProbe"]:
+        """Every banked per-VP fact, live or canonical, by ``(as_id,
+        vp_index)`` (a live record wins over a canonical line)."""
+        facts = dict(self.vp_probes)
+        for record in self.probed.values():
+            for vp in record.vps:
+                facts[(record.as_id, vp.vp_index)] = vp
+        return facts
+
+    @property
     def analyses(self) -> dict[int, dict]:
         """Banked per-AS analysis summaries (opaque canonical JSON)."""
         return {
@@ -522,9 +204,10 @@ class ShardCheckpoint:
     def load(self) -> None:
         """Read banked records; missing file means a fresh start.
 
-        Adopts the banked shard layout, salvages a torn tail exactly
-        like the v3 loader, and raises
-        :class:`CheckpointMismatchError` on a config mismatch.
+        Adopts the banked shard layout, salvages the intact prefix of
+        a torn or garbled file (logging what it discarded, compacting
+        the rest away), and raises :class:`CheckpointMismatchError` on
+        a config mismatch.
         """
         if not self._path.exists():
             return
@@ -540,7 +223,7 @@ class ShardCheckpoint:
             ) from None
         if (
             not isinstance(header, dict)
-            or header.get("kind") != _SHARD_KIND
+            or header.get("kind") != _KIND
         ):
             raise ValueError(
                 f"not an AReST shard checkpoint: {self._path}"
@@ -601,6 +284,16 @@ class ShardCheckpoint:
 
     # -- canonicalization ------------------------------------------------------
 
+    def reopen(self) -> None:
+        """Mark a completed checkpoint live before new records land.
+
+        The rewrite drops ``complete`` from the header, so a crash
+        before the next compaction can never pass for a finished run.
+        """
+        if self.complete:
+            self.complete = False
+            self._flush()
+
     def compact_canonical(self, as_ids: list[int]) -> None:
         """Rewrite the completed checkpoint in its canonical form.
 
@@ -609,16 +302,21 @@ class ShardCheckpoint:
         dropped; analysis/failure lines follow each AS; quarantines (a
         degraded run only) close the file.  The layout leaves the
         header and ``complete`` enters it.  The result is the same
-        byte sequence for every partitioning of the same campaign.
+        byte sequence for every partitioning and completion order of
+        the same campaign.  ASes banked but not in ``as_ids`` (a resume
+        that listed fewer) keep their records, after the listed ones,
+        in their banked order.
         """
         canonical: dict[tuple, object] = {}
-        vp_facts: dict[tuple[int, int], VpProbe] = dict(self.vp_probes)
-        for record in self.probed.values():
-            for vp in record.vps:
-                vp_facts[(record.as_id, vp.vp_index)] = vp
+        vp_facts = self.vp_facts
         analyses = self.analyses
         failures = self.failures
-        for as_id in as_ids:
+        banked = (
+            ident if isinstance(ident, int) else ident[0]
+            for kind, ident in self._records
+            if kind != "quarantine"
+        )
+        for as_id in dict.fromkeys([*as_ids, *banked]):
             for (a, vp_index) in sorted(
                 k for k in vp_facts if k[0] == as_id
             ):
@@ -635,8 +333,8 @@ class ShardCheckpoint:
 
     def _header(self) -> dict:
         header: dict = {
-            "kind": _SHARD_KIND,
-            "version": _SHARD_VERSION,
+            "kind": _KIND,
+            "version": _VERSION,
             "config": self._config,
         }
         if self.complete:

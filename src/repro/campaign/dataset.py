@@ -5,8 +5,9 @@ role for the simulated campaign.  Serialization is line-oriented JSON
 (one trace per line) so datasets stream without loading whole files.
 
 :class:`TraceDecoder` is the one route from a JSON trace record to a
-:class:`~repro.probing.records.Trace`: dataset files, checkpoints, the
-service's request bodies and its journal replay all decode through it.
+:class:`~repro.probing.records.Trace`: dataset files (campaign spills
+included), the service's request bodies and its journal replay all
+decode through it.
 A decoder serves one stream (a file, a journal replay or a request
 body); campaigns revisit the same interfaces on every trace, so it
 parses each distinct dotted address once and reuses the result.

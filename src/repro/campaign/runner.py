@@ -5,8 +5,11 @@ For each AS of interest the runner mirrors the paper's Sec. 5 workflow:
 1. build the measurement internetwork for the AS (topogen);
 2. build the Anaximander target list;
 3. run TNT traceroutes from every selected vantage point (each VP
-   probes the same targets, shuffled per VP);
-4. fingerprint every responding interface (SNMPv3 first, TTL fallback);
+   probes the same targets, shuffled per VP, with its own prober and
+   fault injector -- :func:`~repro.campaign.shards.probe_vps`, the loop
+   the sharded plane runs too);
+4. fingerprint every responding interface (SNMPv3 first, TTL fallback)
+   on the fault-free engine;
 5. annotate ownership bdrmapIT-style and run the AReST pipeline;
 6. extract simulator ground truth for evaluation.
 
@@ -20,7 +23,8 @@ probe stage and quiesced before analysis; a bounded
 :class:`~repro.util.retry.RetryPolicy` re-fires unanswered probes; and
 :meth:`CampaignRunner.run_portfolio` isolates per-AS errors, reports
 partial results through a :class:`CampaignReport`, and can checkpoint
-completed ASes to JSON so interrupted runs resume where they left off.
+into a run directory (:mod:`repro.campaign.checkpoint`, the sharded
+plane's format) so interrupted runs resume where they left off.
 
 It also survives an imperfect *execution* plane: per-AS tasks run on
 the lease executor of :mod:`repro.campaign.shardexec` (``jobs=N``
@@ -35,15 +39,14 @@ from __future__ import annotations
 import logging
 import os
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.campaign.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointEntry,
-    FailureStub,
-    QuarantineStub,
+    SPILL_DIRNAME,
+    ShardCheckpoint,
+    open_run_dir,
 )
 from repro.campaign.dataset import TraceDataset
 from repro.campaign.shardexec import (
@@ -52,6 +55,17 @@ from repro.campaign.shardexec import (
     TaskOutcome,
     TaskStatus,
     WorkerControl,
+)
+from repro.campaign.shards import (
+    ShardContext,
+    ShardSpec,
+    VpProbe,
+    VpRun,
+    probe_shard,
+    probe_tallies,
+    probe_vps,
+    shard_plan,
+    spill_damage,
 )
 from repro.campaign.vantage_points import VantagePoint, default_vantage_points
 from repro.core.pipeline import ArestPipeline, AsAnalysis
@@ -66,12 +80,12 @@ from repro.obs.session import TelemetrySession
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, merge_counters
 from repro.obs.trace import TraceContext
 from repro.probing.records import Trace, truth_transport_is_sr
-from repro.probing.tnt import TntProber
 from repro.topogen.alias import AliasResolver, AliasSet
 from repro.topogen.anaximander import build_target_list
 from repro.topogen.bdrmapit import BdrmapIt
 from repro.topogen.internet import MeasurementNetwork, build_measurement_network
 from repro.topogen.portfolio import AsSpec, Portfolio, default_portfolio
+from repro.util.atomicio import DiskFullError
 from repro.util.determinism import DeterministicRng
 from repro.util.retry import RetryAccounting, RetryPolicy
 
@@ -159,6 +173,31 @@ class AsFailure:
     #: retry cost sunk before the failure hit (partial tallies)
     retry_accounting: RetryAccounting = field(default_factory=RetryAccounting)
 
+    def as_dict(self) -> dict:
+        """The report's entry for this failure, which is also what the
+        checkpoint banks."""
+        return {
+            "stage": self.stage,
+            "error": self.error,
+            "fault_counters": self.fault_counters.as_dict(),
+            "retry_accounting": self.retry_accounting.as_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, as_id: int, record: dict) -> "AsFailure":
+        """Inverse of :meth:`as_dict` (tallies default to zero)."""
+        return cls(
+            as_id=as_id,
+            stage=str(record["stage"]),
+            error=str(record["error"]),
+            fault_counters=FaultCounters.from_dict(
+                record.get("fault_counters", {})
+            ),
+            retry_accounting=RetryAccounting.from_dict(
+                record.get("retry_accounting", {})
+            ),
+        )
+
 
 @dataclass(slots=True)
 class AsQuarantine:
@@ -175,6 +214,40 @@ class AsQuarantine:
     #: supervisor-observed seconds per heartbeat stage of the final
     #: attempt (the post-mortem of where the worker spent its life)
     stage_seconds: dict[str, float] = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        """The report's entry for this quarantine, which is also what
+        the checkpoint banks (stage timings rounded to milliseconds)."""
+        return {
+            "reason": self.reason,
+            "attempts": self.attempts,
+            "detail": self.detail,
+            "last_stage": self.last_stage,
+            "stage_seconds": {
+                stage: round(seconds, 3)
+                for stage, seconds in sorted(self.stage_seconds.items())
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, as_id: int, record: dict) -> "AsQuarantine":
+        """Inverse of :meth:`as_dict`; the post-mortem is optional."""
+        last_stage = record.get("last_stage")
+        return cls(
+            as_id=as_id,
+            reason=str(record["reason"]),
+            attempts=int(record["attempts"]),
+            detail=str(record.get("detail", "")),
+            last_stage=str(last_stage) if last_stage is not None else None,
+            stage_seconds={
+                str(stage): float(seconds)
+                for stage, seconds in record.get("stage_seconds", {}).items()
+            },
+        )
+
+
+#: what one AS of a portfolio run comes to
+AsOutcome = AsCampaignResult | AsFailure | AsQuarantine
 
 
 class CampaignReport(Mapping):
@@ -217,64 +290,30 @@ class CampaignReport(Mapping):
 
     # -- assembly ---------------------------------------------------------------
 
-    def add(self, result: AsCampaignResult, resumed: bool = False) -> None:
-        """Record one completed AS and fold in its tallies."""
-        self._results[result.as_id] = result
-        self.fault_counters.merge(result.fault_counters)
-        self.retry_accounting.merge(result.retry_accounting)
-        self.traces_quarantined += result.analysis.traces_quarantined
-        for kind, count in result.analysis.anomaly_counts().items():
+    def add(self, entry: AsOutcome, resumed: bool = False) -> None:
+        """Record one AS's outcome and fold in its tallies.
+
+        ``entry`` is a result, a failure or a quarantine.  A failed AS
+        folds in the fault/retry cost it sank *before* failing, so
+        partial work is accounted for rather than silently dropped.
+        ``resumed`` marks a result restored from a checkpoint.
+        """
+        if isinstance(entry, AsQuarantine):
+            self.quarantined[entry.as_id] = entry
+            return
+        self.fault_counters.merge(entry.fault_counters)
+        self.retry_accounting.merge(entry.retry_accounting)
+        if isinstance(entry, AsFailure):
+            self.failures[entry.as_id] = entry
+            return
+        self._results[entry.as_id] = entry
+        self.traces_quarantined += entry.analysis.traces_quarantined
+        for kind, count in entry.analysis.anomaly_counts().items():
             self.anomaly_counts[kind] = (
                 self.anomaly_counts.get(kind, 0) + count
             )
         if resumed:
-            self.resumed_as_ids.append(result.as_id)
-
-    def record_failure(
-        self,
-        as_id: int,
-        stage: str,
-        error: Exception | str,
-        fault_counters: FaultCounters | None = None,
-        retry_accounting: RetryAccounting | None = None,
-    ) -> None:
-        """Record one failed AS without aborting the portfolio.
-
-        The fault/retry cost the AS sank *before* failing is folded
-        into the portfolio tallies, so partial work is accounted for
-        rather than silently dropped.
-        """
-        if isinstance(error, BaseException):
-            error = f"{type(error).__name__}: {error}"
-        failure = AsFailure(
-            as_id=as_id,
-            stage=stage,
-            error=error,
-            fault_counters=fault_counters or FaultCounters(),
-            retry_accounting=retry_accounting or RetryAccounting(),
-        )
-        self.failures[as_id] = failure
-        self.fault_counters.merge(failure.fault_counters)
-        self.retry_accounting.merge(failure.retry_accounting)
-
-    def record_quarantine(
-        self,
-        as_id: int,
-        reason: str,
-        attempts: int,
-        detail: str,
-        last_stage: str | None = None,
-        stage_seconds: dict[str, float] | None = None,
-    ) -> None:
-        """Record one poison AS the engine gave up re-dispatching."""
-        self.quarantined[as_id] = AsQuarantine(
-            as_id=as_id,
-            reason=reason,
-            attempts=attempts,
-            detail=detail,
-            last_stage=last_stage,
-            stage_seconds=dict(stage_seconds or {}),
-        )
+            self.resumed_as_ids.append(entry.as_id)
 
     # -- views ------------------------------------------------------------------
 
@@ -319,53 +358,22 @@ class CampaignReport(Mapping):
         excluded: whether an AS was re-measured or restored from a
         checkpoint must not change the canonical result.
         """
-        completed = {}
-        for as_id, result in self._results.items():
-            analysis = result.analysis
-            completed[str(as_id)] = {
-                "flags": {
-                    flag.name: count
-                    for flag, count in sorted(
-                        analysis.flag_counts().items(),
-                        key=lambda item: item[0].name,
-                    )
-                },
-                "traces_total": analysis.traces_total,
-                "traces_quarantined": analysis.traces_quarantined,
-                "sr_interfaces": len(analysis.sr_addresses),
-                "mpls_interfaces": len(analysis.mpls_addresses),
-                "ip_interfaces": len(analysis.ip_addresses),
-                "distinct_segments": analysis.total_distinct_segments(),
-                "fingerprints": len(result.fingerprints),
-                "routers": result.router_count(),
-                "fault_counters": result.fault_counters.as_dict(),
-                "retry_accounting": result.retry_accounting.as_dict(),
-            }
         return {
-            "completed": completed,
-            "failures": {
+            "completed": {
                 str(as_id): {
-                    "stage": f.stage,
-                    "error": f.error,
-                    "fault_counters": f.fault_counters.as_dict(),
-                    "retry_accounting": f.retry_accounting.as_dict(),
+                    key: value
+                    for key, value in result_summary(result).items()
+                    if key != "anomaly_counts"
                 }
-                for as_id, f in self.failures.items()
+                for as_id, result in self._results.items()
+            },
+            "failures": {
+                str(as_id): failure.as_dict()
+                for as_id, failure in self.failures.items()
             },
             "quarantined": {
-                str(as_id): {
-                    "reason": q.reason,
-                    "attempts": q.attempts,
-                    "detail": q.detail,
-                    "last_stage": q.last_stage,
-                    "stage_seconds": {
-                        stage: round(seconds, 3)
-                        for stage, seconds in sorted(
-                            q.stage_seconds.items()
-                        )
-                    },
-                }
-                for as_id, q in self.quarantined.items()
+                str(as_id): quarantine.as_dict()
+                for as_id, quarantine in self.quarantined.items()
             },
             "interrupted": self.interrupted,
             "fault_counters": self.fault_counters.as_dict(),
@@ -375,12 +383,82 @@ class CampaignReport(Mapping):
         }
 
 
+def result_summary(result: AsCampaignResult) -> dict:
+    """One AS's canonical JSON summary (the banked analysis record).
+
+    Both planes bank it per analyzed AS, and :meth:`CampaignReport.as_dict`
+    reports it per completed AS (less ``anomaly_counts``, which the
+    portfolio report totals instead).
+    """
+    analysis = result.analysis
+    return {
+        "flags": {
+            flag.name: count
+            for flag, count in sorted(
+                analysis.flag_counts().items(),
+                key=lambda item: item[0].name,
+            )
+        },
+        "traces_total": analysis.traces_total,
+        "traces_quarantined": analysis.traces_quarantined,
+        "sr_interfaces": len(analysis.sr_addresses),
+        "mpls_interfaces": len(analysis.mpls_addresses),
+        "ip_interfaces": len(analysis.ip_addresses),
+        "distinct_segments": analysis.total_distinct_segments(),
+        "fingerprints": len(result.fingerprints),
+        "routers": result.router_count(),
+        "anomaly_counts": dict(sorted(analysis.anomaly_counts().items())),
+        "fault_counters": result.fault_counters.as_dict(),
+        "retry_accounting": result.retry_accounting.as_dict(),
+    }
+
+
 def _quarantine_reason(outcome: TaskOutcome) -> str:
     """Stable quarantine reason of a final timeout/lease-loss/crash outcome:
     ``timeout``, ``hung`` (silent past ``heartbeat_timeout``) or ``crash``."""
     if outcome.status is TaskStatus.LEASE_EXPIRED:
         return "hung"
     return outcome.status.value
+
+
+def _settle(outcome: TaskOutcome) -> AsOutcome:
+    """One final engine outcome as the report entry it becomes."""
+    as_id = outcome.key
+    if outcome.status is TaskStatus.OK:
+        message = outcome.value
+        if message["status"] == "ok":
+            return message["result"]
+        if message["status"] == "disk-full":
+            return AsQuarantine(
+                as_id, "disk-full", outcome.attempts, message["error"]
+            )
+        logger.warning(
+            "AS#%d failed during %s stage: %s",
+            as_id,
+            message["stage"],
+            message["error"],
+        )
+        return AsFailure(
+            as_id,
+            message["stage"],
+            message["error"],
+            message["fault_counters"],
+            message["retry_accounting"],
+        )
+    if outcome.status is TaskStatus.ERROR:
+        logger.warning("AS#%d worker raised: %s", as_id, outcome.error)
+        return AsFailure(
+            as_id, outcome.last_stage or "worker", outcome.error or ""
+        )
+    # TIMEOUT / LEASE_EXPIRED / CRASH past the re-dispatch budget
+    return AsQuarantine(
+        as_id,
+        _quarantine_reason(outcome),
+        outcome.attempts,
+        outcome.error or "",
+        outcome.last_stage,
+        dict(outcome.stage_seconds or {}),
+    )
 
 
 def result_counters(result: AsCampaignResult) -> dict[str, int]:
@@ -419,22 +497,60 @@ def result_counters(result: AsCampaignResult) -> dict[str, int]:
     return counters
 
 
-def _campaign_worker(payload: tuple, ctl: WorkerControl) -> dict:
-    """Pool task: rebuild the runner and run one AS.
+def bank_durably(
+    write: Callable[[], None],
+    what: str,
+    session: TelemetrySession | None,
+    scope: object = None,
+    export: dict | None = None,
+) -> None:
+    """Run one checkpoint write as an outcome lands; both planes bank so.
 
-    Each task constructs a *fresh* runner from the parent's constructor
-    kwargs, so results are a pure function of ``(config, as_id)`` --
-    the property that makes parallel output byte-identical to serial.
+    The write's latency feeds the session's fixed-bucket ``bank``
+    histogram (observational only, so timing never orders results),
+    then the worker's telemetry ``export`` joins the session under
+    ``scope``.  A full disk leaves the checkpoint intact -- a torn
+    tail at worst, salvaged on load -- and ``what`` unbanked, to run
+    again on resume.
+    """
+    tick = time.monotonic()
+    try:
+        write()
+    except DiskFullError as exc:
+        logger.error(
+            "checkpoint write failed (disk full) banking %s: %s -- it "
+            "will re-run on resume",
+            what,
+            exc,
+        )
+        return
+    if session is not None:
+        session.observe("bank", time.monotonic() - tick)
+        if export:
+            session.record_export(scope, export)
+
+
+def _campaign_worker(payload: tuple, ctl: WorkerControl) -> dict:
+    """Executor task: rebuild the runner and run one AS.
+
+    Each task -- in-process at ``jobs=1``, in a pool worker otherwise --
+    constructs a *fresh* runner from the parent's constructor kwargs,
+    so results are a pure function of ``(config, as_id)``: the property
+    that makes parallel output byte-identical to serial.
     Stage transitions double as lease-renewing heartbeats.  Telemetry
     recorded in-worker is buffered and shipped back inside the outcome
-    dict (see :meth:`_run_as_guarded`).  A failed AS recycles its
-    worker, so its interpreter never serves the next AS.
+    dict (see :meth:`_run_as_guarded`).  A checkpointed run spills the
+    AS's traces into ``spill_dir`` before the task returns.  A failed
+    AS recycles its worker, so its interpreter never serves the next AS.
     """
-    runner_cls, kwargs, as_id, telemetry_on, traceparent = payload
+    as_id, runner_cls, kwargs, telemetry_on, traceparent, spill_dir = (
+        payload
+    )
     runner = runner_cls(**kwargs)
     runner._stage_hook = ctl.heartbeat
     runner._telemetry_on = telemetry_on
     runner._traceparent = traceparent
+    runner._spill_dir = spill_dir
     message = runner._run_as_guarded(as_id)
     if message["status"] != "ok":
         ctl.request_recycle()
@@ -502,10 +618,16 @@ class CampaignRunner:
         #: campaign trace context in wire form (W3C traceparent); set
         #: by the task envelope so worker spans join the one trace
         self._traceparent: str | None = None
-        #: live fault injector / prober of the in-flight run_as, so a
-        #: mid-stage failure can still report its partial tallies
-        self._active_injector: FaultInjector | None = None
-        self._active_prober = None
+        #: per-VP probers/injectors and the fingerprint injector of the
+        #: in-flight run_as, so a mid-stage failure can still report
+        #: its partial tallies
+        self._runs: list[VpRun] = []
+        self._fingerprint_injector: FaultInjector | None = None
+        #: run directory spill folder of a checkpointed portfolio (set
+        #: by the task envelope), and the probe record of the AS just
+        #: spilled there
+        self._spill_dir: Path | None = None
+        self._spilled = None
 
     # -- public API ----------------------------------------------------------------
 
@@ -526,8 +648,9 @@ class CampaignRunner:
         if telemetry_dir is not None:
             return self._run_as_with_session(as_id, telemetry_dir)
         tel = self.telemetry
-        self._active_injector = None
-        self._active_prober = None
+        self._runs = []
+        self._fingerprint_injector = None
+        self._spilled = None
         with tel.span("as", as_id=as_id):
             self._set_stage("setup")
             spec = self.portfolio.spec(as_id)
@@ -537,38 +660,41 @@ class CampaignRunner:
                 net = build_measurement_network(
                     spec, [vp.vp_id for vp in vps], seed=self.seed
                 )
-            injector = self._injector_for(as_id)
-            self._active_injector = injector
-            if injector is not None:
-                net.engine.faults = injector
+                targets = build_target_list(
+                    net,
+                    per_prefix=self.per_prefix,
+                    limit=self.targets_per_as,
+                    seed=self.seed,
+                )
+            context = ShardContext(spec, vps, net, list(targets.addresses))
             dynamics = self._dynamics_for(as_id, net)
             if dynamics is not None:
                 net.engine.dynamics = dynamics
             self._set_stage("probe")
-            with tel.span("probe"):
-                dataset, accounting = self._probe(net, vps)
+            dataset = TraceDataset(
+                target_asn=net.target_asn,
+                metadata=self._dataset_metadata(as_id, vps),
+            )
+            self._probe(context, dataset)
             if dynamics is not None:
                 # Churn is confined to trace collection: restore the
                 # nominal topology before fingerprint/analysis, so a
-                # fresh run analyzes exactly the network a checkpoint
-                # rehydration rebuilds (fresh == resumed, byte for
-                # byte).  Counters ride the observational gauge channel
-                # only -- results and checkpoints never see them.
+                # fresh run analyzes exactly the network a resume
+                # rebuilds (fresh == resumed, byte for byte).  Counters
+                # ride the observational gauge channel only -- results
+                # and checkpoints never see them.
                 dynamics.quiesce()
                 net.engine.dynamics = None
                 for name, value in dynamics.counters.as_dict().items():
                     tel.gauge(f"churn_{name}", value)
-            self._set_stage("fingerprint")
-            with tel.span("fingerprint"):
-                fingerprints = self._fingerprint(
-                    net, dataset, faults=injector
-                )
-            self._set_stage("analysis")
-            with tel.span("analyze"):
-                result = self._analyze(spec, net, dataset, fingerprints)
-            if injector is not None:
-                result.fault_counters = injector.counters
-            result.retry_accounting = accounting
+            # Fast-path cache gauges: observational only (the telemetry
+            # contract), but they make cache regressions visible per AS.
+            for name, value in net.engine.stats.as_dict().items():
+                tel.gauge(f"walkcache_{name}", value)
+            faults, retry = probe_tallies(self._runs)
+            result = self._fingerprint_and_analyze(
+                spec, net, dataset, faults, retry
+            )
             self._set_stage("done")
         return result
 
@@ -618,10 +744,11 @@ class CampaignRunner:
         - ``jobs=1`` (default) runs in-process, exactly the sequential
           loop it always was; ``jobs>1`` dispatches per-AS tasks to a
           pool of ``jobs`` persistent worker processes.  Results are
-          *deterministic in jobs*: the report and the banked checkpoint
+          *deterministic in jobs*: the report and the final checkpoint
           are byte-identical for any job count, because each AS derives
-          everything from ``(seed, as_id)`` and assembly/banking follow
-          ``as_ids`` order regardless of completion order.
+          everything from ``(seed, as_id)``, the report is assembled in
+          ``as_ids`` order, and the checkpoint -- banked in completion
+          order -- is compacted canonically at the end.
         - ``timeout_per_as`` bounds each attempt at an AS in wall-clock
           seconds from its dispatch (pool mode only); a worker past its
           deadline -- or silent past ``heartbeat_timeout``, its lease --
@@ -633,12 +760,17 @@ class CampaignRunner:
           second signal aborts hard.
 
         One failing AS is recorded in the report and the rest of the
-        portfolio continues.  With ``checkpoint`` set, every completed
-        AS -- and every failure or quarantine -- is durably banked as
-        the run progresses; ``resume=True`` restores banked outcomes
-        (re-deriving analyses without re-probing, and without
-        re-running known failures) and measures only what is missing,
-        producing the same report as an uninterrupted run.
+        portfolio continues.  ``checkpoint`` names a run directory
+        (``checkpoint.jsonl`` plus ``spills/``, the layout of
+        :meth:`ScaleCampaign.run <repro.campaign.scale.ScaleCampaign.run>`):
+        each AS spills its traces there as one whole-AS shard, and
+        every outcome -- probe record plus :func:`result_summary`,
+        failure, or quarantine -- is durably banked as it lands.
+        ``resume=True`` restores banked outcomes (re-deriving analyses
+        from the spills without re-probing, and without re-running
+        known failures) and measures only what is missing, producing
+        the same report as an uninterrupted run.  A spill that fails
+        its banked digests is logged and its AS re-run.
 
         ``telemetry_dir`` turns on observability for the run: a
         :class:`~repro.obs.session.TelemetrySession` writes a run
@@ -699,25 +831,17 @@ class CampaignRunner:
         session: TelemetrySession | None,
     ) -> CampaignReport:
         """The portfolio loop proper (session lifecycle handled above)."""
-        store: CampaignCheckpoint | None = None
-        banked: dict[int, CheckpointEntry] = {}
-        banked_failures: dict[int, FailureStub] = {}
-        banked_quarantines: dict[int, QuarantineStub] = {}
+        store: ShardCheckpoint | None = None
+        restored: dict[int, AsOutcome] = {}
         if checkpoint is not None:
-            store = CampaignCheckpoint(checkpoint, self._config_signature())
-            if resume:
-                banked = store.load()
-                banked_failures = store.banked_failures
-                banked_quarantines = store.banked_quarantines
-
-        to_run = [
-            as_id
-            for as_id in as_ids
-            if as_id not in banked
-            and as_id not in banked_failures
-            and as_id not in banked_quarantines
-        ]
-        outcomes, interrupted = self._execute(
+            store = open_run_dir(
+                checkpoint, self._config_signature(), resume=resume
+            )
+            restored = self._restore(store, as_ids, session)
+        to_run = [as_id for as_id in as_ids if as_id not in restored]
+        if store is not None and to_run:
+            store.reopen()
+        settled, interrupted = self._execute(
             to_run, store, jobs, timeout_per_as, heartbeat_timeout, session
         )
 
@@ -726,143 +850,173 @@ class CampaignRunner:
         report = CampaignReport()
         report.interrupted = interrupted
         for as_id in as_ids:
-            entry = banked.get(as_id)
-            if entry is not None:
-                result = self._rehydrate_banked(as_id, entry, session)
-                report.add(result, resumed=True)
-                continue
-            stub = banked_failures.get(as_id)
-            if stub is not None:
-                report.record_failure(
-                    as_id,
-                    stub.stage,
-                    stub.error,
-                    stub.fault_counters,
-                    stub.retry_accounting,
-                )
-                if session is not None:
-                    session.record_scope(as_id, counters={"as_failed": 1})
-                continue
-            qstub = banked_quarantines.get(as_id)
-            if qstub is not None:
-                report.record_quarantine(
-                    as_id,
-                    qstub.reason,
-                    qstub.attempts,
-                    qstub.detail,
-                    qstub.last_stage,
-                    qstub.stage_seconds,
-                )
-                if session is not None:
-                    session.record_scope(
-                        as_id, counters={"as_quarantined": 1}
-                    )
-                continue
-            outcome = outcomes.get(as_id)
-            if outcome is None:
-                continue  # interrupted before this AS was dispatched
-            self._fold_outcome(report, as_id, outcome)
-        if store is not None and not interrupted:
-            # Canonicalize the on-disk order so a resumed checkpoint's
-            # bytes match an uninterrupted run's.
-            store.compact(order=list(as_ids))
+            if as_id in restored:
+                report.add(restored[as_id], resumed=True)
+            elif as_id in settled:
+                report.add(settled[as_id])
+            # else: interrupted before this AS was dispatched
+        if store is not None and not interrupted and not store.complete:
+            # Canonical order makes a resumed checkpoint's bytes match
+            # an uninterrupted run's.
+            store.compact_canonical(list(as_ids))
         return report
+
+    # -- checkpoint restore -------------------------------------------------------
+
+    def _restore(
+        self,
+        store: ShardCheckpoint,
+        as_ids: list[int],
+        session: TelemetrySession | None,
+    ) -> dict[int, AsOutcome]:
+        """The banked outcomes of ``as_ids``, ready for the report.
+
+        Failures and quarantines restore verbatim; an analyzed AS is
+        rebuilt from its spill, unless the spill fails its banked facts
+        -- then it is left out, and so runs again.
+        """
+        analyses = store.analyses
+        failures = store.failures
+        quarantines: dict[int, dict] = {}
+        for (as_id, _bucket), detail in sorted(store.quarantines.items()):
+            quarantines.setdefault(as_id, detail)
+        vp_facts = store.vp_facts
+        spill_dir = store.path.parent / SPILL_DIRNAME
+        restored: dict[int, AsOutcome] = {}
+        for as_id in as_ids:
+            if as_id in analyses:
+                facts = [
+                    vp for (a, _), vp in sorted(vp_facts.items()) if a == as_id
+                ]
+                spill = spill_dir / self._whole_as(as_id).spill_name
+                result = self._rehydrate(as_id, spill, facts, session)
+                if result is not None:
+                    restored[as_id] = result
+                continue
+            if as_id in failures:
+                restored[as_id] = AsFailure.from_dict(
+                    as_id, failures[as_id]
+                )
+                counter = "as_failed"
+            elif as_id in quarantines:
+                restored[as_id] = AsQuarantine.from_dict(
+                    as_id, quarantines[as_id]
+                )
+                counter = "as_quarantined"
+            else:
+                continue
+            if session is not None:
+                session.record_scope(as_id, counters={counter: 1})
+        return restored
+
+    def _rehydrate(
+        self,
+        as_id: int,
+        spill: Path,
+        facts: list[VpProbe],
+        session: TelemetrySession | None,
+    ) -> AsCampaignResult | None:
+        """Rebuild one banked AS from its whole-AS spill (None if damaged).
+
+        The replay gets its own spans (the parent does the work, so the
+        parent records it) and the result-derived counters -- banked
+        tallies included -- so a resumed run's counter totals equal an
+        uninterrupted run's.
+        """
+        from repro.campaign.scale import rehydrate_as
+
+        damage = spill_damage(spill, facts)
+        if damage is not None:
+            logger.warning(
+                "AS#%d: spill does not match its banked facts (%s); "
+                "re-running the AS",
+                as_id,
+                damage,
+            )
+            return None
+        faults, retry = probe_tallies(facts)
+        tel = (
+            Telemetry(trace=session.trace)
+            if session is not None
+            else NULL_TELEMETRY
+        )
+        previous = self.telemetry
+        self.telemetry = tel
+        try:
+            with tel.span("as", as_id=as_id, resumed=True):
+                result = rehydrate_as(self, as_id, [spill], faults, retry)
+        finally:
+            self.telemetry = previous
+        if session is not None:
+            merge_counters(tel.counters, result_counters(result))
+            session.record_export(as_id, tel.export())
+        return result
 
     # -- supervised execution ----------------------------------------------------
 
     def _execute(
         self,
         to_run: list[int],
-        store: CampaignCheckpoint | None,
+        store: ShardCheckpoint | None,
         jobs: int,
         timeout_per_as: float | None,
         heartbeat_timeout: float | None,
         session: TelemetrySession | None = None,
-    ) -> tuple[dict[int, TaskOutcome], bool]:
-        """Run the missing ASes under supervision, banking in order.
+    ) -> tuple[dict[int, AsOutcome], bool]:
+        """Run the missing ASes under supervision, banking as they land.
 
-        Completed outcomes are banked to the checkpoint as soon as the
-        contiguous prefix (in ``to_run`` order) allows, so the file's
-        line order -- and therefore its bytes -- never depends on which
-        worker finished first.  Telemetry batches, by contrast, are
-        appended in completion order -- the event stream is
-        observational, only counter totals are contractual.
+        Outcomes are banked, and telemetry batches appended, in
+        completion order; the caller's final compaction makes the
+        checkpoint's bytes independent of that order.
         """
         if not to_run:
             return {}, False
-        completed: dict[int, TaskOutcome] = {}
-        bank_index = 0
-
-        def bank_one(as_id: int, outcome: TaskOutcome) -> None:
-            # Bank latency feeds the fixed-bucket "bank" histogram --
-            # observational only, so the timing never orders results.
-            if session is None:
-                self._bank_outcome(store, as_id, outcome)
-                return
-            start = time.monotonic()
-            self._bank_outcome(store, as_id, outcome)
-            session.observe("bank", time.monotonic() - start)
-
-        def bank_ready() -> None:
-            nonlocal bank_index
-            while bank_index < len(to_run):
-                outcome = completed.get(to_run[bank_index])
-                if outcome is None:
-                    break
-                bank_one(to_run[bank_index], outcome)
-                bank_index += 1
+        settled: dict[int, AsOutcome] = {}
+        spill_dir = (
+            store.path.parent / SPILL_DIRNAME if store is not None else None
+        )
 
         def on_complete(outcome: TaskOutcome) -> None:
-            completed[outcome.key] = outcome
+            entry = settled[outcome.key] = _settle(outcome)
             if session is not None:
                 self._record_outcome_telemetry(session, outcome)
-            if store is not None:
-                bank_ready()
+            if store is None:
+                return
 
-        telemetry_on = session is not None
-        traceparent = session.traceparent() if session is not None else None
-        if jobs == 1:
+            def write() -> None:
+                # A result's spill is already in place: its probe record
+                # banks first, then its summary.
+                if isinstance(entry, AsFailure):
+                    store.record_failure(entry.as_id, entry.as_dict())
+                elif isinstance(entry, AsQuarantine):
+                    store.record_quarantine(
+                        (entry.as_id, 0), entry.as_dict()
+                    )
+                else:
+                    store.record_probe(outcome.value["record"])
+                    store.record_analysis(entry.as_id, result_summary(entry))
 
-            def task(as_id: int, ctl: WorkerControl) -> dict:
-                self._stage_hook = ctl.heartbeat
-                self._telemetry_on = telemetry_on
-                self._traceparent = traceparent
-                try:
-                    return self._run_as_guarded(as_id)
-                finally:
-                    self._stage_hook = None
-                    self._telemetry_on = False
-                    self._traceparent = None
+            bank_durably(write, f"AS#{outcome.key}", session)
 
-            engine = LeaseExecutor(task)
-            payloads = [(as_id, as_id) for as_id in to_run]
-        else:
-            engine = LeaseExecutor(
-                _campaign_worker,
-                jobs=jobs,
-                lease_timeout=heartbeat_timeout,
-                timeout=timeout_per_as,
-            )
-            spawn = self._spawn_config()
-            payloads = [
-                (
-                    as_id,
-                    (type(self), spawn, as_id, telemetry_on, traceparent),
-                )
-                for as_id in to_run
-            ]
+        engine = LeaseExecutor(
+            _campaign_worker,
+            jobs=jobs,
+            lease_timeout=heartbeat_timeout,
+            timeout=timeout_per_as,
+        )
+        envelope = (
+            type(self),
+            self._spawn_config(),
+            session is not None,
+            session.traceparent() if session is not None else None,
+            spill_dir,
+        )
+        payloads = [(as_id, (as_id, *envelope)) for as_id in to_run]
         with GracefulShutdown() as shutdown:
             result = engine.run(
                 payloads, on_complete=on_complete, stop=shutdown
             )
-        if result.interrupted and store is not None:
-            # Bank completed-but-unbanked outcomes past the prefix gap;
-            # the holes are simply re-run on resume.
-            for as_id in to_run[bank_index:]:
-                outcome = completed.get(as_id)
-                if outcome is not None:
-                    bank_one(as_id, outcome)
-        return result.outcomes, result.interrupted
+        return settled, result.interrupted
 
     def _record_outcome_telemetry(
         self, session: TelemetrySession, outcome: TaskOutcome
@@ -923,7 +1077,9 @@ class CampaignRunner:
 
         Failures come back as structured records carrying the stage
         reached and the partial fault/retry tallies already sunk, so
-        the portfolio accounts for interrupted work.
+        the portfolio accounts for interrupted work; a full disk while
+        spilling comes back as ``disk-full``, which quarantines the AS.
+        A checkpointed run's message also carries the AS's probe record.
 
         With telemetry enabled a fresh per-AS recorder captures stage
         spans, and its export rides the outcome dict back through the
@@ -938,13 +1094,22 @@ class CampaignRunner:
             self.telemetry = tel
         try:
             result = self.run_as(as_id)
+        except DiskFullError as exc:
+            message = {"status": "disk-full", "error": str(exc)}
+            if tel is not None:
+                tel.count("as_quarantined")
+                message["telemetry"] = tel.export()
+            return message
         except Exception as exc:  # noqa: BLE001 -- per-AS isolation
+            faults, retry = probe_tallies(self._runs)
+            if self._fingerprint_injector is not None:
+                faults.merge(self._fingerprint_injector.counters)
             message = {
                 "status": "error",
                 "stage": self._stage,
                 "error": f"{type(exc).__name__}: {exc}",
-                "fault_counters": self._partial_fault_counters(),
-                "retry_accounting": self._partial_retry_accounting(),
+                "fault_counters": faults,
+                "retry_accounting": retry,
             }
             if tel is not None:
                 tel.count("as_failed")
@@ -953,102 +1118,11 @@ class CampaignRunner:
         finally:
             if tel is not None:
                 self.telemetry = NULL_TELEMETRY
-        message = {"status": "ok", "result": result}
+        message = {"status": "ok", "result": result, "record": self._spilled}
         if tel is not None:
             merge_counters(tel.counters, result_counters(result))
             message["telemetry"] = tel.export()
         return message
-
-    def _fold_outcome(
-        self, report: CampaignReport, as_id: int, outcome: TaskOutcome
-    ) -> None:
-        """Translate one engine outcome into report state."""
-        if outcome.status is TaskStatus.OK:
-            message = outcome.value
-            if message["status"] == "ok":
-                report.add(message["result"])
-                return
-            logger.warning(
-                "AS#%d failed during %s stage: %s",
-                as_id,
-                message["stage"],
-                message["error"],
-            )
-            report.record_failure(
-                as_id,
-                message["stage"],
-                message["error"],
-                message["fault_counters"],
-                message["retry_accounting"],
-            )
-        elif outcome.status is TaskStatus.ERROR:
-            logger.warning(
-                "AS#%d worker raised: %s", as_id, outcome.error
-            )
-            report.record_failure(
-                as_id, outcome.last_stage or "worker", outcome.error or ""
-            )
-        else:  # TIMEOUT / LEASE_EXPIRED / CRASH past the re-dispatch budget
-            report.record_quarantine(
-                as_id,
-                _quarantine_reason(outcome),
-                outcome.attempts,
-                outcome.error or "",
-                outcome.last_stage,
-                dict(outcome.stage_seconds or {}),
-            )
-
-    def _bank_outcome(
-        self,
-        store: CampaignCheckpoint | None,
-        as_id: int,
-        outcome: TaskOutcome,
-    ) -> None:
-        """Durably bank one final outcome (entry, failure or quarantine)."""
-        if store is None:
-            return
-        if outcome.status is TaskStatus.OK:
-            message = outcome.value
-            if message["status"] == "ok":
-                result = message["result"]
-                store.record(
-                    as_id,
-                    CheckpointEntry(
-                        dataset=result.dataset,
-                        fingerprints=result.fingerprints,
-                        fault_counters=result.fault_counters,
-                        retry_accounting=result.retry_accounting,
-                    ),
-                )
-            else:
-                store.record_failure(
-                    as_id,
-                    FailureStub(
-                        stage=message["stage"],
-                        error=message["error"],
-                        fault_counters=message["fault_counters"],
-                        retry_accounting=message["retry_accounting"],
-                    ),
-                )
-        elif outcome.status is TaskStatus.ERROR:
-            store.record_failure(
-                as_id,
-                FailureStub(
-                    stage=outcome.last_stage or "worker",
-                    error=outcome.error or "",
-                ),
-            )
-        else:
-            store.record_quarantine(
-                as_id,
-                QuarantineStub(
-                    reason=_quarantine_reason(outcome),
-                    attempts=outcome.attempts,
-                    detail=outcome.error or "",
-                    last_stage=outcome.last_stage,
-                    stage_seconds=dict(outcome.stage_seconds or {}),
-                ),
-            )
 
     def _spawn_config(self) -> dict:
         """Constructor kwargs reproducing this runner in a worker process.
@@ -1078,46 +1152,20 @@ class CampaignRunner:
         if self._stage_hook is not None:
             self._stage_hook(stage)
 
-    def _partial_fault_counters(self) -> FaultCounters:
-        """Snapshot of the in-flight run's fault tallies (may be partial)."""
-        if self._active_injector is None:
-            return FaultCounters()
-        return FaultCounters.from_dict(
-            self._active_injector.counters.as_dict()
-        )
-
-    def _partial_retry_accounting(self) -> RetryAccounting:
-        """Snapshot of the in-flight run's retry cost (may be partial)."""
-        if self._active_prober is None:
-            return RetryAccounting()
-        return RetryAccounting.from_dict(
-            self._active_prober.accounting.as_dict()
-        )
-
     # -- stages ----------------------------------------------------------------------
 
     def _select_vps(self, as_id: int) -> list[VantagePoint]:
         rng = DeterministicRng("vp-select", self.seed, as_id)
         return rng.sample(list(self.vantage_points), self.vps_per_as)
 
-    def _injector_for(self, as_id: int) -> FaultInjector | None:
-        """A per-AS fault injector, or None for the fault-free plan.
-
-        An inactive plan attaches nothing at all, so the measurement
-        path stays byte-identical to the seed behaviour.
-        """
-        if not self.fault_plan.active:
-            return None
-        return FaultInjector(self.fault_plan, "as", as_id)
-
     def _dynamics_for(
         self, as_id: int, net: MeasurementNetwork
     ) -> NetworkDynamics | None:
         """A per-AS churn scheduler, or None for the no-churn plan.
 
-        Like :meth:`_injector_for`, an inactive plan attaches nothing,
-        keeping the engine's fused fast path eligible and the campaign
-        byte-identical to the static-network behaviour.  The ``("as",
+        An inactive plan attaches nothing, keeping the engine's fused
+        fast path eligible and the campaign byte-identical to the
+        static-network behaviour.  The ``("as",
         as_id)`` scope makes each AS's schedule an independent pure
         function of the plan seed -- the jobs/resume invariance story.
         """
@@ -1134,63 +1182,52 @@ class CampaignRunner:
             as_id,
         )
 
-    def _probe(
-        self, net: MeasurementNetwork, vps: list[VantagePoint]
-    ) -> tuple[TraceDataset, RetryAccounting]:
-        targets = build_target_list(
-            net,
-            per_prefix=self.per_prefix,
-            limit=self.targets_per_as,
-            seed=self.seed,
-        )
-        prober = TntProber(
-            net.engine,
-            max_ttl=self.max_ttl,
-            reveal_success_rate=self.reveal_success_rate,
-            seed=self.seed,
-            retry=self.retry,
-        )
-        self._active_prober = prober
+    def _dataset_metadata(
+        self, as_id: int, vps: list[VantagePoint]
+    ) -> dict[str, str]:
+        """The metadata of one AS's dataset, fresh or rebuilt."""
         metadata = {
-            "as_id": str(net.spec.as_id),
+            "as_id": str(as_id),
             "seed": str(self.seed),
             "vps": ",".join(vp.vp_id for vp in vps),
         }
         if self.vps_per_as < self.vps_requested:
             metadata["vps_requested"] = str(self.vps_requested)
             metadata["vps_effective"] = str(self.vps_per_as)
-        dataset = TraceDataset(target_asn=net.target_asn, metadata=metadata)
-        tel = self.telemetry
-        track = tel.enabled
-        clock = tel.clock
-        for vp in vps:
-            vp_router = net.vantage_points[vp.vp_id]
-            # Each VP probes the same targets, shuffled per VP (Sec. 5).
-            rng = DeterministicRng("shuffle", self.seed, vp.vp_id)
-            shuffled = list(targets.addresses)
-            rng.shuffle(shuffled)
-            if track:
-                # per-trace probe latency into the fixed-bucket
-                # histogram; two clock reads + a bisect per trace
-                for destination in shuffled:
-                    tick = clock()
-                    trace = prober.trace(
-                        vp_router, destination, vp_name=vp.vp_id
-                    )
-                    tel.observe("probe", clock() - tick)
-                    dataset.add(trace)
-            else:
-                for destination in shuffled:
-                    dataset.add(
-                        prober.trace(
-                            vp_router, destination, vp_name=vp.vp_id
-                        )
-                    )
-        # Fast-path cache gauges: observational only (the telemetry
-        # contract), but they make cache regressions visible per AS.
-        for name, value in net.engine.stats.as_dict().items():
-            self.telemetry.gauge(f"walkcache_{name}", value)
-        return dataset, prober.accounting
+        return metadata
+
+    def _whole_as(self, as_id: int) -> ShardSpec:
+        """The one-bucket shard of ``as_id``: a portfolio run's spill."""
+        return shard_plan([as_id], self.vps_per_as, self.vps_per_as)[0]
+
+    def _probe(self, context: ShardContext, dataset: TraceDataset) -> None:
+        """Probe every selected VP into ``dataset``.
+
+        A checkpointed run also streams the traces into the AS's
+        whole-AS spill -- the bytes a one-bucket sharded run writes --
+        and keeps its probe record for the supervisor to bank.
+        """
+        as_id = context.spec.as_id
+        if self._spill_dir is None:
+            probe_vps(
+                self,
+                context,
+                range(len(context.vps)),
+                dataset.add,
+                runs=self._runs,
+                telemetry=self.telemetry,
+            )
+            return
+        shard = self._whole_as(as_id)
+        self._spilled = probe_shard(
+            self,
+            context,
+            shard,
+            Path(self._spill_dir) / shard.spill_name,
+            telemetry=self.telemetry,
+            tee=dataset.add,
+            runs=self._runs,
+        )
 
     def _fingerprint(
         self,
@@ -1227,6 +1264,42 @@ class CampaignRunner:
                 )
         return fingerprints
 
+    def _fingerprint_and_analyze(
+        self,
+        spec: AsSpec,
+        net: MeasurementNetwork,
+        dataset: TraceDataset,
+        faults: FaultCounters,
+        retry: RetryAccounting,
+    ) -> AsCampaignResult:
+        """Fingerprint and analyze one probed AS: the stages after probing.
+
+        Fingerprinting runs on the fault-free engine (its pings see no
+        probe faults) with SNMP timeouts drawn by a fresh ``("fingerprint",
+        as_id)`` injector, so fingerprints depend only on the dataset and
+        the config: a fresh run, a resume and the sharded plane derive
+        the same ones.  ``faults`` and ``retry`` are the probe tallies;
+        the SNMP timeouts join ``faults``.
+        """
+        tel = self.telemetry
+        injector = (
+            FaultInjector(self.fault_plan, "fingerprint", spec.as_id)
+            if self.fault_plan.active
+            else None
+        )
+        self._fingerprint_injector = injector
+        self._set_stage("fingerprint")
+        with tel.span("fingerprint"):
+            fingerprints = self._fingerprint(net, dataset, faults=injector)
+        self._set_stage("analysis")
+        with tel.span("analyze"):
+            result = self._analyze(spec, net, dataset, fingerprints)
+        if injector is not None:
+            faults.merge(injector.counters)
+        result.fault_counters = faults
+        result.retry_accounting = retry
+        return result
+
     def _analyze(
         self,
         spec: AsSpec,
@@ -1237,7 +1310,7 @@ class CampaignRunner:
         """Everything downstream of data collection.
 
         Deterministic given (dataset, fingerprints, seed) -- this is the
-        path checkpoint resume replays without re-firing probes.
+        path a resume replays from the spills without re-firing probes.
         """
         bdrmap = BdrmapIt(
             net.network, error_rate=self.bdrmap_error_rate, seed=self.seed
@@ -1275,53 +1348,6 @@ class CampaignRunner:
             trace_segments=sink,
             alias_sets=alias_sets,
         )
-
-    def _rehydrate_banked(
-        self,
-        as_id: int,
-        entry: CheckpointEntry,
-        session: TelemetrySession | None,
-    ) -> AsCampaignResult:
-        """Rehydrate one banked AS, recording telemetry for the replay.
-
-        The replayed analysis gets its own spans (the parent does the
-        work, so the parent records it) and the result-derived counters
-        -- banked fault/retry tallies included -- so a resumed run's
-        counter totals equal an uninterrupted run's.
-        """
-        if session is None:
-            return self._rehydrate_as(as_id, entry)
-        tel = Telemetry(trace=session.trace)
-        previous = self.telemetry
-        self.telemetry = tel
-        try:
-            with tel.span("as", as_id=as_id, resumed=True):
-                with tel.span("analyze"):
-                    result = self._rehydrate_as(as_id, entry)
-        finally:
-            self.telemetry = previous
-        merge_counters(tel.counters, result_counters(result))
-        session.record_export(as_id, tel.export())
-        return result
-
-    def _rehydrate_as(
-        self, as_id: int, entry: CheckpointEntry
-    ) -> AsCampaignResult:
-        """Rebuild one AS result from banked measurement data.
-
-        The topology is regenerated deterministically from the seed, the
-        stored dataset and fingerprints stand in for the probing and
-        fingerprinting stages, and the analysis replays bit-identically.
-        """
-        spec = self.portfolio.spec(as_id)
-        vps = self._select_vps(as_id)
-        net = build_measurement_network(
-            spec, [vp.vp_id for vp in vps], seed=self.seed
-        )
-        result = self._analyze(spec, net, entry.dataset, entry.fingerprints)
-        result.fault_counters = entry.fault_counters
-        result.retry_accounting = entry.retry_accounting
-        return result
 
     def _ground_truth(
         self, spec: AsSpec, dataset: TraceDataset
@@ -1361,6 +1387,13 @@ class CampaignRunner:
             **(
                 {"churn_plan": self.churn_plan.as_dict()}
                 if self.churn_plan.active
+                else {}
+            ),
+            # A portfolio with a descriptor (synthetic portfolios are
+            # config, not code) binds it too; Table 5's has none.
+            **(
+                {"portfolio": self.portfolio.as_dict()}
+                if callable(getattr(self.portfolio, "as_dict", None))
                 else {}
             ),
         }

@@ -1,10 +1,11 @@
 """Paper-scale campaign orchestration: sharded, leased, resumable.
 
 The classic :class:`~repro.campaign.runner.CampaignRunner` holds one
-AS's entire dataset in memory and banks it whole; fine for Table 5's 41
-ASes, impossible for the paper's 7.7M-traceroute scale.
-:class:`ScaleCampaign` runs the same measurement science through a
-different execution plane, in two phases:
+AS's entire dataset in memory and dispatches whole ASes; fine for
+Table 5's 41 ASes, impossible for the paper's 7.7M-traceroute scale.
+:class:`ScaleCampaign` runs the same measurement rule, and banks into
+the same run-directory format, through a different execution plane,
+in two phases:
 
 **Probe phase.**  The campaign is split into deterministic
 ``(as_id, vp_bucket)`` shards (:func:`~repro.campaign.shards.shard_plan`)
@@ -15,12 +16,13 @@ the record in the :class:`~repro.campaign.checkpoint.ShardCheckpoint`
 *after* the spill is in place, so ``kill -9`` anywhere loses nothing
 and duplicates nothing.
 
-**Analyze phase.**  Per AS, a worker rebuilds the topology
-deterministically, merges that AS's spills in bucket order (bounded by
-one AS, never the campaign), fingerprints and analyzes exactly as the
-classic runner does, and returns a canonical JSON summary the
-checkpoint banks.  The report is assembled from banked summaries in
-``as_ids`` order.
+**Analyze phase.**  Per AS, a worker rebuilds the AS from its spills
+(:func:`rehydrate_as`, the rehydration ``run_portfolio``'s resume runs
+too): it rebuilds the topology deterministically, merges that AS's
+spills in bucket order (bounded by one AS, never the campaign),
+fingerprints and analyzes exactly as the classic runner does, and
+returns a canonical JSON summary the checkpoint banks.  The report is
+assembled from banked summaries in ``as_ids`` order.
 
 Memory is governed end to end: traces never accumulate in RAM, and a
 per-worker :class:`~repro.util.rss.RssWatchdog` checks the resident
@@ -34,7 +36,8 @@ value -- serial, parallel, or crashed-and-resumed -- because every
 shard is a pure function of the campaign config (per-VP fault and
 retry scoping; see :mod:`repro.campaign.shards`).  Churn plans are the
 one exception -- their schedules are inherently sequential across an
-AS -- so sharded campaigns refuse them at construction.
+AS -- so sharded campaigns refuse them at construction.  A resumed run
+re-probes any banked shard whose spill fails its banked digests.
 """
 
 from __future__ import annotations
@@ -45,11 +48,17 @@ import os
 import time
 from pathlib import Path
 
-from repro.campaign.checkpoint import ShardCheckpoint
+from repro.campaign.checkpoint import (
+    SPILL_DIRNAME,
+    ShardCheckpoint,
+    open_run_dir,
+)
 from repro.campaign.runner import (
     AsCampaignResult,
     CampaignRunner,
+    bank_durably,
     result_counters,
+    result_summary,
 )
 from repro.campaign.shardexec import (
     GracefulShutdown,
@@ -59,14 +68,15 @@ from repro.campaign.shardexec import (
     WorkerControl,
 )
 from repro.campaign.shards import (
-    ShardProbeRecord,
     ShardSpec,
     build_shard_context,
     merged_dataset,
     probe_shard,
+    probe_tallies,
     shard_plan,
+    spill_damage,
 )
-from repro.netsim.faults import FaultCounters, FaultInjector
+from repro.netsim.faults import FaultCounters
 from repro.obs.session import PORTFOLIO_SCOPE, TelemetrySession
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, merge_counters
 from repro.obs.trace import TraceContext
@@ -78,37 +88,6 @@ from repro.util.rss import RssWatchdog, peak_rss_bytes
 logger = logging.getLogger(__name__)
 
 _token_counter = itertools.count()
-
-
-def result_summary(result: AsCampaignResult) -> dict:
-    """One AS's canonical JSON summary (the banked analysis record).
-
-    Mirrors the per-AS entry of
-    :meth:`~repro.campaign.runner.CampaignReport.as_dict` -- same keys,
-    same ordering rules -- so scale reports and classic reports read
-    the same way.
-    """
-    analysis = result.analysis
-    return {
-        "flags": {
-            flag.name: count
-            for flag, count in sorted(
-                analysis.flag_counts().items(),
-                key=lambda item: item[0].name,
-            )
-        },
-        "traces_total": analysis.traces_total,
-        "traces_quarantined": analysis.traces_quarantined,
-        "sr_interfaces": len(analysis.sr_addresses),
-        "mpls_interfaces": len(analysis.mpls_addresses),
-        "ip_interfaces": len(analysis.ip_addresses),
-        "distinct_segments": analysis.total_distinct_segments(),
-        "fingerprints": len(result.fingerprints),
-        "routers": result.router_count(),
-        "anomaly_counts": dict(sorted(analysis.anomaly_counts().items())),
-        "fault_counters": result.fault_counters.as_dict(),
-        "retry_accounting": result.retry_accounting.as_dict(),
-    }
 
 
 class ScaleReport:
@@ -273,46 +252,65 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
     tel = (
         Telemetry(trace=TraceContext.parse(traceparent))
         if traceparent is not None
-        else None
+        else NULL_TELEMETRY
     )
     try:
-        if tel is not None:
-            with tel.span("shard", as_id=shard.as_id, bucket=shard.bucket):
-                record = probe_shard(
-                    runner,
-                    context,
-                    shard,
-                    Path(spill_path),
-                    heartbeat=ctl.heartbeat,
-                    telemetry=tel,
-                )
-        else:
+        with tel.span("shard", as_id=shard.as_id, bucket=shard.bucket):
             record = probe_shard(
                 runner,
                 context,
                 shard,
                 Path(spill_path),
                 heartbeat=ctl.heartbeat,
+                telemetry=tel,
             )
     except DiskFullError as exc:
         return {"status": "disk-full", "error": str(exc)}
     message = {"status": "ok", "record": record}
-    if tel is not None:
+    if tel.enabled:
         tel.count("traces_collected", sum(vp.traces for vp in record.vps))
         message["telemetry"] = tel.export()
     message.update(_boundary_check(ctl, max_rss))
     return message
 
 
-def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
-    """Executor task: merge one AS's spills and analyze them.
+def rehydrate_as(
+    runner: CampaignRunner,
+    as_id: int,
+    spill_paths: list[Path],
+    faults: FaultCounters,
+    retry: RetryAccounting,
+) -> AsCampaignResult:
+    """Rebuild one probed AS's result from its spills.
 
-    Rebuilds the topology deterministically (same as checkpoint
-    rehydration in the classic runner), streams the spills into a
-    single per-AS dataset, fingerprints with a fresh
-    ``("fingerprint", as_id)``-scoped injector (partition-independent,
-    unlike reusing a probe injector's sequential state), and returns
-    the canonical summary plus the AS's merged probe tallies.
+    The one rehydration path: the sharded plane's analysis and
+    ``run_portfolio``'s resume both run it.  The topology is rebuilt
+    deterministically, the spills merge in bucket order into the AS's
+    dataset, and fingerprinting and analysis run exactly as in
+    :meth:`~repro.campaign.runner.CampaignRunner.run_as`.  ``faults``
+    and ``retry`` are the AS's banked probe tallies.  Stage changes go
+    to the runner's heartbeat hook, spans to its recorder.
+    """
+    tel = runner.telemetry
+    spec = runner.portfolio.spec(as_id)
+    vps = runner._select_vps(as_id)
+    runner._set_stage("topology")
+    with tel.span("topology"):
+        net = build_measurement_network(
+            spec, [vp.vp_id for vp in vps], seed=runner.seed
+        )
+    runner._set_stage("merge")
+    with tel.span("merge"):
+        dataset = merged_dataset(
+            net.target_asn, runner._dataset_metadata(as_id, vps), spill_paths
+        )
+    return runner._fingerprint_and_analyze(spec, net, dataset, faults, retry)
+
+
+def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
+    """Executor task: rebuild one AS from its spills and summarize it.
+
+    Returns the canonical summary (:func:`rehydrate_as` does the work).
     """
     (
         runner_cls,
@@ -338,45 +336,19 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
     )
     previous_telemetry = runner.telemetry
     runner.telemetry = tel
+    runner._stage_hook = ctl.heartbeat
     try:
         with tel.span("as", as_id=as_id):
-            spec = runner.portfolio.spec(as_id)
-            vps = runner._select_vps(as_id)
-            ctl.heartbeat("topology")
-            with tel.span("topology"):
-                net = build_measurement_network(
-                    spec, [vp.vp_id for vp in vps], seed=runner.seed
-                )
-            ctl.heartbeat("merge")
-            metadata = {
-                "as_id": str(as_id),
-                "seed": str(runner.seed),
-                "vps": ",".join(vp.vp_id for vp in vps),
-            }
-            with tel.span("merge"):
-                dataset = merged_dataset(
-                    net.target_asn, metadata, [Path(p) for p in spill_paths]
-                )
-            injector = (
-                FaultInjector(runner.fault_plan, "fingerprint", as_id)
-                if runner.fault_plan.active
-                else None
+            result = rehydrate_as(
+                runner,
+                as_id,
+                [Path(p) for p in spill_paths],
+                FaultCounters.from_dict(fault_dict),
+                RetryAccounting.from_dict(retry_dict),
             )
-            ctl.heartbeat("fingerprint")
-            with tel.span("fingerprint"):
-                fingerprints = runner._fingerprint(
-                    net, dataset, faults=injector
-                )
-            ctl.heartbeat("analysis")
-            with tel.span("analyze"):
-                result = runner._analyze(spec, net, dataset, fingerprints)
     finally:
         runner.telemetry = previous_telemetry
-    faults = FaultCounters.from_dict(fault_dict)
-    if injector is not None:
-        faults.merge(injector.counters)
-    result.fault_counters = faults
-    result.retry_accounting = RetryAccounting.from_dict(retry_dict)
+        runner._stage_hook = None
     message = {"status": "ok", "summary": result_summary(result)}
     if tel.enabled:
         merge_counters(tel.counters, result_counters(result))
@@ -391,10 +363,9 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
 class ScaleCampaign(CampaignRunner):
     """The paper-scale campaign driver (sharded, leased, resumable).
 
-    Construction is the classic runner's; measurement semantics are
-    identical with faults off.  With a fault plan, injector scope is
-    the vantage point (not the AS) -- the documented difference that
-    buys partition invariance.  Churn plans are rejected outright.
+    Construction and measurement semantics are the classic runner's:
+    both draw probe faults per vantage point, which is what buys
+    partition invariance.  Churn plans are rejected outright.
     """
 
     def __init__(self, **kwargs) -> None:
@@ -408,22 +379,6 @@ class ScaleCampaign(CampaignRunner):
             )
         #: observational execution tallies of the most recent run()
         self.stats: dict[str, int | float] = {}
-
-    # -- configuration --------------------------------------------------------
-
-    def _scale_config(self) -> dict:
-        """Config signature binding a shard checkpoint to this campaign.
-
-        Extends the classic signature with the portfolio descriptor
-        when one exists (synthetic portfolios are config, not code).
-        Shard layout and job count are deliberately absent: they must
-        not change results, so they must not invalidate checkpoints.
-        """
-        config = self._config_signature()
-        as_dict = getattr(self.portfolio, "as_dict", None)
-        if callable(as_dict):
-            config["portfolio"] = as_dict()
-        return config
 
     # -- the run --------------------------------------------------------------
 
@@ -458,16 +413,13 @@ class ScaleCampaign(CampaignRunner):
         """
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        out_dir = Path(out_dir)
-        spill_dir = out_dir / "spills"
-        spill_dir.mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
         if as_ids is None:
             as_ids = [s.as_id for s in self.portfolio.analyzed()]
         session = (
             TelemetrySession(
                 telemetry_dir,
-                config=self._scale_config(),
+                config=self._config_signature(),
                 seed=self.seed,
                 command="scale-campaign",
                 jobs=jobs,
@@ -478,7 +430,7 @@ class ScaleCampaign(CampaignRunner):
         )
         try:
             return self._run_supervised(
-                out_dir, spill_dir, started, as_ids, jobs, vps_per_shard,
+                Path(out_dir), started, as_ids, jobs, vps_per_shard,
                 resume, lease_timeout, max_rss_bytes, max_redispatch,
                 session,
             )
@@ -490,7 +442,6 @@ class ScaleCampaign(CampaignRunner):
     def _run_supervised(
         self,
         out_dir: Path,
-        spill_dir: Path,
         started: float,
         as_ids: list[int],
         jobs: int,
@@ -501,13 +452,12 @@ class ScaleCampaign(CampaignRunner):
         max_redispatch: int,
         session: TelemetrySession | None,
     ) -> ScaleReport:
-        store = ShardCheckpoint(
-            out_dir / "checkpoint.jsonl",
-            self._scale_config(),
-            vps_per_shard=vps_per_shard,
+        store = open_run_dir(
+            out_dir, self._config_signature(), vps_per_shard, resume
         )
-        if resume:
-            store.load()
+        spill_dir = out_dir / SPILL_DIRNAME
+        if store.vps_per_shard is None:
+            store.vps_per_shard = self.vps_per_as
         if store.complete:
             # "complete" is scoped to the as_ids the run compacted
             # with; asking for ASes it never saw reopens the campaign
@@ -519,9 +469,7 @@ class ScaleCampaign(CampaignRunner):
                 | {key[0] for key in store.quarantines}
             )
             if any(as_id not in accounted for as_id in as_ids):
-                store.complete = False
-        if store.vps_per_shard is None:
-            store.vps_per_shard = self.vps_per_as
+                store.reopen()
         token = f"{os.getpid()}-{next(_token_counter)}"
         self.stats = {
             "jobs": jobs,
@@ -590,8 +538,17 @@ class ScaleCampaign(CampaignRunner):
             if shard.key in quarantines:
                 continue  # circuit breaker stays open across resume
             record = probed.get(shard.key)
-            if record is not None and (spill_dir / record.spill).exists():
-                continue  # spill + record both in place: nothing to redo
+            if record is not None:
+                damage = spill_damage(spill_dir / record.spill, record.vps)
+                if damage is None:
+                    continue  # spill matches its record: nothing to redo
+                logger.warning(
+                    "shard %r: spill %s does not match its banked facts "
+                    "(%s); re-probing it",
+                    shard.key,
+                    record.spill,
+                    damage,
+                )
             to_probe.append(shard)
         self.stats["shards_probed"] = len(to_probe)
         self.stats["shards_resumed"] = len(plan) - len(to_probe)
@@ -600,33 +557,23 @@ class ScaleCampaign(CampaignRunner):
 
         def bank(outcome: TaskOutcome) -> None:
             key = outcome.key
-            try:
-                if outcome.status is TaskStatus.OK:
-                    message = outcome.value
-                    if message["status"] == "ok":
-                        # Spill was renamed into place before the worker
-                        # answered; banking second closes the crash window
-                        # on the safe side (re-run, never lose).
-                        if session is not None:
-                            tick = time.monotonic()
-                            store.record_probe(message["record"])
-                            session.observe("bank", time.monotonic() - tick)
-                            export = message.get("telemetry")
-                            if export:
-                                session.record_export(
-                                    f"shard:{key[0]}:{key[1]}", export
-                                )
-                        else:
-                            store.record_probe(message["record"])
-                    else:  # structured disk-full degradation
-                        store.record_quarantine(
-                            key,
-                            {
-                                "reason": "disk-full",
-                                "attempts": outcome.attempts,
-                                "detail": message["error"],
-                            },
-                        )
+            message = outcome.value if outcome.status is TaskStatus.OK else {}
+
+            def write() -> None:
+                if message.get("status") == "ok":
+                    # Spill was renamed into place before the worker
+                    # answered; banking second closes the crash window
+                    # on the safe side (re-run, never lose).
+                    store.record_probe(message["record"])
+                elif message:  # structured disk-full degradation
+                    store.record_quarantine(
+                        key,
+                        {
+                            "reason": "disk-full",
+                            "attempts": outcome.attempts,
+                            "detail": message["error"],
+                        },
+                    )
                 elif outcome.status is TaskStatus.ERROR:
                     store.record_failure(
                         key[0],
@@ -641,16 +588,14 @@ class ScaleCampaign(CampaignRunner):
                             "detail": outcome.error or "",
                         },
                     )
-            except DiskFullError as exc:
-                # The checkpoint itself hit ENOSPC.  The file is intact
-                # (torn tail at worst, salvaged on load); the shard is
-                # simply not banked and will re-run on resume.
-                logger.error(
-                    "checkpoint write failed (disk full) banking shard "
-                    "%r: %s -- shard will re-run on resume",
-                    key,
-                    exc,
-                )
+
+            bank_durably(
+                write,
+                f"shard {key!r}",
+                session,
+                f"shard:{key[0]}:{key[1]}",
+                message.get("telemetry"),
+            )
 
         executor = LeaseExecutor(
             _probe_shard_worker,
@@ -715,12 +660,9 @@ class ScaleCampaign(CampaignRunner):
             records = [probed.get(s.key) for s in shards]
             if any(r is None for r in records):
                 continue  # probing incomplete (interrupted mid-phase)
-            retry = RetryAccounting()
-            faults = FaultCounters()
-            for record in records:
-                for vp in record.vps:
-                    retry.merge(vp.retry_accounting)
-                    faults.merge(vp.fault_counters)
+            faults, retry = probe_tallies(
+                vp for record in records for vp in record.vps
+            )
             tasks.append(
                 (
                     as_id,
@@ -742,38 +684,27 @@ class ScaleCampaign(CampaignRunner):
 
         def bank(outcome: TaskOutcome) -> None:
             as_id = outcome.key
-            try:
-                if outcome.status is TaskStatus.OK:
-                    if session is not None:
-                        tick = time.monotonic()
-                        store.record_analysis(
-                            as_id, outcome.value["summary"]
-                        )
-                        session.observe("bank", time.monotonic() - tick)
-                        export = outcome.value.get("telemetry")
-                        if export:
-                            session.record_export(as_id, export)
-                    else:
-                        store.record_analysis(as_id, outcome.value["summary"])
+            ok = outcome.status is TaskStatus.OK
+
+            def write() -> None:
+                if ok:
+                    store.record_analysis(as_id, outcome.value["summary"])
                 else:
                     # Deterministic analysis failures *and* workers that
                     # die past the budget are banked per AS: the data is
                     # on disk, only the derivation failed.
                     store.record_failure(
                         as_id,
-                        {
-                            "stage": "analysis",
-                            "error": outcome.error or "",
-                        },
+                        {"stage": "analysis", "error": outcome.error or ""},
                     )
-            except DiskFullError as exc:
-                logger.error(
-                    "checkpoint write failed (disk full) banking "
-                    "analysis of AS#%d: %s -- AS will re-analyze on "
-                    "resume",
-                    as_id,
-                    exc,
-                )
+
+            bank_durably(
+                write,
+                f"analysis of AS#{as_id}",
+                session,
+                as_id,
+                outcome.value.get("telemetry") if ok else None,
+            )
 
         executor = LeaseExecutor(
             _analyze_as_worker,

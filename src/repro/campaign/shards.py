@@ -19,9 +19,12 @@ produces byte-identical traces whichever bucket -- whichever *worker*,
 whichever *attempt* -- it lands in, which is what makes the campaign's
 output invariant under ``--shards``, ``--jobs``, and crash-and-resume.
 
-(Churn is the one plan that breaks per-VP purity -- its schedule
-mutates the network under *all* probes in sequence -- so sharded
-campaigns refuse it; see :class:`repro.campaign.scale.ScaleCampaign`.)
+:func:`probe_vps` is that per-VP loop, and the only one: the classic
+runner's :meth:`~repro.campaign.runner.CampaignRunner.run_as` runs it
+over all of an AS's VPs, :func:`probe_shard` over one bucket.  (Churn
+is the one plan that breaks per-VP purity -- its schedule mutates the
+network under *all* probes in sequence -- so sharded campaigns refuse
+it; ``run_as`` keeps one AS-wide schedule across the loop.)
 
 Each shard streams its traces straight to a **spill file** -- a normal
 :meth:`TraceDataset.dump_jsonl` file written through
@@ -31,7 +34,9 @@ leaves no torn artifact: the spill appears atomically or not at all,
 and a re-run replaces it with identical bytes.  Alongside the spill,
 each shard reports per-VP trace counts and SHA-256 digests of the
 spill's trace lines -- partition-independent facts the checkpoint can
-canonicalize regardless of how VPs were bucketed.
+canonicalize regardless of how VPs were bucketed, and that
+:func:`spill_damage` checks a spill against before a later process
+trusts it.
 """
 
 from __future__ import annotations
@@ -40,10 +45,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.campaign.dataset import TraceDataset, trace_to_json
 from repro.netsim.faults import FaultCounters, FaultInjector
+from repro.probing.records import Trace
 from repro.probing.tnt import TntProber
 from repro.topogen.anaximander import build_target_list
 from repro.topogen.internet import MeasurementNetwork, build_measurement_network
@@ -217,34 +223,74 @@ def build_shard_context(
     return ShardContext(spec=spec, vps=vps, net=net, targets=targets)
 
 
-def probe_shard(
+@dataclass(slots=True)
+class VpRun:
+    """One vantage point's probing: its own prober and fault injector."""
+
+    vp_index: int
+    vp_id: str
+    prober: TntProber
+    injector: FaultInjector | None
+
+    @property
+    def retry_accounting(self) -> RetryAccounting:
+        """The live retry tally of this VP's prober."""
+        return self.prober.accounting
+
+    @property
+    def fault_counters(self) -> FaultCounters:
+        """The live fault tally of this VP's injector."""
+        if self.injector is None:
+            return FaultCounters()
+        return self.injector.counters
+
+
+def probe_tallies(
+    vps: Iterable[VpRun | VpProbe],
+) -> tuple[FaultCounters, RetryAccounting]:
+    """Fault and retry tallies of some VPs, summed afresh in VP order.
+
+    Live runs and banked facts sum alike, and in the same order, so a
+    fresh AS, its resume and its sharded twin carry bit-identical
+    (float) tallies.
+    """
+    faults, retry = FaultCounters(), RetryAccounting()
+    for vp in vps:
+        faults.merge(vp.fault_counters)
+        retry.merge(vp.retry_accounting)
+    return faults, retry
+
+
+def probe_vps(
     runner: "CampaignRunner",
     context: ShardContext,
-    shard: ShardSpec,
-    spill_path: str | Path,
+    vp_indices: Iterable[int],
+    emit: Callable[[Trace], None],
+    *,
+    vp_done: Callable[[VpRun], None] | None = None,
+    runs: list[VpRun] | None = None,
     heartbeat=None,
     telemetry=None,
-) -> ShardProbeRecord:
-    """Probe one shard, streaming traces to its spill file.
+) -> None:
+    """Probe the selected VPs ``vp_indices`` in turn; each trace to ``emit``.
 
-    Memory holds one trace at a time: each trace is serialized,
-    written, digested and dropped.  The spill carries the standard
-    dataset header so every downstream reader
-    (:meth:`TraceDataset.iter_jsonl`, ``arest detect``) takes it as-is.
+    The per-VP probe loop of both planes.  Every VP gets a fresh
+    :class:`~repro.probing.tnt.TntProber` and a ``("vp", as_id,
+    vp_index)``-scoped fault injector: injector state (token buckets,
+    blackout clocks) evolves with the probe sequence, and only a per-VP
+    sequence is invariant under re-bucketing.  Each VP's
+    :class:`VpRun` joins ``runs`` before its first probe, so a failure
+    mid-VP can still report the tallies sunk so far, and goes to
+    ``vp_done`` after its last.  A churn schedule the caller attached
+    to the engine keeps running across VPs; the fault hook is cleared
+    on exit.
 
-    The write is atomic: a crash at any instant leaves either no spill
-    or the complete previous one, and the checkpoint line for this
-    shard is only banked by the supervisor *after* this returns -- so
-    resume either finds both (skip) or neither (re-run, byte-identical)
-    and can never lose or duplicate a trace.
-
-    ``telemetry`` (a :class:`~repro.obs.telemetry.Telemetry` recorder,
-    usually trace-context-carrying) gets one ``probe`` span per VP and
-    a per-trace latency observation; the traces themselves are pure
-    functions of the config, so the spill bytes are identical with or
-    without it.
+    ``telemetry`` gets one ``probe`` span per VP and a per-trace
+    latency histogram; traces are pure functions of the config, so
+    they are identical with or without it.
     """
-    spill_path = Path(spill_path)
+    as_id = context.spec.as_id
+    engine = context.net.engine
     track = telemetry is not None and telemetry.enabled
     if track:
         clock = telemetry.clock
@@ -253,101 +299,186 @@ def probe_shard(
         # the same <2% instrumentation-budget trick.
         probe_samples: list[float] = []
         bin_probe = probe_samples.append
-    vp_probes: list[VpProbe] = []
     try:
-        with atomic_writer(spill_path) as fh:
-            header = {
-                "kind": "header",
-                "target_asn": context.net.target_asn,
-                "metadata": {
-                    "as_id": str(shard.as_id),
-                    "bucket": str(shard.bucket),
-                    "seed": str(runner.seed),
-                    "vps": ",".join(
-                        context.vps[i].vp_id for i in shard.vp_indices
-                    ),
-                },
-            }
-            fh.write(json.dumps(header) + "\n")
-            for vp_index in shard.vp_indices:
-                vp = context.vps[vp_index]
-                if heartbeat is not None:
-                    # one lease renewal per VP keeps long shards alive
-                    heartbeat(f"vp-{vp_index}")
-                # Fault scope is the VP, not the AS: injector state
-                # (token buckets, blackout clocks) evolves with the
-                # probe sequence, and only a per-VP sequence is
-                # invariant under re-bucketing.
-                injector = (
-                    FaultInjector(runner.fault_plan, "vp", shard.as_id, vp_index)
-                    if runner.fault_plan.active
-                    else None
-                )
-                context.net.engine.faults = injector
-                # Fresh prober per VP for the same reason: retry
-                # accounting and any per-prober state stay VP-scoped.
-                prober = TntProber(
-                    context.net.engine,
-                    max_ttl=runner.max_ttl,
-                    reveal_success_rate=runner.reveal_success_rate,
-                    seed=runner.seed,
-                    retry=runner.retry,
-                )
-                vp_router = context.net.vantage_points[vp.vp_id]
-                rng = DeterministicRng("shuffle", runner.seed, vp.vp_id)
-                shuffled = list(context.targets)
-                rng.shuffle(shuffled)
-                digest = hashlib.sha256()
-                count = 0
-                if track:
-                    with telemetry.span("probe", vp=vp.vp_id):
-                        for destination in shuffled:
-                            tick = clock()
-                            trace = prober.trace(
-                                vp_router, destination, vp_name=vp.vp_id
-                            )
-                            bin_probe(clock() - tick)
-                            line = json.dumps(trace_to_json(trace)) + "\n"
-                            fh.write(line)
-                            digest.update(line.encode("utf-8"))
-                            count += 1
-                else:
+        for vp_index in vp_indices:
+            vp = context.vps[vp_index]
+            if heartbeat is not None:
+                # one lease renewal per VP keeps long shards alive
+                heartbeat(f"vp-{vp_index}")
+            injector = (
+                FaultInjector(runner.fault_plan, "vp", as_id, vp_index)
+                if runner.fault_plan.active
+                else None
+            )
+            engine.faults = injector
+            prober = TntProber(
+                engine,
+                max_ttl=runner.max_ttl,
+                reveal_success_rate=runner.reveal_success_rate,
+                seed=runner.seed,
+                retry=runner.retry,
+            )
+            run = VpRun(vp_index, vp.vp_id, prober, injector)
+            if runs is not None:
+                runs.append(run)
+            vp_router = context.net.vantage_points[vp.vp_id]
+            # Each VP probes the same targets, shuffled per VP (Sec. 5).
+            rng = DeterministicRng("shuffle", runner.seed, vp.vp_id)
+            shuffled = list(context.targets)
+            rng.shuffle(shuffled)
+            if track:
+                with telemetry.span("probe", vp=vp.vp_id):
                     for destination in shuffled:
+                        tick = clock()
                         trace = prober.trace(
                             vp_router, destination, vp_name=vp.vp_id
                         )
-                        line = json.dumps(trace_to_json(trace)) + "\n"
-                        fh.write(line)
-                        digest.update(line.encode("utf-8"))
-                        count += 1
-                vp_probes.append(
-                    VpProbe(
-                        vp_index=vp_index,
-                        vp_id=vp.vp_id,
-                        traces=count,
-                        sha256=digest.hexdigest(),
-                        retry_accounting=RetryAccounting.from_dict(
-                            prober.accounting.as_dict()
-                        ),
-                        fault_counters=(
-                            FaultCounters.from_dict(
-                                injector.counters.as_dict()
-                            )
-                            if injector is not None
-                            else FaultCounters()
-                        ),
+                        bin_probe(clock() - tick)
+                        emit(trace)
+            else:
+                for destination in shuffled:
+                    emit(
+                        prober.trace(vp_router, destination, vp_name=vp.vp_id)
                     )
-                )
+            if vp_done is not None:
+                vp_done(run)
     finally:
-        context.net.engine.faults = None
+        engine.faults = None
         if track and probe_samples:
             telemetry.histogram("probe").observe_many(probe_samples)
+
+
+class _Spill:
+    """Streams one spill's trace lines, digesting each VP's slice."""
+
+    __slots__ = ("_fh", "_digest", "_count", "vps")
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self._digest = hashlib.sha256()
+        self._count = 0
+        self.vps: list[VpProbe] = []
+
+    def add(self, trace: Trace) -> None:
+        line = json.dumps(trace_to_json(trace)) + "\n"
+        self._fh.write(line)
+        self._digest.update(line.encode("utf-8"))
+        self._count += 1
+
+    def vp_done(self, run: VpRun) -> None:
+        faults, retry = probe_tallies([run])
+        self.vps.append(
+            VpProbe(
+                vp_index=run.vp_index,
+                vp_id=run.vp_id,
+                traces=self._count,
+                sha256=self._digest.hexdigest(),
+                retry_accounting=retry,
+                fault_counters=faults,
+            )
+        )
+        self._digest = hashlib.sha256()
+        self._count = 0
+
+
+def probe_shard(
+    runner: "CampaignRunner",
+    context: ShardContext,
+    shard: ShardSpec,
+    spill_path: str | Path,
+    heartbeat=None,
+    telemetry=None,
+    *,
+    tee: Callable[[Trace], None] | None = None,
+    runs: list[VpRun] | None = None,
+) -> ShardProbeRecord:
+    """Probe one shard, streaming traces to its spill file.
+
+    Memory holds one trace at a time: each trace is serialized,
+    written, digested and dropped -- unless ``tee`` also takes it (the
+    classic runner keeps its AS in memory and spills only when
+    checkpointed).  The spill carries the standard dataset header so
+    every downstream reader (:meth:`TraceDataset.iter_jsonl`,
+    ``arest detect``) takes it as-is.
+
+    The write is atomic: a crash at any instant leaves either no spill
+    or the complete previous one, and the checkpoint line for this
+    shard is only banked by the supervisor *after* this returns -- so
+    resume either finds both (skip) or neither (re-run, byte-identical)
+    and can never lose or duplicate a trace.
+
+    ``heartbeat``, ``telemetry`` and ``runs`` go to :func:`probe_vps`.
+    """
+    spill_path = Path(spill_path)
+    with atomic_writer(spill_path) as fh:
+        header = {
+            "kind": "header",
+            "target_asn": context.net.target_asn,
+            "metadata": {
+                "as_id": str(shard.as_id),
+                "bucket": str(shard.bucket),
+                "seed": str(runner.seed),
+                "vps": ",".join(
+                    context.vps[i].vp_id for i in shard.vp_indices
+                ),
+            },
+        }
+        fh.write(json.dumps(header) + "\n")
+        spill = _Spill(fh)
+        emit = spill.add
+        if tee is not None:
+
+            def emit(trace: Trace) -> None:
+                tee(trace)
+                spill.add(trace)
+
+        probe_vps(
+            runner,
+            context,
+            shard.vp_indices,
+            emit,
+            vp_done=spill.vp_done,
+            runs=runs,
+            heartbeat=heartbeat,
+            telemetry=telemetry,
+        )
     return ShardProbeRecord(
         as_id=shard.as_id,
         bucket=shard.bucket,
         spill=spill_path.name,
-        vps=vp_probes,
+        vps=spill.vps,
     )
+
+
+def spill_damage(path: Path, vps: list[VpProbe]) -> str | None:
+    """Why spill ``path`` fails its banked facts ``vps``, or None.
+
+    The spill's trace lines, in order, must be exactly each VP's banked
+    slice in turn: its line count and the SHA-256 of its lines.  Every
+    process that trusts a spill an earlier one wrote checks it here
+    first; a run never re-reads the spills it wrote itself.
+    """
+    try:
+        with path.open("rb") as fh:
+            if not fh.readline():
+                return f"{path.name} is empty"
+            for vp in vps:
+                digest = hashlib.sha256()
+                for seen in range(vp.traces):
+                    line = fh.readline()
+                    if not line:
+                        return (
+                            f"VP {vp.vp_id} has {seen} of its {vp.traces} "
+                            f"banked traces"
+                        )
+                    digest.update(line)
+                if digest.hexdigest() != vp.sha256:
+                    return f"VP {vp.vp_id}'s traces do not match their digest"
+            if fh.readline():
+                return "it holds traces past the banked VPs"
+    except OSError as exc:
+        return str(exc)
+    return None
 
 
 def merged_dataset(

@@ -177,13 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     portfolio.add_argument(
         "--checkpoint",
-        metavar="FILE",
-        help="bank each completed AS to FILE (JSONL) as the run progresses",
+        metavar="DIR",
+        help=(
+            "bank each AS into run directory DIR (checkpoint.jsonl plus "
+            "one spill per AS under spills/) as the run progresses"
+        ),
     )
     portfolio.add_argument(
         "--resume",
         action="store_true",
-        help="restore completed ASes from --checkpoint and run the rest",
+        help="restore banked ASes from --checkpoint DIR and run the rest",
     )
     portfolio.add_argument(
         "--as",

@@ -13,7 +13,7 @@ Two pieces compose the service's robustness story:
     the service's streaming ≡ batch byte-identity contract.
 
 :class:`ServiceState`
-    The durable store, built on the checkpoint-v3 JSONL idiom
+    The durable store, built on the campaign checkpoint's JSONL idiom
     (:mod:`repro.util.journal` + :mod:`repro.util.atomicio`):
 
     - ``ingest.jsonl`` -- header line (kind/version/config signature)

@@ -45,7 +45,7 @@ def _run(as_ids, seed, jobs=1, churn_plan=None, **kwargs) -> tuple[str, bytes]:
         )
         return (
             json.dumps(report.as_dict(), sort_keys=True),
-            path.read_bytes(),
+            (path / "checkpoint.jsonl").read_bytes(),
         )
 
 
@@ -140,4 +140,4 @@ def test_churn_resume_matches_uninterrupted(tmp_path):
     )
     assert sorted(report.resumed_as_ids) == sorted(as_ids[:2])
     assert json.dumps(report.as_dict(), sort_keys=True) == reference_report
-    assert path.read_bytes() == reference_bytes
+    assert (path / "checkpoint.jsonl").read_bytes() == reference_bytes

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignCheckpoint, CampaignRunner
+from repro.campaign import CampaignRunner, ShardCheckpoint
 
 # Six ASes so that with jobs=2 the SIGINT (delivered right after the
 # first AS banks) always lands while some ASes are still undispatched:
@@ -45,7 +45,21 @@ def uninterrupted(tmp_path_factory):
     report = CampaignRunner(**KNOBS).run_portfolio(
         as_ids=AS_IDS, checkpoint=path
     )
-    return _report_fingerprint(report), path.read_bytes()
+    return _report_fingerprint(report), _checkpoint_bytes(path)
+
+
+def _checkpoint_bytes(run_dir) -> bytes:
+    return (run_dir / "checkpoint.jsonl").read_bytes()
+
+
+def _banked(run_dir) -> set[int]:
+    """The ASes a run directory's checkpoint banked as analyzed."""
+    store = ShardCheckpoint(
+        run_dir / "checkpoint.jsonl",
+        CampaignRunner(**KNOBS)._config_signature(),
+    )
+    store.load()
+    return set(store.analyses)
 
 
 class SigintMidPortfolio(CampaignRunner):
@@ -133,10 +147,7 @@ class TestSigintInProcess:
         # The AS that was in flight when SIGINT landed still completed
         # and was banked; later ASes were never dispatched.
         assert sorted(report) == sorted(AS_IDS[:2])
-        store = CampaignCheckpoint(
-            path, CampaignRunner(**KNOBS)._config_signature()
-        )
-        assert sorted(store.load()) == sorted(AS_IDS[:2])
+        assert _banked(path) == set(AS_IDS[:2])
 
         # Resume with a plain runner: identical report and bytes.
         resumed = CampaignRunner(**KNOBS).run_portfolio(
@@ -144,7 +155,7 @@ class TestSigintInProcess:
         )
         assert sorted(resumed.resumed_as_ids) == sorted(AS_IDS[:2])
         assert _report_fingerprint(resumed) == ref_fingerprint
-        assert path.read_bytes() == ref_bytes
+        assert _checkpoint_bytes(path) == ref_bytes
 
 
 _DRIVER = textwrap.dedent(
@@ -166,7 +177,7 @@ _DRIVER = textwrap.dedent(
     as_ids = [int(a) for a in sys.argv[2].split(",")]
 
     def killer():
-        path = Path(checkpoint)
+        path = Path(checkpoint) / "checkpoint.jsonl"
         while True:
             if path.exists() and len(path.read_text().splitlines()) >= 2:
                 break  # first AS banked; portfolio is mid-flight
@@ -227,11 +238,8 @@ class TestSigintParallel:
         assert completed < set(AS_IDS)
 
         # The checkpoint survived the interrupt intact and loadable.
-        store = CampaignCheckpoint(
-            path, CampaignRunner(**KNOBS)._config_signature()
-        )
-        banked = store.load()
-        assert set(banked) <= set(AS_IDS)
+        banked = _banked(path)
+        assert banked <= set(AS_IDS)
         assert banked  # at least the AS that triggered the killer
 
         # Resume completes and matches the uninterrupted run
@@ -241,7 +249,7 @@ class TestSigintParallel:
         )
         assert not resumed.interrupted
         assert _report_fingerprint(resumed) == ref_fingerprint
-        assert path.read_bytes() == ref_bytes
+        assert _checkpoint_bytes(path) == ref_bytes
 
 
 class TestSigkilledWorker:

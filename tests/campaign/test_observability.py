@@ -19,8 +19,7 @@ import signal
 import pytest
 
 from repro.analysis.markdown_report import render_markdown_report
-from repro.campaign import CampaignRunner, ScaleCampaign
-from repro.campaign.checkpoint import QuarantineStub
+from repro.campaign import AsQuarantine, CampaignRunner, ScaleCampaign
 from repro.campaign.runner import result_counters
 from repro.obs import (
     critical_path,
@@ -45,6 +44,10 @@ def _fingerprint(report) -> str:
     return json.dumps(report.as_dict(), sort_keys=True)
 
 
+def _checkpoint_bytes(run_dir) -> bytes:
+    return (run_dir / "checkpoint.jsonl").read_bytes()
+
+
 def _run(tmp_path, name, jobs=1, telemetry=False, resume=False):
     checkpoint = tmp_path / f"{name}.ckpt"
     telemetry_dir = tmp_path / f"{name}-telemetry" if telemetry else None
@@ -64,7 +67,7 @@ class TestTelemetryIsInvisibleToResults:
         plain, plain_ckpt, _ = _run(tmp_path, "plain")
         telem, telem_ckpt, _ = _run(tmp_path, "telem", telemetry=True)
         assert _fingerprint(telem) == _fingerprint(plain)
-        assert telem_ckpt.read_bytes() == plain_ckpt.read_bytes()
+        assert _checkpoint_bytes(telem_ckpt) == _checkpoint_bytes(plain_ckpt)
 
     @_fork_required
     def test_parallel_with_telemetry_matches_serial_without(self, tmp_path):
@@ -73,7 +76,7 @@ class TestTelemetryIsInvisibleToResults:
             tmp_path, "telem", jobs=2, telemetry=True
         )
         assert _fingerprint(telem) == _fingerprint(plain)
-        assert telem_ckpt.read_bytes() == plain_ckpt.read_bytes()
+        assert _checkpoint_bytes(telem_ckpt) == _checkpoint_bytes(plain_ckpt)
 
 
 class TestCounterTotalsAreExecutionPlanIndependent:
@@ -363,23 +366,24 @@ class TestScaleCampaignTracing:
         _assert_unified_trace(tmp_path / "t2")
 
 
-class TestQuarantineStubCompat:
+class TestQuarantineRecordCompat:
     def test_roundtrip_with_stage_post_mortem(self):
-        stub = QuarantineStub(
+        quarantine = AsQuarantine(
+            as_id=27,
             reason="timeout",
             attempts=2,
             detail="exceeded 60s deadline",
             last_stage="probe",
             stage_seconds={"setup": 0.5, "probe": 59.5},
         )
-        restored = QuarantineStub.from_dict(stub.as_dict())
-        assert restored.last_stage == "probe"
-        assert restored.stage_seconds == {"setup": 0.5, "probe": 59.5}
+        restored = AsQuarantine.from_dict(27, quarantine.as_dict())
+        assert restored == quarantine
 
     def test_reads_pre_observability_records(self):
-        # checkpoints banked before this field existed must still load
-        stub = QuarantineStub.from_dict(
-            {"reason": "crash", "attempts": 2, "detail": "killed"}
+        # quarantines banked without a post-mortem (the sharded plane's
+        # shard quarantines) must still restore
+        quarantine = AsQuarantine.from_dict(
+            27, {"reason": "crash", "attempts": 2, "detail": "killed"}
         )
-        assert stub.last_stage is None
-        assert stub.stage_seconds == {}
+        assert quarantine.last_stage is None
+        assert quarantine.stage_seconds == {}

@@ -39,7 +39,7 @@ def _run(as_ids, seed, jobs) -> tuple[str, bytes]:
         )
         return (
             json.dumps(report.as_dict(), sort_keys=True),
-            path.read_bytes(),
+            (path / "checkpoint.jsonl").read_bytes(),
         )
 
 

@@ -18,6 +18,8 @@ from repro.campaign.checkpoint import ShardCheckpoint
 from repro.netsim.dynamics import ChurnPlan
 from repro.topogen.synthetic import SyntheticPortfolio
 
+from tests.conftest import SPILL_DAMAGE, damage_spill
+
 
 def _campaign(n_ases: int = 2, seed: int = 1) -> ScaleCampaign:
     return ScaleCampaign(
@@ -56,7 +58,7 @@ class TestRun:
             "as000002-b000.jsonl",
         ]
         store = ShardCheckpoint(
-            tmp_path / "checkpoint.jsonl", _campaign()._scale_config()
+            tmp_path / "checkpoint.jsonl", _campaign()._config_signature()
         )
         store.load()
         assert store.complete
@@ -201,6 +203,47 @@ class TestDegradation:
         monkeypatch.undo()
 
         resumed = _campaign(n_ases=3).run(out, resume=True)
+        assert json.dumps(resumed.as_dict()) == json.dumps(
+            reference.as_dict()
+        )
+        assert (out / "checkpoint.jsonl").read_bytes() == (
+            reference_dir / "checkpoint.jsonl"
+        ).read_bytes()
+
+
+class TestDamagedSpill:
+    """A banked shard's spill is checked before a resume trusts it."""
+
+    def test_uninterrupted_run_checks_no_spill(self, tmp_path, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a fresh run re-read its own spill")
+
+        monkeypatch.setattr(scale, "spill_damage", unexpected)
+        report = _campaign().run(tmp_path, vps_per_shard=1)
+        assert set(report.completed) == {1, 2}
+
+    @pytest.mark.parametrize("damage", SPILL_DAMAGE)
+    def test_damaged_spill_is_reprobed_on_resume(
+        self, tmp_path, monkeypatch, caplog, damage
+    ):
+        reference_dir = tmp_path / "reference"
+        reference = _campaign().run(reference_dir, vps_per_shard=1)
+
+        # probe every shard, then stop before any analysis lands
+        out = tmp_path / "run"
+        monkeypatch.setattr(
+            ScaleCampaign, "_analyze_phase", lambda *args: True
+        )
+        partial = _campaign().run(out, vps_per_shard=1)
+        assert partial.interrupted and partial.completed == {}
+        monkeypatch.undo()
+        damage_spill(out / "spills" / "as000001-b001.jsonl", damage)
+
+        campaign = _campaign()
+        with caplog.at_level("WARNING", logger="repro.campaign.scale"):
+            resumed = campaign.run(out, resume=True)
+        assert any("re-probing" in r.message for r in caplog.records)
+        assert campaign.stats["shards_probed"] == 1
         assert json.dumps(resumed.as_dict()) == json.dumps(
             reference.as_dict()
         )

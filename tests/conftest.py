@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,29 @@ def scaled_examples(default: int) -> int:
     multiplies every budget via ``AREST_HYPOTHESIS_SCALE``.
     """
     return default * max(1, int(os.environ.get("AREST_HYPOTHESIS_SCALE", "1")))
+
+
+#: the two kinds of spill damage a resume must catch
+SPILL_DAMAGE = ("relabel", "drop-last-line")
+
+
+def damage_spill(path: Path, damage: str) -> None:
+    """Damage a spill file the way a bad disk or a stray edit would.
+
+    ``relabel`` changes one MPLS label in the last trace line that
+    quotes one; ``drop-last-line`` removes the last trace line.  Both
+    leave a well-formed dataset file behind.
+    """
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "drop-last-line":
+        lines.pop()
+    else:
+        index = max(i for i, line in enumerate(lines) if '"lses"' in line)
+        record = json.loads(lines[index])
+        hop = next(h for h in record["hops"] if "lses" in h)
+        hop["lses"][0][0] += 1
+        lines[index] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
 
 
 class ChainNetwork:
