@@ -92,6 +92,9 @@ def test_bench_scale_campaign(tmp_path):
         "traces_per_sec": round(traces / wall, 1),
         "rss_peak_bytes": stats["rss_peak_bytes"],
         "rss_peak_mib": round(stats["rss_peak_bytes"] / (1 << 20), 1),
+        "worker_rss_peak_mib": round(
+            stats["worker_rss_peak_bytes"] / (1 << 20), 1
+        ),
         "spill_bytes": spill_bytes,
         "checkpoint_bytes": (out / "checkpoint.jsonl").stat().st_size,
     }
@@ -102,6 +105,7 @@ def test_bench_scale_campaign(tmp_path):
         f"{traces:,} traces across {n_ases} ASes / "
         f"{stats['shards_total']} shards in {wall:,.0f}s "
         f"({traces / wall:,.0f}/s), peak RSS "
-        f"{stats['rss_peak_bytes'] / (1 << 20):,.0f} MiB"
+        f"{stats['rss_peak_bytes'] / (1 << 20):,.0f} MiB (workers "
+        f"{stats['worker_rss_peak_bytes'] / (1 << 20):,.0f} MiB)"
     )
     emit(f"machine-readable stats -> {BENCH_FILENAME}")

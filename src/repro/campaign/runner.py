@@ -503,7 +503,7 @@ def bank_durably(
     session: TelemetrySession | None,
     scope: object = None,
     export: dict | None = None,
-) -> None:
+) -> bool:
     """Run one checkpoint write as an outcome lands; both planes bank so.
 
     The write's latency feeds the session's fixed-bucket ``bank``
@@ -511,7 +511,7 @@ def bank_durably(
     then the worker's telemetry ``export`` joins the session under
     ``scope``.  A full disk leaves the checkpoint intact -- a torn
     tail at worst, salvaged on load -- and ``what`` unbanked, to run
-    again on resume.
+    again on resume; the return value says whether the write landed.
     """
     tick = time.monotonic()
     try:
@@ -523,11 +523,12 @@ def bank_durably(
             what,
             exc,
         )
-        return
+        return False
     if session is not None:
         session.observe("bank", time.monotonic() - tick)
         if export:
             session.record_export(scope, export)
+    return True
 
 
 def _campaign_worker(payload: tuple, ctl: WorkerControl) -> dict:

@@ -4,40 +4,51 @@ The classic :class:`~repro.campaign.runner.CampaignRunner` holds one
 AS's entire dataset in memory and dispatches whole ASes; fine for
 Table 5's 41 ASes, impossible for the paper's 7.7M-traceroute scale.
 :class:`ScaleCampaign` runs the same measurement rule, and banks into
-the same run-directory format, through a different execution plane,
-in two phases:
+the same run-directory format, through a different execution plane:
+one :class:`~repro.campaign.shardexec.LeaseExecutor` run per campaign,
+with two kinds of task.
 
-**Probe phase.**  The campaign is split into deterministic
+**Probe tasks.**  The campaign is split into deterministic
 ``(as_id, vp_bucket)`` shards (:func:`~repro.campaign.shards.shard_plan`)
-that a :class:`~repro.campaign.shardexec.LeaseExecutor` pool drains by
-work stealing.  Each shard streams its traces to an atomic spill file
-and reports partition-independent per-VP facts; the supervisor banks
-the record in the :class:`~repro.campaign.checkpoint.ShardCheckpoint`
-*after* the spill is in place, so ``kill -9`` anywhere loses nothing
-and duplicates nothing.
+that the pool drains by work stealing.  Each shard streams its traces
+to an atomic spill file and reports partition-independent per-VP
+facts; the supervisor banks the record in the
+:class:`~repro.campaign.checkpoint.ShardCheckpoint` *after* the spill is
+in place, so ``kill -9`` anywhere loses nothing and duplicates nothing.
+The worker keeps the AS's topology and the bucket's traces on its
+cached :class:`~repro.campaign.shards.ShardContext`.
 
-**Analyze phase.**  Per AS, a worker rebuilds the AS from its spills
-(:func:`rehydrate_as`, the rehydration ``run_portfolio``'s resume runs
-too): it rebuilds the topology deterministically, merges that AS's
-spills in bucket order (bounded by one AS, never the campaign),
-fingerprints and analyzes exactly as the classic runner does, and
-returns a canonical JSON summary the checkpoint banks.  The report is
-assembled from banked summaries in ``as_ids`` order.
+**Analysis tasks.**  The moment an AS's last shard banks, its analysis
+is queued as a follow-up task; every task of an AS shares the AS as its
+affinity, so the analysis usually lands on the worker that probed it.
+That worker analyzes on the cached network with the buckets it holds in
+memory and decodes only the spills of buckets other workers probed.  A
+cache miss (another worker, a shed cache, a resumed run) falls back to
+:func:`rehydrate_as` without a context -- the rehydration
+``run_portfolio``'s resume runs too -- which rebuilds the topology and
+merges the AS's spills in bucket order.  Either way the AS is
+fingerprinted and analyzed exactly as the classic runner does, and a
+canonical JSON summary is banked.  The report is assembled from banked
+summaries in ``as_ids`` order.
 
-Memory is governed end to end: traces never accumulate in RAM, and a
-per-worker :class:`~repro.util.rss.RssWatchdog` checks the resident
-set at shard boundaries -- shedding the per-AS topology cache at the
-soft level and requesting a graceful worker recycle at the hard level.
-Pressure throttles admission; it never interrupts a write.
+Memory is governed end to end: the supervisor holds no traces, a
+worker holds at most the ASes in its context cache (an analysis drops
+its AS), and a per-worker :class:`~repro.util.rss.RssWatchdog` checks
+the resident set at task boundaries -- shedding the context cache at
+the soft level (analyses then decode their spills) and requesting a
+graceful worker recycle at the hard level.  Pressure throttles
+admission; it never interrupts a write.
 
 Determinism contract: ``report.as_dict()`` JSON and the canonical
 checkpoint bytes are identical for **any** ``--jobs``/``--shards``
 value -- serial, parallel, or crashed-and-resumed -- because every
 shard is a pure function of the campaign config (per-VP fault and
-retry scoping; see :mod:`repro.campaign.shards`).  Churn plans are the
-one exception -- their schedules are inherently sequential across an
-AS -- so sharded campaigns refuse them at construction.  A resumed run
-re-probes any banked shard whose spill fails its banked digests.
+retry scoping; see :mod:`repro.campaign.shards`), and an analysis reads
+the same traces whether they come from memory or from spills.  Churn
+plans are the one exception -- their schedules are inherently
+sequential across an AS -- so sharded campaigns refuse them at
+construction.  A resumed run re-probes any banked shard whose spill
+fails its banked digests.
 """
 
 from __future__ import annotations
@@ -61,6 +72,7 @@ from repro.campaign.runner import (
     result_summary,
 )
 from repro.campaign.shardexec import (
+    HELD_AFFINITIES,
     GracefulShutdown,
     LeaseExecutor,
     TaskOutcome,
@@ -68,6 +80,8 @@ from repro.campaign.shardexec import (
     WorkerControl,
 )
 from repro.campaign.shards import (
+    ShardContext,
+    ShardProbeRecord,
     ShardSpec,
     build_shard_context,
     merged_dataset,
@@ -181,9 +195,11 @@ class ScaleReport:
 #: process (jobs=1 under pytest) can never cross wires
 _RUNNER_CACHE: dict[str, CampaignRunner] = {}
 #: per-process topology cache: as_id -> ShardContext (the expensive
-#: part of a shard); shed by the RSS watchdog, bounded in size
-_CONTEXT_CACHE: dict[int, object] = {}
-_CONTEXT_CACHE_MAX = 4
+#: part of a shard, plus the buckets this process probed), least
+#: recently used first; shed by the RSS watchdog, bounded to the
+#: affinities the executor presumes a worker holds
+_CONTEXT_CACHE: dict[int, ShardContext] = {}
+_CONTEXT_CACHE_MAX = HELD_AFFINITIES
 #: per-process watchdog (created on first shard, one per budget)
 _WATCHDOGS: dict[int | None, RssWatchdog] = {}
 
@@ -203,14 +219,19 @@ def _worker_runner(runner_cls, kwargs: dict, token: str) -> CampaignRunner:
     return runner
 
 
-def _worker_context(runner: CampaignRunner, as_id: int):
-    context = _CONTEXT_CACHE.get(as_id)
-    if context is None:
+def _worker_context(
+    runner: CampaignRunner, as_id: int
+) -> tuple[ShardContext, bool]:
+    """The cached context of ``as_id`` (built on a miss), and whether
+    this call built it.  A hit becomes the most recently used entry."""
+    context = _CONTEXT_CACHE.pop(as_id, None)
+    built = context is None
+    if built:
         while len(_CONTEXT_CACHE) >= _CONTEXT_CACHE_MAX:
             _CONTEXT_CACHE.pop(next(iter(_CONTEXT_CACHE)))
         context = build_shard_context(runner, as_id)
-        _CONTEXT_CACHE[as_id] = context
-    return context
+    _CONTEXT_CACHE[as_id] = context
+    return context, built
 
 
 def _worker_watchdog(max_rss_bytes: int | None) -> RssWatchdog:
@@ -224,11 +245,15 @@ def _worker_watchdog(max_rss_bytes: int | None) -> RssWatchdog:
 
 
 def _boundary_check(ctl: WorkerControl, max_rss_bytes: int | None) -> dict:
-    """The shard-boundary watchdog check; may request a recycle."""
+    """The task-boundary watchdog check; may request a recycle.
+
+    Returns the worker's memory facts the supervisor folds into
+    :attr:`ScaleCampaign.stats`.
+    """
     verdict = _worker_watchdog(max_rss_bytes).check()
     if verdict.recycle:
         ctl.request_recycle()
-    return {"rss_bytes": verdict.rss_bytes, "shed": verdict.shed}
+    return {"shed": verdict.shed, "peak_rss_bytes": peak_rss_bytes()}
 
 
 def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
@@ -238,6 +263,8 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
     back as a structured ``disk-full`` record the supervisor turns into
     a clean per-shard quarantine (the previous spill, if any, is
     intact -- the atomic writer never renamed the torn temporary).
+    The bucket's traces stay on the worker's cached context for the
+    AS's analysis.  ``builds`` counts the topology built for it.
 
     When the task envelope carries a traceparent, the shard runs under
     a traced recorder whose export rides back on the ``ok`` message --
@@ -248,12 +275,13 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
     )
     ctl.heartbeat(f"shard-{shard.as_id}-{shard.bucket}")
     runner = _worker_runner(runner_cls, kwargs, token)
-    context = _worker_context(runner, shard.as_id)
+    context, built = _worker_context(runner, shard.as_id)
     tel = (
         Telemetry(trace=TraceContext.parse(traceparent))
         if traceparent is not None
         else NULL_TELEMETRY
     )
+    traces: list = []
     try:
         with tel.span("shard", as_id=shard.as_id, bucket=shard.bucket):
             record = probe_shard(
@@ -263,10 +291,16 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
                 Path(spill_path),
                 heartbeat=ctl.heartbeat,
                 telemetry=tel,
+                tee=traces.append,
             )
     except DiskFullError as exc:
-        return {"status": "disk-full", "error": str(exc)}
-    message = {"status": "ok", "record": record}
+        return {
+            "status": "disk-full",
+            "error": str(exc),
+            "builds": int(built),
+        }
+    context.buckets[shard.bucket] = traces
+    message = {"status": "ok", "record": record, "builds": int(built)}
     if tel.enabled:
         tel.count("traces_collected", sum(vp.traces for vp in record.vps))
         message["telemetry"] = tel.export()
@@ -280,37 +314,54 @@ def rehydrate_as(
     spill_paths: list[Path],
     faults: FaultCounters,
     retry: RetryAccounting,
+    context: ShardContext | None = None,
 ) -> AsCampaignResult:
-    """Rebuild one probed AS's result from its spills.
+    """Analyze one probed AS from its spills (``spill_paths``, in bucket
+    order).
 
     The one rehydration path: the sharded plane's analysis and
-    ``run_portfolio``'s resume both run it.  The topology is rebuilt
-    deterministically, the spills merge in bucket order into the AS's
-    dataset, and fingerprinting and analysis run exactly as in
-    :meth:`~repro.campaign.runner.CampaignRunner.run_as`.  ``faults``
-    and ``retry`` are the AS's banked probe tallies.  Stage changes go
-    to the runner's heartbeat hook, spans to its recorder.
+    ``run_portfolio``'s resume both run it.  Without ``context`` the
+    topology is rebuilt deterministically and every spill is decoded.
+    With the AS's cached :class:`~repro.campaign.shards.ShardContext`
+    (built from the same spec, VPs and seed) its network is analyzed
+    as is, and each bucket it holds is read from memory instead of its
+    spill -- the same traces either way.  The buckets merge in order
+    into the AS's dataset, and fingerprinting and analysis run exactly
+    as in :meth:`~repro.campaign.runner.CampaignRunner.run_as`.
+    ``faults`` and ``retry`` are the AS's banked probe tallies.  Stage
+    changes go to the runner's heartbeat hook, spans to its recorder.
     """
     tel = runner.telemetry
-    spec = runner.portfolio.spec(as_id)
-    vps = runner._select_vps(as_id)
-    runner._set_stage("topology")
-    with tel.span("topology"):
-        net = build_measurement_network(
-            spec, [vp.vp_id for vp in vps], seed=runner.seed
+    if context is None:
+        spec = runner.portfolio.spec(as_id)
+        vps = runner._select_vps(as_id)
+        runner._set_stage("topology")
+        with tel.span("topology"):
+            net = build_measurement_network(
+                spec, [vp.vp_id for vp in vps], seed=runner.seed
+            )
+        held = {}
+    else:
+        spec, vps, net, held = (
+            context.spec, context.vps, context.net, context.buckets
         )
     runner._set_stage("merge")
     with tel.span("merge"):
         dataset = merged_dataset(
-            net.target_asn, runner._dataset_metadata(as_id, vps), spill_paths
+            net.target_asn,
+            runner._dataset_metadata(as_id, vps),
+            [held.get(b, path) for b, path in enumerate(spill_paths)],
         )
     return runner._fingerprint_and_analyze(spec, net, dataset, faults, retry)
 
 
 def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
-    """Executor task: rebuild one AS from its spills and summarize it.
+    """Executor task: analyze one fully-probed AS and summarize it.
 
-    Returns the canonical summary (:func:`rehydrate_as` does the work).
+    Analyzes on this worker's cached context of the AS when it has one,
+    and drops it (the AS is finished); otherwise rebuilds.  Returns the
+    canonical summary (:func:`rehydrate_as` does the work) and
+    ``builds``, 1 when the analysis had to rebuild the topology.
     """
     (
         runner_cls,
@@ -325,6 +376,7 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
     ) = payload
     ctl.heartbeat(f"analyze-{as_id}")
     runner = _worker_runner(runner_cls, kwargs, token)
+    context = _CONTEXT_CACHE.pop(as_id, None)
     # The pipeline reads runner.telemetry: routing the traced recorder
     # through it gives the analysis its sanitize/detect spans and
     # per-trace latency histograms for free.  Untraced runs keep the
@@ -345,16 +397,35 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
                 [Path(p) for p in spill_paths],
                 FaultCounters.from_dict(fault_dict),
                 RetryAccounting.from_dict(retry_dict),
+                context,
             )
     finally:
         runner.telemetry = previous_telemetry
         runner._stage_hook = None
-    message = {"status": "ok", "summary": result_summary(result)}
+    message = {
+        "status": "ok",
+        "summary": result_summary(result),
+        "builds": int(context is None),
+    }
     if tel.enabled:
         merge_counters(tel.counters, result_counters(result))
         message["telemetry"] = tel.export()
     message.update(_boundary_check(ctl, max_rss))
     return message
+
+
+def _scale_task(task: tuple, ctl: WorkerControl) -> dict:
+    """The executor's task function: ``(kind, payload)``, kind
+    ``"probe"`` or ``"analyze"``."""
+    kind, payload = task
+    if kind == "probe":
+        return _probe_shard_worker(payload, ctl)
+    return _analyze_as_worker(payload, ctl)
+
+
+def _as_of(key: int | tuple[int, int]) -> int:
+    """A task's affinity: its AS (analysis keys are the AS itself)."""
+    return key if isinstance(key, int) else key[0]
 
 
 # -- supervisor ------------------------------------------------------------------
@@ -475,21 +546,20 @@ class ScaleCampaign(CampaignRunner):
             "jobs": jobs,
             "vps_per_shard": store.vps_per_shard,
             "ases_total": len(as_ids),
+            "topology_builds": 0,
+            "analyses_rebuilt": 0,
+            "caches_shed": 0,
+            "worker_rss_peak_bytes": 0,
         }
 
         interrupted = False
         if not store.complete:
             plan = shard_plan(as_ids, self.vps_per_as, store.vps_per_shard)
             self.stats["shards_total"] = len(plan)
-            interrupted = self._probe_phase(
+            interrupted = self._run_plan(
                 store, plan, spill_dir, token, jobs,
                 lease_timeout, max_rss_bytes, max_redispatch, session,
             )
-            if not interrupted:
-                interrupted = self._analyze_phase(
-                    store, plan, as_ids, spill_dir, token, jobs,
-                    lease_timeout, max_rss_bytes, max_redispatch, session,
-                )
 
         report = self._assemble(store, as_ids)
         if interrupted:
@@ -512,9 +582,9 @@ class ScaleCampaign(CampaignRunner):
             session.finalize("interrupted" if report.interrupted else "ok")
         return report
 
-    # -- probe phase ----------------------------------------------------------
+    # -- the lease loop -------------------------------------------------------
 
-    def _probe_phase(
+    def _run_plan(
         self,
         store: ShardCheckpoint,
         plan: list[ShardSpec],
@@ -526,196 +596,218 @@ class ScaleCampaign(CampaignRunner):
         max_redispatch: int,
         session: TelemetrySession | None = None,
     ) -> bool:
-        """Drain the shard plan; returns True when interrupted."""
+        """Probe and analyze what the plan still needs, in one executor
+        run; returns True when interrupted.
+
+        Tasks queue in plan order.  An AS's analysis is the follow-up
+        of its last banked shard, or queues up front when a resume
+        finds all its shards banked.  A failed or quarantined shard,
+        or a probe record the disk refused, leaves its AS unanalyzed.
+        """
         probed = store.probed
         analyses = store.analyses
         failures = store.failures
         quarantines = store.quarantines
-        to_probe: list[ShardSpec] = []
-        for shard in plan:
-            if shard.as_id in analyses or shard.as_id in failures:
-                continue  # downstream already banked; spills done
-            if shard.key in quarantines:
-                continue  # circuit breaker stays open across resume
-            record = probed.get(shard.key)
-            if record is not None:
-                damage = spill_damage(spill_dir / record.spill, record.vps)
-                if damage is None:
-                    continue  # spill matches its record: nothing to redo
-                logger.warning(
-                    "shard %r: spill %s does not match its banked facts "
-                    "(%s); re-probing it",
-                    shard.key,
-                    record.spill,
-                    damage,
-                )
-            to_probe.append(shard)
-        self.stats["shards_probed"] = len(to_probe)
-        self.stats["shards_resumed"] = len(plan) - len(to_probe)
-        if not to_probe:
-            return False
-
-        def bank(outcome: TaskOutcome) -> None:
-            key = outcome.key
-            message = outcome.value if outcome.status is TaskStatus.OK else {}
-
-            def write() -> None:
-                if message.get("status") == "ok":
-                    # Spill was renamed into place before the worker
-                    # answered; banking second closes the crash window
-                    # on the safe side (re-run, never lose).
-                    store.record_probe(message["record"])
-                elif message:  # structured disk-full degradation
-                    store.record_quarantine(
-                        key,
-                        {
-                            "reason": "disk-full",
-                            "attempts": outcome.attempts,
-                            "detail": message["error"],
-                        },
-                    )
-                elif outcome.status is TaskStatus.ERROR:
-                    store.record_failure(
-                        key[0],
-                        {"stage": "probe", "error": outcome.error or ""},
-                    )
-                else:  # LEASE_EXPIRED / CRASH past the re-dispatch budget
-                    store.record_quarantine(
-                        key,
-                        {
-                            "reason": outcome.status.value,
-                            "attempts": outcome.attempts,
-                            "detail": outcome.error or "",
-                        },
-                    )
-
-            bank_durably(
-                write,
-                f"shard {key!r}",
-                session,
-                f"shard:{key[0]}:{key[1]}",
-                message.get("telemetry"),
-            )
-
-        executor = LeaseExecutor(
-            _probe_shard_worker,
-            jobs=jobs,
-            lease_timeout=lease_timeout,
-            max_redispatch=max_redispatch,
-        )
         spawn = self._spawn_config()
         traceparent = session.traceparent() if session is not None else None
-        tasks = [
-            (
-                shard.key,
-                (
-                    type(self),
-                    spawn,
-                    token,
-                    shard,
-                    str(spill_dir / shard.spill_name),
-                    max_rss_bytes,
-                    traceparent,
-                ),
-            )
-            for shard in to_probe
-        ]
-        with GracefulShutdown() as shutdown:
-            result = executor.run(tasks, on_complete=bank, stop=shutdown)
-        self._merge_executor_stats(executor)
-        return result.interrupted
-
-    # -- analyze phase --------------------------------------------------------
-
-    def _analyze_phase(
-        self,
-        store: ShardCheckpoint,
-        plan: list[ShardSpec],
-        as_ids: list[int],
-        spill_dir: Path,
-        token: str,
-        jobs: int,
-        lease_timeout: float | None,
-        max_rss_bytes: int | None,
-        max_redispatch: int,
-        session: TelemetrySession | None = None,
-    ) -> bool:
-        """Analyze every fully-probed AS; returns True when interrupted."""
-        probed = store.probed
-        analyses = store.analyses
-        failures = store.failures
-        quarantines = store.quarantines
-        buckets_by_as: dict[int, list[ShardSpec]] = {}
+        by_as: dict[int, list[ShardSpec]] = {}
         for shard in plan:
-            buckets_by_as.setdefault(shard.as_id, []).append(shard)
-        tasks = []
-        for as_id in as_ids:
-            if as_id in analyses or as_id in failures:
-                continue
-            shards = sorted(
-                buckets_by_as.get(as_id, ()), key=lambda s: s.bucket
-            )
-            if any(s.key in quarantines for s in shards):
-                continue  # surfaced through the quarantine record
-            records = [probed.get(s.key) for s in shards]
-            if any(r is None for r in records):
-                continue  # probing incomplete (interrupted mid-phase)
+            by_as.setdefault(shard.as_id, []).append(shard)
+        #: as_id -> bucket -> banked probe record (trusted spill)
+        records: dict[int, dict[int, ShardProbeRecord]] = {}
+        #: ASes whose analysis cannot run (a shard failed or quarantined)
+        blocked: set[int] = set()
+        tasks: list[tuple] = []
+
+        def ready(as_id: int) -> bool:
+            """Every shard of the AS banked, none failed or quarantined."""
+            banked = records[as_id]
+            return as_id not in blocked and len(banked) == len(by_as[as_id])
+
+        def analysis_task(as_id: int) -> tuple:
+            banked = [records[as_id][b] for b in sorted(records[as_id])]
             faults, retry = probe_tallies(
-                vp for record in records for vp in record.vps
+                vp for record in banked for vp in record.vps
             )
-            tasks.append(
+            return (
+                as_id,
                 (
-                    as_id,
+                    "analyze",
                     (
                         type(self),
-                        self._spawn_config(),
+                        spawn,
                         token,
                         as_id,
-                        [str(spill_dir / r.spill) for r in records],
+                        [str(spill_dir / r.spill) for r in banked],
                         retry.as_dict(),
                         faults.as_dict(),
                         max_rss_bytes,
-                        session.traceparent() if session is not None else None,
+                        traceparent,
                     ),
-                )
+                ),
             )
+
+        for as_id, shards in by_as.items():
+            if as_id in analyses or as_id in failures:
+                continue  # downstream already banked; spills done
+            records[as_id] = {}
+            for shard in shards:
+                if shard.key in quarantines:
+                    blocked.add(as_id)
+                    continue  # circuit breaker stays open across resume
+                record = probed.get(shard.key)
+                if record is not None:
+                    damage = spill_damage(spill_dir / record.spill, record.vps)
+                    if damage is None:
+                        records[as_id][shard.bucket] = record
+                        continue  # spill matches its record
+                    logger.warning(
+                        "shard %r: spill %s does not match its banked "
+                        "facts (%s); re-probing it",
+                        shard.key,
+                        record.spill,
+                        damage,
+                    )
+                tasks.append(
+                    (
+                        shard.key,
+                        (
+                            "probe",
+                            (
+                                type(self),
+                                spawn,
+                                token,
+                                shard,
+                                str(spill_dir / shard.spill_name),
+                                max_rss_bytes,
+                                traceparent,
+                            ),
+                        ),
+                    )
+                )
+            if ready(as_id):
+                tasks.append(analysis_task(as_id))
+        probing = sum(isinstance(key, tuple) for key, _ in tasks)
+        self.stats["shards_probed"] = probing
+        self.stats["shards_resumed"] = len(plan) - probing
         if not tasks:
             return False
 
-        def bank(outcome: TaskOutcome) -> None:
-            as_id = outcome.key
-            ok = outcome.status is TaskStatus.OK
-
-            def write() -> None:
-                if ok:
-                    store.record_analysis(as_id, outcome.value["summary"])
-                else:
-                    # Deterministic analysis failures *and* workers that
-                    # die past the budget are banked per AS: the data is
-                    # on disk, only the derivation failed.
-                    store.record_failure(
-                        as_id,
-                        {"stage": "analysis", "error": outcome.error or ""},
-                    )
-
-            bank_durably(
-                write,
-                f"analysis of AS#{as_id}",
-                session,
-                as_id,
-                outcome.value.get("telemetry") if ok else None,
-            )
+        def on_complete(outcome: TaskOutcome) -> list[tuple]:
+            message = outcome.value if outcome.status is TaskStatus.OK else {}
+            self._fold_worker_facts(message)
+            if isinstance(outcome.key, int):
+                self.stats["analyses_rebuilt"] += message.get("builds", 0)
+                self._bank_analysis(store, outcome, session)
+                return []
+            as_id, bucket = outcome.key
+            if not self._bank_probe(store, outcome, session):
+                blocked.add(as_id)
+                return []
+            records[as_id][bucket] = message["record"]
+            return [analysis_task(as_id)] if ready(as_id) else []
 
         executor = LeaseExecutor(
-            _analyze_as_worker,
+            _scale_task,
             jobs=jobs,
             lease_timeout=lease_timeout,
             max_redispatch=max_redispatch,
         )
         with GracefulShutdown() as shutdown:
-            result = executor.run(tasks, on_complete=bank, stop=shutdown)
-        self._merge_executor_stats(executor)
+            result = executor.run(
+                tasks, on_complete=on_complete, stop=shutdown, affinity=_as_of
+            )
+        self.stats.update(executor.stats)
         return result.interrupted
+
+    @staticmethod
+    def _bank_probe(
+        store: ShardCheckpoint,
+        outcome: TaskOutcome,
+        session: TelemetrySession | None,
+    ) -> bool:
+        """Bank one shard's outcome; True when its probe record banked."""
+        key = outcome.key
+        message = outcome.value if outcome.status is TaskStatus.OK else {}
+        ok = message.get("status") == "ok"
+
+        def write() -> None:
+            if ok:
+                # Spill was renamed into place before the worker
+                # answered; banking second closes the crash window
+                # on the safe side (re-run, never lose).
+                store.record_probe(message["record"])
+            elif message:  # structured disk-full degradation
+                store.record_quarantine(
+                    key,
+                    {
+                        "reason": "disk-full",
+                        "attempts": outcome.attempts,
+                        "detail": message["error"],
+                    },
+                )
+            elif outcome.status is TaskStatus.ERROR:
+                store.record_failure(
+                    key[0],
+                    {"stage": "probe", "error": outcome.error or ""},
+                )
+            else:  # LEASE_EXPIRED / CRASH past the re-dispatch budget
+                store.record_quarantine(
+                    key,
+                    {
+                        "reason": outcome.status.value,
+                        "attempts": outcome.attempts,
+                        "detail": outcome.error or "",
+                    },
+                )
+
+        banked = bank_durably(
+            write,
+            f"shard {key!r}",
+            session,
+            f"shard:{key[0]}:{key[1]}",
+            message.get("telemetry"),
+        )
+        return ok and banked
+
+    @staticmethod
+    def _bank_analysis(
+        store: ShardCheckpoint,
+        outcome: TaskOutcome,
+        session: TelemetrySession | None,
+    ) -> None:
+        """Bank one AS's analysis summary (or its failure)."""
+        as_id = outcome.key
+        ok = outcome.status is TaskStatus.OK
+
+        def write() -> None:
+            if ok:
+                store.record_analysis(as_id, outcome.value["summary"])
+            else:
+                # Deterministic analysis failures *and* workers that
+                # die past the budget are banked per AS: the data is
+                # on disk, only the derivation failed.
+                store.record_failure(
+                    as_id,
+                    {"stage": "analysis", "error": outcome.error or ""},
+                )
+
+        bank_durably(
+            write,
+            f"analysis of AS#{as_id}",
+            session,
+            as_id,
+            outcome.value.get("telemetry") if ok else None,
+        )
+
+    def _fold_worker_facts(self, message: dict) -> None:
+        """Fold one task's topology builds and memory facts into stats."""
+        stats = self.stats
+        stats["topology_builds"] += message.get("builds", 0)
+        stats["caches_shed"] += int(message.get("shed", False))
+        stats["worker_rss_peak_bytes"] = max(
+            stats["worker_rss_peak_bytes"], message.get("peak_rss_bytes", 0)
+        )
 
     # -- assembly -------------------------------------------------------------
 
@@ -748,7 +840,3 @@ class ScaleCampaign(CampaignRunner):
         if unfinished:
             report.interrupted = True
         return report
-
-    def _merge_executor_stats(self, executor: LeaseExecutor) -> None:
-        for name, value in executor.stats.items():
-            self.stats[name] = int(self.stats.get(name, 0)) + value

@@ -36,9 +36,22 @@ watchdog uses it to degrade gracefully under memory pressure, and the
 classic runner after a failed AS, so a failed task's interpreter never
 serves the next one.  A raising task function always ends its worker.
 
+Two capabilities let a caller chain and place work:
+
+- **follow-ups**: ``on_complete`` may return more ``(key, payload)``
+  tasks, queued the moment the outcome settles (the scale plane queues
+  an AS's analysis when its last shard banks);
+- **affinity**: an optional ``affinity(key)`` names what a task wants
+  a worker to hold (an AS whose topology it cached).  An idle worker
+  prefers a task whose affinity it was last granted (the most recent
+  :data:`HELD_AFFINITIES`), failing that one no busy worker is on,
+  failing that the head of the queue -- so a worker never idles while
+  work is pending.  Pending tasks are indexed by affinity, so a grant
+  costs O(jobs), never a scan of the queue.
+
 A :class:`GracefulShutdown` flag (SIGINT or SIGTERM) passed as ``stop``
-halts granting, drains in-flight tasks (deadlines and leases still
-enforced) and marks the result ``interrupted``.
+halts granting, follow-ups included, drains in-flight tasks (deadlines
+and leases still enforced) and marks the result ``interrupted``.
 
 Determinism: the executor imposes no ordering -- outcomes are keyed,
 and callers that assemble results in plan order get byte-identical
@@ -56,9 +69,10 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -66,6 +80,10 @@ logger = logging.getLogger(__name__)
 #: liveness/lease renewal and ``ctl.request_recycle()`` for a graceful
 #: between-tasks process replacement
 ShardFn = Callable[[Any, "WorkerControl"], Any]
+
+#: how many of its most recently granted affinities a worker is presumed
+#: to still hold (the scale plane's per-worker context cache holds as many)
+HELD_AFFINITIES = 4
 
 
 class TaskStatus(enum.Enum):
@@ -226,6 +244,8 @@ class _Assignment:
     key: Any
     payload: Any
     attempts: int
+    #: the task's affinity (None: no preference)
+    affinity: Any
     #: grant time (the deadline clock)
     started: float
     #: last message of any kind (the lease renewal clock)
@@ -244,6 +264,79 @@ class _Worker:
     process: Any
     conn: Connection
     assignment: _Assignment | None = None
+    #: affinities this process was granted, most recent last
+    held: list = field(default_factory=list)
+
+
+class _Pending:
+    """The task queue, indexed by affinity.
+
+    Tasks queue in per-affinity groups, the groups in the order they
+    became non-empty.  Without affinities every task shares one group:
+    a plain FIFO queue.
+    """
+
+    __slots__ = ("_affinity", "_groups", "_size")
+
+    def __init__(self, affinity: Callable[[Any], Any] | None) -> None:
+        self._affinity = affinity
+        self._groups: dict[Any, deque] = {}
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, key: Any, payload: Any, attempts: int) -> None:
+        affinity = None if self._affinity is None else self._affinity(key)
+        group = self._groups.get(affinity)
+        if group is None:
+            group = self._groups[affinity] = deque()
+        group.append((key, payload, attempts))
+        self._size += 1
+
+    def clear(self) -> None:
+        self._groups.clear()
+        self._size = 0
+
+    def take(
+        self, held: Sequence, busy: set, held_only: bool = False
+    ) -> tuple[Any, Any, int, Any] | None:
+        """The next ``(key, payload, attempts, affinity)`` for one worker.
+
+        A task whose affinity the worker holds (most recent first);
+        failing that, the first whose affinity no ``busy`` worker is
+        on; failing that, the head of the queue.  ``held_only`` stops
+        after the first step (None when the worker holds nothing
+        pending).  Each step looks at no more groups than the worker
+        holds or ``busy`` has members.
+        """
+        for affinity in reversed(held):
+            if affinity in self._groups:
+                return self._pop(affinity)
+        if held_only or not self._groups:
+            return None
+        for affinity in self._groups:
+            if affinity is None or affinity not in busy:
+                return self._pop(affinity)
+        return self._pop(next(iter(self._groups)))
+
+    def _pop(self, affinity: Any) -> tuple[Any, Any, int, Any]:
+        group = self._groups[affinity]
+        key, payload, attempts = group.popleft()
+        if not group:
+            del self._groups[affinity]
+        self._size -= 1
+        return key, payload, attempts, affinity
+
+
+def _hold(held: list, affinity: Any) -> None:
+    """Note that a worker was granted ``affinity`` (most recent last)."""
+    if affinity is None:
+        return
+    if affinity in held:
+        held.remove(affinity)
+    held.append(affinity)
+    del held[:-HELD_AFFINITIES]
 
 
 def _close_stage(assignment: _Assignment, now: float) -> None:
@@ -333,42 +426,77 @@ class LeaseExecutor:
     def run(
         self,
         tasks: Sequence[tuple[Any, Any]],
-        on_complete: Callable[[TaskOutcome], None] | None = None,
+        on_complete: (
+            Callable[[TaskOutcome], Iterable[tuple[Any, Any]] | None] | None
+        ) = None,
         stop: Callable[[], bool] | None = None,
+        affinity: Callable[[Any], Any] | None = None,
     ) -> ExecutionResult:
         """Drain ``tasks`` (``(key, payload)`` pairs) through the pool.
 
         ``on_complete`` fires once per task in completion order with
-        its final outcome.  ``stop`` is polled between grants; once
-        true no new task is leased, in-flight tasks drain (leases and
-        deadlines still enforced) and the result is marked interrupted.
+        its final outcome, and may return follow-up ``(key, payload)``
+        tasks to queue.  Keys are unique across the run, follow-ups
+        included (a repeat raises ``ValueError``).  ``stop`` is polled
+        between grants; once true no new task is leased, follow-ups
+        are dropped, in-flight tasks drain (leases and deadlines still
+        enforced) and the result is marked interrupted.
+        ``affinity(key)`` (hashable, None for no preference) steers
+        each task to a worker that was granted the same affinity
+        before; see the module docstring.
         """
-        keys = [key for key, _ in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError("task keys must be unique")
+        pending = _Pending(affinity)
+        seen: set = set()
+        for key, payload in tasks:
+            if key in seen:
+                raise ValueError("task keys must be unique")
+            seen.add(key)
+            pending.push(key, payload, 1)
+        result = ExecutionResult()
+
+        def finish(outcome: TaskOutcome) -> None:
+            result.outcomes[outcome.key] = outcome
+            if on_complete is None:
+                return
+            follow_ups = on_complete(outcome)
+            if not follow_ups or result.interrupted:
+                return
+            for key, payload in follow_ups:
+                if key in seen:
+                    raise ValueError(
+                        f"follow-up task key {key!r} is not unique"
+                    )
+                seen.add(key)
+                pending.push(key, payload, 1)
+
         if self.jobs == 1:
-            return self._run_inprocess(tasks, on_complete, stop)
-        return self._run_pool(tasks, on_complete, stop)
+            self._run_inprocess(pending, finish, stop, result)
+        else:
+            self._run_pool(pending, finish, stop, result)
+        return result
 
     # -- in-process path (jobs=1) ----------------------------------------------
 
     def _run_inprocess(
         self,
-        tasks: Sequence[tuple[Any, Any]],
-        on_complete: Callable[[TaskOutcome], None] | None,
+        pending: _Pending,
+        finish: Callable[[TaskOutcome], None],
         stop: Callable[[], bool] | None,
-    ) -> ExecutionResult:
-        result = ExecutionResult()
-        for key, payload in tasks:
+        result: ExecutionResult,
+    ) -> None:
+        held: list = []
+        while pending:
             if stop is not None and stop():
                 result.interrupted = True
-                break
+                return
+            key, payload, _, affinity = pending.take(held, set())
+            _hold(held, affinity)
             ctl = WorkerControl()
             try:
                 value = self.fn(payload, ctl)
             except KeyboardInterrupt:
                 result.interrupted = True
-                break
+                return
             except Exception as exc:  # noqa: BLE001 -- per-task isolation
                 outcome = TaskOutcome(
                     key=key,
@@ -383,10 +511,7 @@ class LeaseExecutor:
                     value=value,
                     last_stage=ctl.stages[-1] if ctl.stages else None,
                 )
-            result.outcomes[key] = outcome
-            if on_complete is not None:
-                on_complete(outcome)
-        return result
+            finish(outcome)
 
     # -- pooled path (jobs>1) --------------------------------------------------
 
@@ -424,24 +549,60 @@ class LeaseExecutor:
             )
         return None
 
+
+    def _grant(
+        self, ctx, pool: list[_Worker | None], pending: _Pending
+    ) -> None:
+        """Lease pending tasks to idle slots, holders of an affinity first."""
+        busy = {
+            w.assignment.affinity
+            for w in pool
+            if w is not None and w.assignment is not None
+        }
+        for held_only in (True, False):
+            for slot in range(self.jobs):
+                if not pending:
+                    return
+                worker = pool[slot]
+                if worker is not None and worker.assignment is not None:
+                    continue
+                task = pending.take(
+                    worker.held if worker is not None else (),
+                    busy,
+                    held_only,
+                )
+                if task is None:
+                    continue
+                if worker is None:
+                    worker = pool[slot] = self._spawn(ctx)
+                key, payload, attempts, affinity = task
+                busy.add(affinity)
+                _hold(worker.held, affinity)
+                now = time.monotonic()
+                worker.assignment = _Assignment(
+                    key=key,
+                    payload=payload,
+                    attempts=attempts,
+                    affinity=affinity,
+                    started=now,
+                    last_beat=now,
+                    stage_started=now,
+                )
+                self.stats["leases_granted"] += 1
+                try:
+                    worker.conn.send(("task", payload))
+                except (OSError, BrokenPipeError):
+                    pass  # corpse detected below, task re-queued
+
     def _run_pool(
         self,
-        tasks: Sequence[tuple[Any, Any]],
-        on_complete: Callable[[TaskOutcome], None] | None,
+        pending: _Pending,
+        finish: Callable[[TaskOutcome], None],
         stop: Callable[[], bool] | None,
-    ) -> ExecutionResult:
+        result: ExecutionResult,
+    ) -> None:
         ctx = _mp_context()
-        result = ExecutionResult()
-        pending: list[tuple[Any, Any, int]] = [
-            (key, payload, 1) for key, payload in tasks
-        ]
         pool: list[_Worker | None] = [None] * self.jobs
-        stopping = False
-
-        def finish(outcome: TaskOutcome) -> None:
-            result.outcomes[outcome.key] = outcome
-            if on_complete is not None:
-                on_complete(outcome)
 
         def fail_or_requeue(
             assignment: _Assignment,
@@ -451,7 +612,7 @@ class LeaseExecutor:
         ) -> None:
             """A deadline, lease loss or worker death: steal back the task."""
             _close_stage(assignment, now)
-            if stopping:
+            if result.interrupted:
                 return  # interrupted run: resume will re-attempt
             if assignment.attempts <= self.max_redispatch:
                 self.stats["shards_redispatched"] += 1
@@ -462,8 +623,8 @@ class LeaseExecutor:
                     now - assignment.started,
                     assignment.attempts,
                 )
-                pending.append(
-                    (assignment.key, assignment.payload, assignment.attempts + 1)
+                pending.push(
+                    assignment.key, assignment.payload, assignment.attempts + 1
                 )
                 return
             self.stats["shards_quarantined"] += 1
@@ -488,34 +649,10 @@ class LeaseExecutor:
             while pending or any(
                 w is not None and w.assignment is not None for w in pool
             ):
-                if not stopping and stop is not None and stop():
-                    stopping = True
+                if not result.interrupted and stop is not None and stop():
                     result.interrupted = True
                     pending.clear()
-                # Grant: every idle slot pulls the next pending task.
-                for slot in range(self.jobs):
-                    if not pending:
-                        break
-                    worker = pool[slot]
-                    if worker is not None and worker.assignment is not None:
-                        continue
-                    if worker is None:
-                        worker = pool[slot] = self._spawn(ctx)
-                    key, payload, attempts = pending.pop(0)
-                    now = time.monotonic()
-                    worker.assignment = _Assignment(
-                        key=key,
-                        payload=payload,
-                        attempts=attempts,
-                        started=now,
-                        last_beat=now,
-                        stage_started=now,
-                    )
-                    self.stats["leases_granted"] += 1
-                    try:
-                        worker.conn.send(("task", payload))
-                    except (OSError, BrokenPipeError):
-                        pass  # corpse detected below, task re-queued
+                self._grant(ctx, pool, pending)
                 self._pump(pool)
                 now = time.monotonic()
                 for slot in range(self.jobs):
@@ -594,7 +731,6 @@ class LeaseExecutor:
                     self._kill(worker)
                 else:
                     self._retire(worker)
-        return result
 
     def _pump(self, pool: list[_Worker | None]) -> None:
         """Block briefly on busy workers' pipes and drain what's ready."""

@@ -28,8 +28,7 @@ it; ``run_as`` keeps one AS-wide schedule across the loop.)
 
 Each shard streams its traces straight to a **spill file** -- a normal
 :meth:`TraceDataset.dump_jsonl` file written through
-:func:`~repro.util.atomicio.atomic_writer` -- so probing memory stays
-bounded by one trace, not one campaign, and a ``kill -9`` mid-shard
+:func:`~repro.util.atomicio.atomic_writer` -- and a ``kill -9`` mid-shard
 leaves no torn artifact: the spill appears atomically or not at all,
 and a re-run replaces it with identical bytes.  Alongside the spill,
 each shard reports per-VP trace counts and SHA-256 digests of the
@@ -37,13 +36,19 @@ spill's trace lines -- partition-independent facts the checkpoint can
 canonicalize regardless of how VPs were bucketed, and that
 :func:`spill_damage` checks a spill against before a later process
 trusts it.
+
+The worker that probed a bucket also keeps its traces on the AS's
+cached :class:`ShardContext`, so the AS's analysis, when it lands on
+that worker, reads them from memory instead of decoding the spill
+(:func:`merged_dataset` takes either).  A worker's memory is thus
+bounded by the ASes in its context cache, never by the campaign.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -195,12 +200,17 @@ class ShardContext:
     bucket of the same AS needs the *same* network (topology must be a
     function of the AS, never of the bucket).  Workers cache one
     context per AS; the RSS watchdog sheds the cache under pressure.
+    ``buckets`` holds the traces of each bucket this worker probed, so
+    the AS's analysis can run on this context without re-reading those
+    spills (:func:`~repro.campaign.scale.rehydrate_as`).
     """
 
     spec: object
     vps: list
     net: MeasurementNetwork
     targets: list
+    #: bucket -> the traces this worker probed into its spill, in order
+    buckets: dict[int, list[Trace]] = field(default_factory=dict)
 
 
 def build_shard_context(
@@ -394,10 +404,10 @@ def probe_shard(
 ) -> ShardProbeRecord:
     """Probe one shard, streaming traces to its spill file.
 
-    Memory holds one trace at a time: each trace is serialized,
-    written, digested and dropped -- unless ``tee`` also takes it (the
-    classic runner keeps its AS in memory and spills only when
-    checkpointed).  The spill carries the standard dataset header so
+    Each trace is serialized, written and digested as it comes, and
+    ``tee`` also takes it (the classic runner keeps its AS in memory,
+    a scale worker its bucket, for the AS's analysis).  The spill
+    carries the standard dataset header so
     every downstream reader (:meth:`TraceDataset.iter_jsonl`,
     ``arest detect``) takes it as-is.
 
@@ -484,18 +494,22 @@ def spill_damage(path: Path, vps: list[VpProbe]) -> str | None:
 def merged_dataset(
     target_asn: int,
     metadata: dict[str, str],
-    spill_paths: list[Path],
+    buckets: list[Path | list[Trace]],
 ) -> TraceDataset:
-    """Merge one AS's spills (in bucket order) into an analysis dataset.
+    """Merge one AS's buckets (in bucket order) into an analysis dataset.
 
+    Each bucket is a spill path, decoded line by line, or the list of
+    traces a worker still holds from probing it -- the same traces.
     Bucket order concatenates VPs in ascending selected-VP order, so
     the merged trace sequence equals what a single unsharded probe loop
     over the same VPs would have produced.  Memory is bounded by one
-    AS, never the campaign -- the streaming reader feeds it line by
-    line.
+    AS, never the campaign.
     """
     dataset = TraceDataset(target_asn=target_asn, metadata=dict(metadata))
-    for path in spill_paths:
-        for trace in TraceDataset.iter_jsonl(path):
-            dataset.add(trace)
+    for bucket in buckets:
+        dataset.extend(
+            bucket
+            if isinstance(bucket, list)
+            else TraceDataset.iter_jsonl(bucket)
+        )
     return dataset

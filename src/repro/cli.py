@@ -841,7 +841,11 @@ def _cmd_scale_campaign(args: argparse.Namespace) -> int:
         f"{stats.get('workers_recycled', 0)} recycled"
     )
     print(
-        f"peak RSS {stats.get('rss_peak_bytes', 0) / 2**20:.0f} MiB, "
+        f"peak RSS {stats.get('rss_peak_bytes', 0) / 2**20:.0f} MiB "
+        f"(workers {stats.get('worker_rss_peak_bytes', 0) / 2**20:.0f} "
+        f"MiB, {stats.get('caches_shed', 0)} cache sheds); "
+        f"{stats.get('topology_builds', 0)} topology builds "
+        f"({stats.get('analyses_rebuilt', 0)} analyses rebuilt); "
         f"wall {stats.get('wall_seconds', 0.0):.1f}s; "
         f"artifacts in {out}"
     )

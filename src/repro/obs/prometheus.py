@@ -29,8 +29,10 @@ Metric families:
 Paper-scale runs add the shard-execution families rendered by
 :func:`render_scale_metrics`: shard plan/steal/re-dispatch tallies
 (``arest_shards_*``), lease lifecycle (``arest_leases_*``), worker
-lifecycle (``arest_workers_*``), and the memory-governance surface
-(``arest_rss_peak_bytes``).
+lifecycle (``arest_workers_*``), topology locality
+(``arest_topology_builds_total``, ``arest_analyses_rebuilt_total``),
+and the memory-governance surface (``arest_rss_peak_bytes``,
+``arest_worker_rss_peak_bytes``, ``arest_caches_shed_total``).
 """
 
 from __future__ import annotations
@@ -237,10 +239,35 @@ _SCALE_FAMILIES = (
         "Traces collected across all completed ASes.",
     ),
     (
+        "topology_builds",
+        "arest_topology_builds_total",
+        "counter",
+        "Topologies built (one per AS unless an analysis missed its "
+        "worker's cached context).",
+    ),
+    (
+        "analyses_rebuilt",
+        "arest_analyses_rebuilt_total",
+        "counter",
+        "AS analyses that rebuilt the topology and decoded every spill.",
+    ),
+    (
+        "caches_shed",
+        "arest_caches_shed_total",
+        "counter",
+        "Worker context caches shed by the RSS watchdog.",
+    ),
+    (
         "rss_peak_bytes",
         "arest_rss_peak_bytes",
         "gauge",
         "Supervisor peak resident set size in bytes.",
+    ),
+    (
+        "worker_rss_peak_bytes",
+        "arest_worker_rss_peak_bytes",
+        "gauge",
+        "Highest peak resident set size of any worker, in bytes.",
     ),
     (
         "wall_seconds",

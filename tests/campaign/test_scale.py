@@ -2,21 +2,35 @@
 
 Fast, in-process (``jobs=1``) coverage of the orchestration logic:
 resume skipping, quarantine surfacing, disk-full degradation, churn
-refusal, canonical checkpoint completion, and the stats surface.  The
-jobs/shards byte-identity contract lives in
-``test_scale_properties.py``.
+refusal, canonical checkpoint completion, the stats surface, and
+topology locality (each AS analyzed on the context that probed it,
+rebuilt from spills only on a cache miss).  The jobs/shards
+byte-identity contract lives in ``test_scale_properties.py``.
 """
 
 import json
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
 import repro.campaign.scale as scale
+import repro.campaign.shards as shards_module
 from repro.campaign import ScaleCampaign
 from repro.campaign.checkpoint import ShardCheckpoint
+from repro.campaign.dataset import TraceDataset
+from repro.campaign.runner import result_summary
+from repro.campaign.shards import (
+    build_shard_context,
+    probe_shard,
+    probe_tallies,
+    shard_plan,
+)
 from repro.netsim.dynamics import ChurnPlan
+from repro.netsim.faults import FaultPlan
 from repro.topogen.synthetic import SyntheticPortfolio
+from repro.util.retry import RetryPolicy
 
 from tests.conftest import SPILL_DAMAGE, damage_spill
 
@@ -28,6 +42,22 @@ def _campaign(n_ases: int = 2, seed: int = 1) -> ScaleCampaign:
         vps_per_as=2,
         targets_per_as=4,
     )
+
+
+def _sigint_while_probing(monkeypatch, key: tuple[int, int]) -> None:
+    """Deliver a real SIGINT (a stop request) while shard ``key`` probes.
+
+    The shard still completes and banks; the lease loop then grants
+    nothing more -- the shard's follow-up analysis included.
+    """
+    real = scale._probe_shard_worker
+
+    def worker(payload, ctl):
+        if payload[3].key == key:
+            os.kill(os.getpid(), signal.SIGINT)
+        return real(payload, ctl)
+
+    monkeypatch.setattr(scale, "_probe_shard_worker", worker)
 
 
 class TestConstruction:
@@ -199,7 +229,10 @@ class TestDegradation:
         monkeypatch.setattr(scale, "_probe_shard_worker", flaky)
         partial = _campaign(n_ases=3).run(out)
         assert partial.interrupted
-        assert partial.completed == {}
+        # the first AS's analysis followed its shard before the Ctrl-C
+        # hit the second AS's probe
+        assert calls == [(1, 0)]
+        assert set(partial.completed) == {1}
         monkeypatch.undo()
 
         resumed = _campaign(n_ases=3).run(out, resume=True)
@@ -229,15 +262,13 @@ class TestDamagedSpill:
         reference_dir = tmp_path / "reference"
         reference = _campaign().run(reference_dir, vps_per_shard=1)
 
-        # probe every shard, then stop before any analysis lands
+        # probe every shard, then stop before the last AS's analysis
         out = tmp_path / "run"
-        monkeypatch.setattr(
-            ScaleCampaign, "_analyze_phase", lambda *args: True
-        )
+        _sigint_while_probing(monkeypatch, (2, 1))
         partial = _campaign().run(out, vps_per_shard=1)
-        assert partial.interrupted and partial.completed == {}
+        assert partial.interrupted and set(partial.completed) == {1}
         monkeypatch.undo()
-        damage_spill(out / "spills" / "as000001-b001.jsonl", damage)
+        damage_spill(out / "spills" / "as000002-b001.jsonl", damage)
 
         campaign = _campaign()
         with caplog.at_level("WARNING", logger="repro.campaign.scale"):
@@ -273,3 +304,176 @@ class TestReport:
         }
         entry = doc["completed"]["1"]
         assert {"flags", "traces_total", "routers"} <= set(entry)
+
+
+# -- locality: analyze each AS where it was probed ----------------------------
+
+#: the e2e ``scale-lossy`` workload's fault plan and retry policy
+_LOSSY = dict(
+    fault_plan=FaultPlan(
+        probe_loss=0.05,
+        snmp_timeout_rate=0.1,
+        label_garble_rate=0.02,
+        duplicate_hop_rate=0.02,
+        seed=5,
+    ),
+    retry=RetryPolicy(max_attempts=3),
+)
+
+
+def _lossy(n_ases: int = 2) -> ScaleCampaign:
+    return ScaleCampaign(
+        portfolio=SyntheticPortfolio(n_ases, seed=5, profile="paper"),
+        seed=5,
+        vps_per_as=4,
+        targets_per_as=12,
+        per_prefix=5,
+        **_LOSSY,
+    )
+
+
+def _run_bytes(run_dir: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(run_dir)): path.read_bytes()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to ``module.name``."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestAnalysisOnProbedContext:
+    """Analysis on the context that probed an AS equals rehydration."""
+
+    @pytest.mark.parametrize(
+        "held", [(), (1, 3), (0, 1, 2, 3)], ids=["none", "some", "all"]
+    )
+    def test_summary_bytes_equal_rehydrate_as(self, tmp_path, held):
+        runner = _lossy()
+        as_id = 1
+        shards = shard_plan([as_id], runner.vps_per_as, 1)
+        context = build_shard_context(runner, as_id)
+        records, paths = [], []
+        for shard in shards:
+            traces = []
+            path = tmp_path / shard.spill_name
+            records.append(
+                probe_shard(
+                    runner, context, shard, path, tee=traces.append
+                )
+            )
+            paths.append(path)
+            if shard.bucket in held:
+                context.buckets[shard.bucket] = traces
+        vps = [vp for record in records for vp in record.vps]
+        assert probe_tallies(vps)[0].total_faults() > 0
+
+        def summary(context):
+            faults, retry = probe_tallies(vps)
+            result = scale.rehydrate_as(
+                runner, as_id, paths, faults, retry, context
+            )
+            return json.dumps(result_summary(result))
+
+        assert summary(context) == summary(None)
+
+
+class TestLocality:
+    def test_fresh_serial_run_builds_one_topology_per_as(
+        self, tmp_path, monkeypatch
+    ):
+        builds = _count_calls(
+            monkeypatch, shards_module, "build_measurement_network"
+        )
+        rebuilds = _count_calls(
+            monkeypatch, scale, "build_measurement_network"
+        )
+        decodes = _count_calls(monkeypatch, TraceDataset, "iter_jsonl")
+        campaign = _lossy(n_ases=3)
+        report = campaign.run(tmp_path, vps_per_shard=1)
+        assert set(report.completed) == {1, 2, 3}
+        assert len(builds) == 3 and rebuilds == [] and decodes == []
+        assert campaign.stats["topology_builds"] == 3
+        assert campaign.stats["analyses_rebuilt"] == 0
+        assert campaign.stats["caches_shed"] == 0
+        assert campaign.stats["worker_rss_peak_bytes"] > 0
+
+    def test_shed_cache_rebuilds_to_identical_bytes(self, tmp_path):
+        reference = _lossy().run(tmp_path / "reference", vps_per_shard=1)
+        campaign = _lossy()
+        # a 1-byte budget sheds the context cache at every task boundary,
+        # the one between each AS's last shard and its analysis included
+        report = campaign.run(
+            tmp_path / "shed", vps_per_shard=1, max_rss_bytes=1
+        )
+        stats = campaign.stats
+        tasks = stats["shards_total"] + 2  # every shard and analysis
+        assert stats["shards_total"] == 8
+        assert stats["caches_shed"] == tasks
+        assert stats["analyses_rebuilt"] == 2
+        assert stats["topology_builds"] == tasks
+        assert json.dumps(report.as_dict()) == json.dumps(
+            reference.as_dict()
+        )
+        assert _run_bytes(tmp_path / "shed") == _run_bytes(
+            tmp_path / "reference"
+        )
+
+    def test_stop_before_analysis_grants_no_follow_up(
+        self, tmp_path, monkeypatch
+    ):
+        reference = _lossy().run(tmp_path / "reference", vps_per_shard=2)
+        out = tmp_path / "run"
+        _sigint_while_probing(monkeypatch, (1, 1))  # AS 1's last shard
+        analyses = _count_calls(monkeypatch, scale, "_analyze_as_worker")
+        partial = _lossy().run(out, vps_per_shard=2)
+        monkeypatch.undo()
+        assert partial.interrupted and partial.completed == {}
+        assert analyses == []
+        store = ShardCheckpoint(
+            out / "checkpoint.jsonl", _lossy()._config_signature()
+        )
+        store.load()
+        assert sorted(store.probed) == [(1, 0), (1, 1)]
+
+        campaign = _lossy()
+        resumed = campaign.run(out, resume=True)
+        assert campaign.stats["shards_probed"] == 2  # AS 2 only
+        assert campaign.stats["analyses_rebuilt"] == 1  # AS 1, from spills
+        assert json.dumps(resumed.as_dict()) == json.dumps(
+            reference.as_dict()
+        )
+        assert _run_bytes(out) == _run_bytes(tmp_path / "reference")
+
+    def test_resume_with_half_an_as_banked(self, tmp_path, monkeypatch):
+        reference = _lossy().run(tmp_path / "reference", vps_per_shard=1)
+        out = tmp_path / "run"
+        _sigint_while_probing(monkeypatch, (1, 1))  # 2 of AS 1's 4 shards
+        partial = _lossy().run(out, vps_per_shard=1)
+        monkeypatch.undo()
+        assert partial.interrupted and partial.completed == {}
+
+        merges = _count_calls(monkeypatch, scale, "merged_dataset")
+        campaign = _lossy()
+        resumed = campaign.run(out, resume=True)
+        # AS 1 analyzes on the context that probed its second half:
+        # the banked half decodes from spills, the rest from memory
+        held = [isinstance(bucket, list) for bucket in merges[0][2]]
+        assert held == [False, False, True, True]
+        assert campaign.stats["analyses_rebuilt"] == 0
+        assert campaign.stats["topology_builds"] == 2
+        assert json.dumps(resumed.as_dict()) == json.dumps(
+            reference.as_dict()
+        )
+        assert _run_bytes(out) == _run_bytes(tmp_path / "reference")

@@ -15,7 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.shardexec import LeaseExecutor, TaskStatus, WorkerControl
+from repro.campaign.shardexec import (
+    LeaseExecutor,
+    TaskStatus,
+    WorkerControl,
+    _Pending,
+)
 
 _needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -67,6 +72,23 @@ def _answer(payload, ctl):
 def _report_pid_and_recycle(payload, ctl):
     ctl.request_recycle()
     return os.getpid()
+
+
+def _pid_after_marker(payload, ctl):
+    """Touch ``mine``; wait (bounded) for ``theirs``; report the pid."""
+    mine, theirs = payload
+    if mine is not None:
+        Path(mine).touch()
+    if theirs is not None:
+        deadline = time.monotonic() + 10
+        while not Path(theirs).exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+    return os.getpid(), theirs is None or Path(theirs).exists()
+
+
+def _by_letter(key):
+    """Affinity of the follow-up tests: ``"a0"`` -> ``"a"``."""
+    return key[0]
 
 
 # -- in-process path ---------------------------------------------------------
@@ -227,6 +249,150 @@ class TestPool:
         assert len(pids) == 3  # every shard got a fresh process
         assert executor.stats["workers_recycled"] == 3
         assert executor.stats["workers_crashed"] == 0
+
+
+# -- follow-ups and affinity (both paths) ------------------------------------
+
+_JOBS = (
+    pytest.param(1, id="jobs1"),
+    pytest.param(2, id="jobs2", marks=_needs_fork),
+)
+
+
+class TestFollowUps:
+    @pytest.mark.parametrize("jobs", _JOBS)
+    def test_follow_ups_run(self, jobs):
+        executor = LeaseExecutor(_double, jobs=jobs)
+        chain = {"a": [("b", 2)], "b": [("c", 3)]}
+        result = executor.run(
+            [("a", 1)], on_complete=lambda o: chain.get(o.key)
+        )
+        assert not result.interrupted
+        assert {k: o.value for k, o in result.outcomes.items()} == {
+            "a": 2,
+            "b": 4,
+            "c": 6,
+        }
+
+    @pytest.mark.parametrize("jobs", _JOBS)
+    def test_duplicate_follow_up_key_rejected(self, jobs):
+        executor = LeaseExecutor(_double, jobs=jobs)
+        with pytest.raises(ValueError, match="not unique"):
+            executor.run(
+                [("a", 1), ("b", 2)],
+                on_complete=lambda o: [("a", 5)] if o.key == "b" else None,
+            )
+
+    def test_stop_drops_follow_ups(self):
+        ran = []
+
+        def fn(payload, ctl):
+            ran.append(payload)
+            return payload
+
+        executor = LeaseExecutor(fn, jobs=1)
+        result = executor.run(
+            [("a", 1)],
+            on_complete=lambda o: [("b", 2)],
+            stop=lambda: bool(ran),
+        )
+        assert result.interrupted
+        assert ran == [1] and set(result.outcomes) == {"a"}
+
+
+class TestAffinity:
+    def test_serial_worker_runs_what_it_holds_first(self):
+        order = []
+        executor = LeaseExecutor(_double, jobs=1)
+        executor.run(
+            [("a0", 1), ("b0", 2), ("a1", 3), ("b1", 4)],
+            on_complete=lambda o: order.append(o.key),
+            affinity=_by_letter,
+        )
+        assert order == ["a0", "a1", "b0", "b1"]
+
+    @_needs_fork
+    def test_holding_worker_wins_over_an_idle_one(self, tmp_path):
+        # x0 finishes at once on slot 0; a0 (slot 1) waits for it, so
+        # both slots are idle when a0's follow-up a1 is queued.  Slot
+        # order alone would hand a1 to slot 0; affinity sends it to the
+        # worker that ran a0.
+        done = str(tmp_path / "x0-done")
+        executor = LeaseExecutor(_pid_after_marker, jobs=2)
+        result = executor.run(
+            [("x0", (done, None)), ("a0", (None, done))],
+            on_complete=lambda o: (
+                [("a1", (None, None))] if o.key == "a0" else None
+            ),
+            affinity=_by_letter,
+        )
+        pids = {k: o.value[0] for k, o in result.outcomes.items()}
+        assert pids["x0"] != pids["a0"]
+        assert pids["a1"] == pids["a0"]
+
+    @_needs_fork
+    def test_no_idling_when_only_held_tasks_remain(self, tmp_path):
+        # both tasks share one affinity; each waits for the other to
+        # start, which only happens if the second worker takes a task
+        # the first one holds
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        executor = LeaseExecutor(_pid_after_marker, jobs=2)
+        result = executor.run(
+            [("a0", (first, second)), ("a1", (second, first))],
+            affinity=_by_letter,
+        )
+        values = [o.value for o in result.outcomes.values()]
+        assert all(met for _, met in values)
+        assert len({pid for pid, _ in values}) == 2
+
+    def test_serial_worker_never_idles_on_held_tasks(self):
+        executor = LeaseExecutor(_double, jobs=1)
+        result = executor.run(
+            [("a0", 1), ("a1", 2), ("a2", 3)], affinity=_by_letter
+        )
+        assert {k: o.value for k, o in result.outcomes.items()} == {
+            "a0": 2,
+            "a1": 4,
+            "a2": 6,
+        }
+
+    @pytest.mark.parametrize("jobs", _JOBS)
+    def test_no_affinity_and_no_follow_ups_keep_fifo_grants(
+        self, jobs, monkeypatch
+    ):
+        granted = []
+        real = _Pending.take
+
+        def take(self, *args, **kwargs):
+            task = real(self, *args, **kwargs)
+            if task is not None:
+                granted.append(task[0])
+            return task
+
+        monkeypatch.setattr(_Pending, "take", take)
+        executor = LeaseExecutor(_double, jobs=jobs)
+        result = executor.run(
+            [(i, i) for i in range(6)], on_complete=lambda o: None
+        )
+        assert granted == list(range(6))
+        assert {k: o.value for k, o in result.outcomes.items()} == {
+            i: 2 * i for i in range(6)
+        }
+
+    def test_grant_looks_past_busy_affinities_only(self):
+        pending = _Pending(_by_letter)
+        for key in ("a0", "a1", "b0", "c0", "a2"):
+            pending.push(key, None, 1)
+        assert pending.take(["c"], {"a"})[0] == "c0"  # held first
+        assert pending.take([], {"a"})[0] == "b0"  # then nobody's
+        assert pending.take([], {"a"})[0] == "a0"  # then the head
+        pending.push("a0", None, 2)  # a re-queue goes to the back
+        assert [pending.take([], set())[0] for _ in range(3)] == [
+            "a1",
+            "a2",
+            "a0",
+        ]
+        assert not pending
 
 
 class TestWorkerControl:

@@ -282,3 +282,31 @@ class TestRenderScaleMetrics:
 
     def test_empty_stats_render_nothing(self):
         assert render_scale_metrics({}) == ""
+
+    def test_locality_and_worker_memory_families(self):
+        text = render_scale_metrics(
+            {
+                "topology_builds": 12,
+                "analyses_rebuilt": 1,
+                "caches_shed": 3,
+                "worker_rss_peak_bytes": 73400320,
+            }
+        )
+        assert text.splitlines() == [
+            "# HELP arest_topology_builds_total Topologies built (one per "
+            "AS unless an analysis missed its worker's cached context).",
+            "# TYPE arest_topology_builds_total counter",
+            "arest_topology_builds_total 12",
+            "# HELP arest_analyses_rebuilt_total AS analyses that rebuilt "
+            "the topology and decoded every spill.",
+            "# TYPE arest_analyses_rebuilt_total counter",
+            "arest_analyses_rebuilt_total 1",
+            "# HELP arest_caches_shed_total Worker context caches shed by "
+            "the RSS watchdog.",
+            "# TYPE arest_caches_shed_total counter",
+            "arest_caches_shed_total 3",
+            "# HELP arest_worker_rss_peak_bytes Highest peak resident set "
+            "size of any worker, in bytes.",
+            "# TYPE arest_worker_rss_peak_bytes gauge",
+            "arest_worker_rss_peak_bytes 73400320",
+        ]
