@@ -6,13 +6,14 @@
 - :mod:`repro.campaign.runner` -- per-AS campaign execution: topology
   build, TNT probing from every VP, fingerprinting, AReST analysis and
   ground-truth extraction.
-- :mod:`repro.campaign.shardexec` -- the one executor both campaign
-  drivers dispatch through: persistent work-stealing workers under
-  leases and deadlines, with crash recovery and graceful shutdown.
+- :mod:`repro.campaign.shardexec` -- the one executor: persistent
+  work-stealing workers under leases and deadlines, with crash recovery
+  and graceful shutdown.
 - :mod:`repro.campaign.shards` / :mod:`repro.campaign.scale` --
-  paper-scale execution: deterministic ``(as_id, vp_bucket)`` shards,
-  the per-VP probe loop both drivers run, and the two-phase (probe,
-  analyze) campaign driver with spill-file streaming.
+  deterministic ``(as_id, vp_bucket)`` shards and the per-VP probe loop
+  both drivers run, and the one campaign lease loop both drivers run
+  on: a whole-AS task per one-bucket AS, probe shards plus an analysis
+  per split AS, with spill-file streaming.
 - :mod:`repro.campaign.checkpoint` -- the run directory both drivers
   checkpoint into (format v4: ``checkpoint.jsonl`` plus ``spills/``).
 """

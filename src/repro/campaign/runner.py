@@ -26,41 +26,29 @@ partial results through a :class:`CampaignReport`, and can checkpoint
 into a run directory (:mod:`repro.campaign.checkpoint`, the sharded
 plane's format) so interrupted runs resume where they left off.
 
-It also survives an imperfect *execution* plane: per-AS tasks run on
-the lease executor of :mod:`repro.campaign.shardexec` (``jobs=N``
-persistent workers, per-AS wall-clock deadlines, hung / SIGKILLed
-workers re-dispatched once then quarantined, SIGINT/SIGTERM drained
-gracefully), with the guarantee that report and checkpoint are
-byte-identical for any ``jobs`` value.
+It also survives an imperfect *execution* plane: ``run_portfolio``
+runs on the one campaign lease loop (:mod:`repro.campaign.scale`),
+each AS a whole-AS task that calls :meth:`CampaignRunner.run_as` in a
+fresh runner (``jobs=N`` persistent workers, per-AS wall-clock
+deadlines, hung / SIGKILLed workers re-dispatched once then
+quarantined, SIGINT/SIGTERM drained gracefully), with the guarantee
+that report and checkpoint are byte-identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import time
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign.checkpoint import (
-    SPILL_DIRNAME,
-    ShardCheckpoint,
-    open_run_dir,
-)
+from repro.campaign.checkpoint import ShardCheckpoint
 from repro.campaign.dataset import TraceDataset
-from repro.campaign.shardexec import (
-    GracefulShutdown,
-    LeaseExecutor,
-    TaskOutcome,
-    TaskStatus,
-    WorkerControl,
-)
 from repro.campaign.shards import (
     ShardContext,
-    ShardSpec,
     VpProbe,
     VpRun,
+    as_spills,
     probe_shard,
     probe_tallies,
     probe_vps,
@@ -78,14 +66,12 @@ from repro.netsim.dynamics import ChurnPlan, NetworkDynamics
 from repro.netsim.faults import FaultCounters, FaultInjector, FaultPlan
 from repro.obs.session import TelemetrySession
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, merge_counters
-from repro.obs.trace import TraceContext
 from repro.probing.records import Trace, truth_transport_is_sr
 from repro.topogen.alias import AliasResolver, AliasSet
 from repro.topogen.anaximander import build_target_list
 from repro.topogen.bdrmapit import BdrmapIt
 from repro.topogen.internet import MeasurementNetwork, build_measurement_network
 from repro.topogen.portfolio import AsSpec, Portfolio, default_portfolio
-from repro.util.atomicio import DiskFullError
 from repro.util.determinism import DeterministicRng
 from repro.util.retry import RetryAccounting, RetryPolicy
 
@@ -413,62 +399,14 @@ def result_summary(result: AsCampaignResult) -> dict:
     }
 
 
-def _quarantine_reason(outcome: TaskOutcome) -> str:
-    """Stable quarantine reason of a final timeout/lease-loss/crash outcome:
-    ``timeout``, ``hung`` (silent past ``heartbeat_timeout``) or ``crash``."""
-    if outcome.status is TaskStatus.LEASE_EXPIRED:
-        return "hung"
-    return outcome.status.value
-
-
-def _settle(outcome: TaskOutcome) -> AsOutcome:
-    """One final engine outcome as the report entry it becomes."""
-    as_id = outcome.key
-    if outcome.status is TaskStatus.OK:
-        message = outcome.value
-        if message["status"] == "ok":
-            return message["result"]
-        if message["status"] == "disk-full":
-            return AsQuarantine(
-                as_id, "disk-full", outcome.attempts, message["error"]
-            )
-        logger.warning(
-            "AS#%d failed during %s stage: %s",
-            as_id,
-            message["stage"],
-            message["error"],
-        )
-        return AsFailure(
-            as_id,
-            message["stage"],
-            message["error"],
-            message["fault_counters"],
-            message["retry_accounting"],
-        )
-    if outcome.status is TaskStatus.ERROR:
-        logger.warning("AS#%d worker raised: %s", as_id, outcome.error)
-        return AsFailure(
-            as_id, outcome.last_stage or "worker", outcome.error or ""
-        )
-    # TIMEOUT / LEASE_EXPIRED / CRASH past the re-dispatch budget
-    return AsQuarantine(
-        as_id,
-        _quarantine_reason(outcome),
-        outcome.attempts,
-        outcome.error or "",
-        outcome.last_stage,
-        dict(outcome.stage_seconds or {}),
-    )
-
-
 def result_counters(result: AsCampaignResult) -> dict[str, int]:
     """Typed telemetry counters derived from one completed AS result.
 
     Derivation from the (deterministic) result object -- rather than
     in-band instrumentation -- is what makes counter totals identical
     for serial, parallel, and resumed executions of the same campaign:
-    rehydrated results carry the banked tallies, and addition is
-    order-independent.
+    results re-derived from spills carry the banked tallies, and
+    addition is order-independent.
     """
     analysis = result.analysis
     counters = {
@@ -497,65 +435,30 @@ def result_counters(result: AsCampaignResult) -> dict[str, int]:
     return counters
 
 
-def bank_durably(
-    write: Callable[[], None],
-    what: str,
-    session: TelemetrySession | None,
-    scope: object = None,
-    export: dict | None = None,
-) -> bool:
-    """Run one checkpoint write as an outcome lands; both planes bank so.
+def banked_spills(
+    spill_dir: Path, as_id: int, vps: list[VpProbe], vps_per_as: int
+) -> list[Path] | None:
+    """The spills of ``as_id`` a resume may analyze, found by name.
 
-    The write's latency feeds the session's fixed-bucket ``bank``
-    histogram (observational only, so timing never orders results),
-    then the worker's telemetry ``export`` joins the session under
-    ``scope``.  A full disk leaves the checkpoint intact -- a torn
-    tail at worst, salvaged on load -- and ``what`` unbanked, to run
-    again on resume; the return value says whether the write landed.
+    A compacted checkpoint keeps each VP's banked facts but neither the
+    spill that holds them nor the layout that wrote it, so the AS's
+    spills (``as{id:06d}-b*.jsonl``, in bucket order) are checked as one
+    sequence against its facts ``vps`` (in VP order).  None -- the AS
+    must be probed again -- when a VP is missing or the spills fail.
     """
-    tick = time.monotonic()
-    try:
-        write()
-    except DiskFullError as exc:
-        logger.error(
-            "checkpoint write failed (disk full) banking %s: %s -- it "
-            "will re-run on resume",
-            what,
-            exc,
+    if [vp.vp_index for vp in vps] != list(range(vps_per_as)):
+        return None
+    spills = as_spills(spill_dir, as_id)
+    damage = spill_damage(spills, vps)
+    if damage is not None:
+        logger.warning(
+            "AS#%d: spills do not match its banked facts (%s); "
+            "re-probing the AS",
+            as_id,
+            damage,
         )
-        return False
-    if session is not None:
-        session.observe("bank", time.monotonic() - tick)
-        if export:
-            session.record_export(scope, export)
-    return True
-
-
-def _campaign_worker(payload: tuple, ctl: WorkerControl) -> dict:
-    """Executor task: rebuild the runner and run one AS.
-
-    Each task -- in-process at ``jobs=1``, in a pool worker otherwise --
-    constructs a *fresh* runner from the parent's constructor kwargs,
-    so results are a pure function of ``(config, as_id)``: the property
-    that makes parallel output byte-identical to serial.
-    Stage transitions double as lease-renewing heartbeats.  Telemetry
-    recorded in-worker is buffered and shipped back inside the outcome
-    dict (see :meth:`_run_as_guarded`).  A checkpointed run spills the
-    AS's traces into ``spill_dir`` before the task returns.  A failed
-    AS recycles its worker, so its interpreter never serves the next AS.
-    """
-    as_id, runner_cls, kwargs, telemetry_on, traceparent, spill_dir = (
-        payload
-    )
-    runner = runner_cls(**kwargs)
-    runner._stage_hook = ctl.heartbeat
-    runner._telemetry_on = telemetry_on
-    runner._traceparent = traceparent
-    runner._spill_dir = spill_dir
-    message = runner._run_as_guarded(as_id)
-    if message["status"] != "ok":
-        ctl.request_recycle()
-    return message
+        return None
+    return spills
 
 
 class CampaignRunner:
@@ -613,19 +516,13 @@ class CampaignRunner:
         #: telemetry recorder for the in-flight AS (observational only:
         #: results and checkpoints never read it)
         self.telemetry = NULL_TELEMETRY
-        #: when True, guarded runs record into a fresh per-AS recorder
-        #: and ship its export through the outcome channel
-        self._telemetry_on = False
-        #: campaign trace context in wire form (W3C traceparent); set
-        #: by the task envelope so worker spans join the one trace
-        self._traceparent: str | None = None
         #: per-VP probers/injectors and the fingerprint injector of the
         #: in-flight run_as, so a mid-stage failure can still report
         #: its partial tallies
         self._runs: list[VpRun] = []
         self._fingerprint_injector: FaultInjector | None = None
-        #: run directory spill folder of a checkpointed portfolio (set
-        #: by the task envelope), and the probe record of the AS just
+        #: run directory spill folder (set by the whole-AS task of a
+        #: checkpointed run), and the probe record of the AS just
         #: spilled there
         self._spill_dir: Path | None = None
         self._spilled = None
@@ -740,10 +637,12 @@ class CampaignRunner:
     ) -> CampaignReport:
         """Run every requested AS (default: the 41 analyzed ones).
 
-        Execution is supervised (:mod:`repro.campaign.shardexec`):
+        Execution is the one campaign lease loop
+        (:func:`repro.campaign.scale.run_lease_loop`), each AS a
+        whole-AS task that calls :meth:`run_as` in a fresh runner:
 
         - ``jobs=1`` (default) runs in-process, exactly the sequential
-          loop it always was; ``jobs>1`` dispatches per-AS tasks to a
+          loop it always was; ``jobs>1`` dispatches the tasks to a
           pool of ``jobs`` persistent worker processes.  Results are
           *deterministic in jobs*: the report and the final checkpoint
           are byte-identical for any job count, because each AS derives
@@ -752,10 +651,11 @@ class CampaignRunner:
           order -- is compacted canonically at the end.
         - ``timeout_per_as`` bounds each attempt at an AS in wall-clock
           seconds from its dispatch (pool mode only); a worker past its
-          deadline -- or silent past ``heartbeat_timeout``, its lease --
-          is SIGKILLed and replaced, the AS re-dispatched once and
-          quarantined on the second strike.  A worker killed from
-          outside (OOM, ``kill -9``) is handled the same way.
+          deadline -- or silent past ``heartbeat_timeout``, its lease,
+          which each stage and each VP renews -- is SIGKILLed and
+          replaced, the AS re-dispatched once and quarantined on the
+          second strike.  A worker killed from outside (OOM,
+          ``kill -9``) is handled the same way.
         - SIGINT/SIGTERM drain in-flight work, flush the checkpoint
           and return a partial report with ``interrupted=True``; a
           second signal aborts hard.
@@ -767,11 +667,12 @@ class CampaignRunner:
         each AS spills its traces there as one whole-AS shard, and
         every outcome -- probe record plus :func:`result_summary`,
         failure, or quarantine -- is durably banked as it lands.
-        ``resume=True`` restores banked outcomes (re-deriving analyses
-        from the spills without re-probing, and without re-running
-        known failures) and measures only what is missing, producing
-        the same report as an uninterrupted run.  A spill that fails
-        its banked digests is logged and its AS re-run.
+        ``resume=True`` restores banked failures and quarantines
+        verbatim, re-analyzes each banked AS from its spills (one
+        analysis task each, without re-probing) and measures only what
+        is missing, producing the same report as an uninterrupted run.
+        A resume adopts the banked shard layout; spills that fail their
+        banked digests are logged and their AS probed again.
 
         ``telemetry_dir`` turns on observability for the run: a
         :class:`~repro.obs.session.TelemetrySession` writes a run
@@ -780,6 +681,8 @@ class CampaignRunner:
         directory.  Telemetry is purely observational -- the report
         and the checkpoint are byte-identical with it on or off.
         """
+        from repro.campaign.scale import open_campaign_dir, run_lease_loop
+
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
         if jobs < 1:
@@ -802,15 +705,39 @@ class CampaignRunner:
                 as_ids=list(as_ids),
             )
         try:
-            report = self._run_portfolio_inner(
-                as_ids,
-                checkpoint,
-                resume,
-                jobs,
-                timeout_per_as,
-                heartbeat_timeout,
-                session,
+            store = (
+                open_campaign_dir(self, checkpoint, None, resume)
+                if checkpoint is not None
+                else None
             )
+            restored = self._restore_verbatim(store, as_ids, session)
+            settled, resumed, interrupted = run_lease_loop(
+                self,
+                as_ids,
+                store,
+                session,
+                jobs=jobs,
+                timeout=timeout_per_as,
+                lease_timeout=heartbeat_timeout,
+                max_redispatch=1,
+                max_rss_bytes=None,
+                keep_results=True,
+                stats={},
+            )
+            # Assemble strictly in as_ids order so the report is
+            # identical whatever order tasks actually completed in.
+            report = CampaignReport()
+            report.interrupted = interrupted
+            for as_id in as_ids:
+                if as_id in restored:
+                    report.add(restored[as_id])
+                elif as_id in settled:
+                    report.add(settled[as_id], resumed=as_id in resumed)
+                # else: interrupted before this AS was dispatched
+            if store is not None and not interrupted and not store.complete:
+                # Canonical order makes a resumed checkpoint's bytes
+                # match an uninterrupted run's.
+                store.compact_canonical(list(as_ids))
         except BaseException:
             if session is not None:
                 session.finalize("error")
@@ -821,83 +748,27 @@ class CampaignRunner:
             )
         return report
 
-    def _run_portfolio_inner(
-        self,
-        as_ids: list[int],
-        checkpoint: str | Path | None,
-        resume: bool,
-        jobs: int,
-        timeout_per_as: float | None,
-        heartbeat_timeout: float | None,
-        session: TelemetrySession | None,
-    ) -> CampaignReport:
-        """The portfolio loop proper (session lifecycle handled above)."""
-        store: ShardCheckpoint | None = None
-        restored: dict[int, AsOutcome] = {}
-        if checkpoint is not None:
-            store = open_run_dir(
-                checkpoint, self._config_signature(), resume=resume
-            )
-            restored = self._restore(store, as_ids, session)
-        to_run = [as_id for as_id in as_ids if as_id not in restored]
-        if store is not None and to_run:
-            store.reopen()
-        settled, interrupted = self._execute(
-            to_run, store, jobs, timeout_per_as, heartbeat_timeout, session
-        )
-
-        # Assemble strictly in as_ids order so the report is identical
-        # whatever order tasks actually completed in.
-        report = CampaignReport()
-        report.interrupted = interrupted
-        for as_id in as_ids:
-            if as_id in restored:
-                report.add(restored[as_id], resumed=True)
-            elif as_id in settled:
-                report.add(settled[as_id])
-            # else: interrupted before this AS was dispatched
-        if store is not None and not interrupted and not store.complete:
-            # Canonical order makes a resumed checkpoint's bytes match
-            # an uninterrupted run's.
-            store.compact_canonical(list(as_ids))
-        return report
-
-    # -- checkpoint restore -------------------------------------------------------
-
-    def _restore(
-        self,
-        store: ShardCheckpoint,
+    @staticmethod
+    def _restore_verbatim(
+        store: ShardCheckpoint | None,
         as_ids: list[int],
         session: TelemetrySession | None,
     ) -> dict[int, AsOutcome]:
-        """The banked outcomes of ``as_ids``, ready for the report.
+        """The banked failures and quarantines of ``as_ids``, as banked.
 
-        Failures and quarantines restore verbatim; an analyzed AS is
-        rebuilt from its spill, unless the spill fails its banked facts
-        -- then it is left out, and so runs again.
+        The lease loop leaves these ASes alone; each restores with its
+        telemetry counter, so a resumed run's totals match.
         """
-        analyses = store.analyses
+        if store is None:
+            return {}
         failures = store.failures
         quarantines: dict[int, dict] = {}
         for (as_id, _bucket), detail in sorted(store.quarantines.items()):
             quarantines.setdefault(as_id, detail)
-        vp_facts = store.vp_facts
-        spill_dir = store.path.parent / SPILL_DIRNAME
         restored: dict[int, AsOutcome] = {}
         for as_id in as_ids:
-            if as_id in analyses:
-                facts = [
-                    vp for (a, _), vp in sorted(vp_facts.items()) if a == as_id
-                ]
-                spill = spill_dir / self._whole_as(as_id).spill_name
-                result = self._rehydrate(as_id, spill, facts, session)
-                if result is not None:
-                    restored[as_id] = result
-                continue
             if as_id in failures:
-                restored[as_id] = AsFailure.from_dict(
-                    as_id, failures[as_id]
-                )
+                restored[as_id] = AsFailure.from_dict(as_id, failures[as_id])
                 counter = "as_failed"
             elif as_id in quarantines:
                 restored[as_id] = AsQuarantine.from_dict(
@@ -909,221 +780,6 @@ class CampaignRunner:
             if session is not None:
                 session.record_scope(as_id, counters={counter: 1})
         return restored
-
-    def _rehydrate(
-        self,
-        as_id: int,
-        spill: Path,
-        facts: list[VpProbe],
-        session: TelemetrySession | None,
-    ) -> AsCampaignResult | None:
-        """Rebuild one banked AS from its whole-AS spill (None if damaged).
-
-        The replay gets its own spans (the parent does the work, so the
-        parent records it) and the result-derived counters -- banked
-        tallies included -- so a resumed run's counter totals equal an
-        uninterrupted run's.
-        """
-        from repro.campaign.scale import rehydrate_as
-
-        damage = spill_damage(spill, facts)
-        if damage is not None:
-            logger.warning(
-                "AS#%d: spill does not match its banked facts (%s); "
-                "re-running the AS",
-                as_id,
-                damage,
-            )
-            return None
-        faults, retry = probe_tallies(facts)
-        tel = (
-            Telemetry(trace=session.trace)
-            if session is not None
-            else NULL_TELEMETRY
-        )
-        previous = self.telemetry
-        self.telemetry = tel
-        try:
-            with tel.span("as", as_id=as_id, resumed=True):
-                result = rehydrate_as(self, as_id, [spill], faults, retry)
-        finally:
-            self.telemetry = previous
-        if session is not None:
-            merge_counters(tel.counters, result_counters(result))
-            session.record_export(as_id, tel.export())
-        return result
-
-    # -- supervised execution ----------------------------------------------------
-
-    def _execute(
-        self,
-        to_run: list[int],
-        store: ShardCheckpoint | None,
-        jobs: int,
-        timeout_per_as: float | None,
-        heartbeat_timeout: float | None,
-        session: TelemetrySession | None = None,
-    ) -> tuple[dict[int, AsOutcome], bool]:
-        """Run the missing ASes under supervision, banking as they land.
-
-        Outcomes are banked, and telemetry batches appended, in
-        completion order; the caller's final compaction makes the
-        checkpoint's bytes independent of that order.
-        """
-        if not to_run:
-            return {}, False
-        settled: dict[int, AsOutcome] = {}
-        spill_dir = (
-            store.path.parent / SPILL_DIRNAME if store is not None else None
-        )
-
-        def on_complete(outcome: TaskOutcome) -> None:
-            entry = settled[outcome.key] = _settle(outcome)
-            if session is not None:
-                self._record_outcome_telemetry(session, outcome)
-            if store is None:
-                return
-
-            def write() -> None:
-                # A result's spill is already in place: its probe record
-                # banks first, then its summary.
-                if isinstance(entry, AsFailure):
-                    store.record_failure(entry.as_id, entry.as_dict())
-                elif isinstance(entry, AsQuarantine):
-                    store.record_quarantine(
-                        (entry.as_id, 0), entry.as_dict()
-                    )
-                else:
-                    store.record_probe(outcome.value["record"])
-                    store.record_analysis(entry.as_id, result_summary(entry))
-
-            bank_durably(write, f"AS#{outcome.key}", session)
-
-        engine = LeaseExecutor(
-            _campaign_worker,
-            jobs=jobs,
-            lease_timeout=heartbeat_timeout,
-            timeout=timeout_per_as,
-        )
-        envelope = (
-            type(self),
-            self._spawn_config(),
-            session is not None,
-            session.traceparent() if session is not None else None,
-            spill_dir,
-        )
-        payloads = [(as_id, (as_id, *envelope)) for as_id in to_run]
-        with GracefulShutdown() as shutdown:
-            result = engine.run(
-                payloads, on_complete=on_complete, stop=shutdown
-            )
-        return settled, result.interrupted
-
-    def _record_outcome_telemetry(
-        self, session: TelemetrySession, outcome: TaskOutcome
-    ) -> None:
-        """Append one final engine outcome's telemetry to the session.
-
-        OK outcomes carry the worker's own recorder export (shipped
-        through the outcome pipe); killed/crashed workers never export,
-        so the supervisor's observed heartbeat-stage durations stand in
-        as their post-mortem.
-        """
-        as_id = outcome.key
-        if outcome.attempts > 1:
-            session.count("worker_redispatches", outcome.attempts - 1)
-        if outcome.status is TaskStatus.OK:
-            shipped = outcome.value.get("telemetry")
-            if shipped is not None:
-                session.record_export(as_id, shipped)
-            return
-        spans = [
-            {
-                "stage": stage,
-                "path": f"as/{stage}",
-                "seconds": seconds,
-                # post-mortems join the campaign trace (no start: the
-                # supervisor only knows durations between heartbeats,
-                # not the worker's clock, so they render in the stage
-                # tables rather than the Gantt view)
-                "trace_id": session.trace.trace_id,
-                "span_id": os.urandom(8).hex(),
-                "parent_span_id": session.trace.span_id,
-            }
-            for stage, seconds in sorted(
-                (outcome.stage_seconds or {}).items()
-            )
-        ]
-        counter = (
-            "as_failed"
-            if outcome.status is TaskStatus.ERROR
-            else "as_quarantined"
-        )
-        session.record_scope(as_id, spans=spans, counters={counter: 1})
-
-    def _task_recorder(self) -> Telemetry:
-        """A fresh per-task recorder, joined to the campaign trace.
-
-        When the task envelope carried a traceparent, the recorder's
-        spans inherit the campaign trace id and parent under the
-        supervisor's root span; otherwise the recorder emits the
-        legacy untraced records.
-        """
-        if self._traceparent is not None:
-            return Telemetry(trace=TraceContext.parse(self._traceparent))
-        return Telemetry()
-
-    def _run_as_guarded(self, as_id: int) -> dict:
-        """:meth:`run_as` wrapped for the engine: never raises.
-
-        Failures come back as structured records carrying the stage
-        reached and the partial fault/retry tallies already sunk, so
-        the portfolio accounts for interrupted work; a full disk while
-        spilling comes back as ``disk-full``, which quarantines the AS.
-        A checkpointed run's message also carries the AS's probe record.
-
-        With telemetry enabled a fresh per-AS recorder captures stage
-        spans, and its export rides the outcome dict back through the
-        engine's pipe -- the worker never touches the session files, so
-        a SIGKILLed worker cannot corrupt the event stream.  Counters
-        are derived from the finished result (:func:`result_counters`),
-        which is what keeps totals identical across serial, parallel
-        and resumed runs.
-        """
-        tel = self._task_recorder() if self._telemetry_on else None
-        if tel is not None:
-            self.telemetry = tel
-        try:
-            result = self.run_as(as_id)
-        except DiskFullError as exc:
-            message = {"status": "disk-full", "error": str(exc)}
-            if tel is not None:
-                tel.count("as_quarantined")
-                message["telemetry"] = tel.export()
-            return message
-        except Exception as exc:  # noqa: BLE001 -- per-AS isolation
-            faults, retry = probe_tallies(self._runs)
-            if self._fingerprint_injector is not None:
-                faults.merge(self._fingerprint_injector.counters)
-            message = {
-                "status": "error",
-                "stage": self._stage,
-                "error": f"{type(exc).__name__}: {exc}",
-                "fault_counters": faults,
-                "retry_accounting": retry,
-            }
-            if tel is not None:
-                tel.count("as_failed")
-                message["telemetry"] = tel.export()
-            return message
-        finally:
-            if tel is not None:
-                self.telemetry = NULL_TELEMETRY
-        message = {"status": "ok", "result": result, "record": self._spilled}
-        if tel is not None:
-            merge_counters(tel.counters, result_counters(result))
-            message["telemetry"] = tel.export()
-        return message
 
     def _spawn_config(self) -> dict:
         """Constructor kwargs reproducing this runner in a worker process.
@@ -1152,6 +808,12 @@ class CampaignRunner:
         self._stage = stage
         if self._stage_hook is not None:
             self._stage_hook(stage)
+
+    def _renew(self, _note: str) -> None:
+        """Renew the lease mid-stage (once per VP), under the stage name
+        the run is in, so post-mortems keep ``run_as``'s stages."""
+        if self._stage_hook is not None:
+            self._stage_hook(self._stage)
 
     # -- stages ----------------------------------------------------------------------
 
@@ -1197,18 +859,14 @@ class CampaignRunner:
             metadata["vps_effective"] = str(self.vps_per_as)
         return metadata
 
-    def _whole_as(self, as_id: int) -> ShardSpec:
-        """The one-bucket shard of ``as_id``: a portfolio run's spill."""
-        return shard_plan([as_id], self.vps_per_as, self.vps_per_as)[0]
-
     def _probe(self, context: ShardContext, dataset: TraceDataset) -> None:
-        """Probe every selected VP into ``dataset``.
+        """Probe every selected VP into ``dataset``, renewing the lease
+        once per VP.
 
         A checkpointed run also streams the traces into the AS's
         whole-AS spill -- the bytes a one-bucket sharded run writes --
         and keeps its probe record for the supervisor to bank.
         """
-        as_id = context.spec.as_id
         if self._spill_dir is None:
             probe_vps(
                 self,
@@ -1216,15 +874,19 @@ class CampaignRunner:
                 range(len(context.vps)),
                 dataset.add,
                 runs=self._runs,
+                heartbeat=self._renew,
                 telemetry=self.telemetry,
             )
             return
-        shard = self._whole_as(as_id)
+        shard = shard_plan(
+            [context.spec.as_id], self.vps_per_as, self.vps_per_as
+        )[0]
         self._spilled = probe_shard(
             self,
             context,
             shard,
             Path(self._spill_dir) / shard.spill_name,
+            heartbeat=self._renew,
             telemetry=self.telemetry,
             tee=dataset.add,
             runs=self._runs,

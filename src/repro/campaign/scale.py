@@ -1,54 +1,75 @@
-"""Paper-scale campaign orchestration: sharded, leased, resumable.
+"""The campaign lease loop: sharded, leased, resumable.
 
-The classic :class:`~repro.campaign.runner.CampaignRunner` holds one
-AS's entire dataset in memory and dispatches whole ASes; fine for
-Table 5's 41 ASes, impossible for the paper's 7.7M-traceroute scale.
-:class:`ScaleCampaign` runs the same measurement rule, and banks into
-the same run-directory format, through a different execution plane:
-one :class:`~repro.campaign.shardexec.LeaseExecutor` run per campaign,
-with two kinds of task.
+Both campaign drivers run on one loop, :func:`run_lease_loop`: one
+:class:`~repro.campaign.shardexec.LeaseExecutor` run per campaign.
+:class:`ScaleCampaign` banks summaries into a run directory and holds
+no traces, which is what the paper's 7.7M-traceroute scale needs;
+:meth:`~repro.campaign.runner.CampaignRunner.run_portfolio` keeps each
+AS's :class:`~repro.campaign.runner.AsCampaignResult` as well.  The
+campaign splits into deterministic ``(as_id, vp_bucket)`` shards
+(:func:`~repro.campaign.shards.shard_plan`), and the layout picks each
+AS's kind of task.
 
-**Probe tasks.**  The campaign is split into deterministic
-``(as_id, vp_bucket)`` shards (:func:`~repro.campaign.shards.shard_plan`)
-that the pool drains by work stealing.  Each shard streams its traces
-to an atomic spill file and reports partition-independent per-VP
-facts; the supervisor banks the record in the
-:class:`~repro.campaign.checkpoint.ShardCheckpoint` *after* the spill is
-in place, so ``kill -9`` anywhere loses nothing and duplicates nothing.
-The worker keeps the AS's topology and the bucket's traces on its
-cached :class:`~repro.campaign.shards.ShardContext`.
+**Whole-AS tasks.**  A *one-bucket AS* -- one shard holds all its VPs,
+as for every ``run_portfolio`` AS and at ``ScaleCampaign``'s default
+layout -- runs as one task that calls
+:meth:`~repro.campaign.runner.CampaignRunner.run_as` (the paper's
+per-AS workflow) in a fresh runner, so nothing of the AS outlives the
+task in its worker.  With a run directory the AS's single bucket
+spills there.  The task answers with the probe record and the
+canonical summary, and with the result itself to a caller that keeps
+results.
 
-**Analysis tasks.**  The moment an AS's last shard banks, its analysis
-is queued as a follow-up task; every task of an AS shares the AS as its
-affinity, so the analysis usually lands on the worker that probed it.
-That worker analyzes on the cached network with the buckets it holds in
-memory and decodes only the spills of buckets other workers probed.  A
-cache miss (another worker, a shed cache, a resumed run) falls back to
-:func:`rehydrate_as` without a context -- the rehydration
-``run_portfolio``'s resume runs too -- which rebuilds the topology and
-merges the AS's spills in bucket order.  Either way the AS is
-fingerprinted and analyzed exactly as the classic runner does, and a
-canonical JSON summary is banked.  The report is assembled from banked
-summaries in ``as_ids`` order.
+**Probe tasks.**  A *split AS* runs one task per shard, which the pool
+drains by work stealing.  Each streams its traces to an atomic spill
+file and reports partition-independent per-VP facts; the supervisor
+banks the record in the :class:`~repro.campaign.checkpoint.ShardCheckpoint`
+*after* the spill is in place, so ``kill -9`` anywhere loses nothing
+and duplicates nothing.  The worker keeps the AS's topology and the
+bucket's traces on its cached :class:`~repro.campaign.shards.ShardContext`.
 
-Memory is governed end to end: the supervisor holds no traces, a
-worker holds at most the ASes in its context cache (an analysis drops
-its AS), and a per-worker :class:`~repro.util.rss.RssWatchdog` checks
-the resident set at task boundaries -- shedding the context cache at
-the soft level (analyses then decode their spills) and requesting a
-graceful worker recycle at the hard level.  Pressure throttles
-admission; it never interrupts a write.
+**Analysis tasks.**  The moment a split AS's last shard banks, its
+analysis is queued as a follow-up task; every task of an AS shares the
+AS as its affinity, so the analysis usually lands on the worker that
+probed it, which analyzes on the cached network with the buckets it
+holds in memory and decodes only the spills of buckets other workers
+probed.  A cache miss (another worker, a shed cache, a resumed run)
+falls back to :func:`rehydrate_as` without a context, which rebuilds
+the topology and merges the AS's spills in bucket order.  A resume
+queues one for each AS whose probing is banked but whose analysis is
+not (and, for ``run_portfolio``, for each banked analysis, to rebuild
+its result).  Either way the AS is fingerprinted and analyzed exactly
+as :meth:`~repro.campaign.runner.CampaignRunner.run_as` does.
+
+Every final outcome settles (:func:`_settle`) into a summary
+(:func:`~repro.campaign.runner.result_summary`), an
+:class:`~repro.campaign.runner.AsFailure` (the stage reached and the
+tallies sunk) or an :class:`~repro.campaign.runner.AsQuarantine` (the
+circuit breaker's reason and post-mortem), is banked by one function
+(:func:`_bank`) and reaches the telemetry session by one path
+(:func:`_record_telemetry`).  ``ScaleCampaign`` assembles its report
+from the banked records in ``as_ids`` order.
+
+Memory is governed end to end: the supervisor holds no traces unless
+the caller keeps results, a worker holds at most the ASes in its
+context cache (an analysis drops its AS), and a per-worker
+:class:`~repro.util.rss.RssWatchdog` checks the resident set at task
+boundaries -- shedding the context cache at the soft level (analyses
+then decode their spills) and requesting a graceful worker recycle at
+the hard level.  Pressure throttles admission; it never interrupts a
+write.
 
 Determinism contract: ``report.as_dict()`` JSON and the canonical
 checkpoint bytes are identical for **any** ``--jobs``/``--shards``
 value -- serial, parallel, or crashed-and-resumed -- because every
 shard is a pure function of the campaign config (per-VP fault and
 retry scoping; see :mod:`repro.campaign.shards`), and an analysis reads
-the same traces whether they come from memory or from spills.  Churn
-plans are the one exception -- their schedules are inherently
-sequential across an AS -- so sharded campaigns refuse them at
-construction.  A resumed run re-probes any banked shard whose spill
-fails its banked digests.
+the same traces whether they come from memory or from spills.  A churn
+schedule mutates the network under all of an AS's probes in sequence,
+so a churned AS runs whole: a layout that would split it is refused.
+A resumed run re-probes any banked shard whose spill fails its banked
+digests; an AS whose probe records a compaction folded into per-VP
+facts is matched to its spills by name.
 """
 
 from __future__ import annotations
@@ -66,8 +87,11 @@ from repro.campaign.checkpoint import (
 )
 from repro.campaign.runner import (
     AsCampaignResult,
+    AsFailure,
+    AsOutcome,
+    AsQuarantine,
     CampaignRunner,
-    bank_durably,
+    banked_spills,
     result_counters,
     result_summary,
 )
@@ -83,6 +107,8 @@ from repro.campaign.shards import (
     ShardContext,
     ShardProbeRecord,
     ShardSpec,
+    VpProbe,
+    as_spills,
     build_shard_context,
     merged_dataset,
     probe_shard,
@@ -110,9 +136,10 @@ class ScaleReport:
     def __init__(self) -> None:
         #: as_id -> canonical analysis summary, in ``as_ids`` order
         self.completed: dict[int, dict] = {}
-        #: as_id -> {"stage", "error"} for deterministic failures
+        #: as_id -> banked failure (:meth:`AsFailure.as_dict`)
         self.failures: dict[int, dict] = {}
-        #: "as:bucket" -> quarantine detail for circuit-broken shards
+        #: "as:bucket" -> banked quarantine (:meth:`AsQuarantine.as_dict`)
+        #: of a circuit-broken shard or AS (an AS's under bucket 0)
         self.quarantined: dict[str, dict] = {}
         #: True when a shutdown request (or unfinished probing) cut
         #: the run short; resume completes it
@@ -200,7 +227,7 @@ _RUNNER_CACHE: dict[str, CampaignRunner] = {}
 #: affinities the executor presumes a worker holds
 _CONTEXT_CACHE: dict[int, ShardContext] = {}
 _CONTEXT_CACHE_MAX = HELD_AFFINITIES
-#: per-process watchdog (created on first shard, one per budget)
+#: per-process watchdog (created on first task, one per budget)
 _WATCHDOGS: dict[int | None, RssWatchdog] = {}
 
 
@@ -247,8 +274,8 @@ def _worker_watchdog(max_rss_bytes: int | None) -> RssWatchdog:
 def _boundary_check(ctl: WorkerControl, max_rss_bytes: int | None) -> dict:
     """The task-boundary watchdog check; may request a recycle.
 
-    Returns the worker's memory facts the supervisor folds into
-    :attr:`ScaleCampaign.stats`.
+    Returns the worker's memory facts the supervisor folds into the
+    campaign's stats.
     """
     verdict = _worker_watchdog(max_rss_bytes).check()
     if verdict.recycle:
@@ -256,19 +283,98 @@ def _boundary_check(ctl: WorkerControl, max_rss_bytes: int | None) -> dict:
     return {"shed": verdict.shed, "peak_rss_bytes": peak_rss_bytes()}
 
 
-def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
-    """Executor task: probe one shard into its spill file.
+def _recorder(traceparent: str | None) -> Telemetry:
+    """A task's recorder: traced under the campaign's root span when the
+    envelope carries a traceparent, else the no-op one."""
+    if traceparent is None:
+        return NULL_TELEMETRY
+    return Telemetry(trace=TraceContext.parse(traceparent))
 
-    Never raises for environmental failure: running out of disk comes
-    back as a structured ``disk-full`` record the supervisor turns into
-    a clean per-shard quarantine (the previous spill, if any, is
-    intact -- the atomic writer never renamed the torn temporary).
-    The bucket's traces stay on the worker's cached context for the
-    AS's analysis.  ``builds`` counts the topology built for it.
+
+def _failure(
+    stage: str,
+    exc: Exception,
+    faults: FaultCounters,
+    retry: RetryAccounting,
+    injector=None,
+) -> dict:
+    """A task's structured failure, the way ``run_as`` fails: the stage
+    reached and the tallies sunk so far (``injector``, the fingerprint
+    injector, adds its SNMP timeouts)."""
+    if injector is not None:
+        faults.merge(injector.counters)
+    return {
+        "status": "error",
+        "stage": stage,
+        "error": f"{type(exc).__name__}: {exc}",
+        "fault_counters": faults,
+        "retry_accounting": retry,
+    }
+
+
+def _whole_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
+    """Executor task: run one one-bucket AS end to end.
+
+    Calls :meth:`~repro.campaign.runner.CampaignRunner.run_as` on a
+    fresh runner, so results are a pure function of ``(config, as_id)``
+    and nothing of the AS -- no cached context, no runner state --
+    outlives the task.  Each stage transition and each VP renews the
+    lease.  With a run directory the AS's single bucket spills there
+    and the answer carries its probe record; it always carries the
+    canonical summary, and the result itself when ``keep`` is set.  A
+    full disk while spilling comes back ``disk-full``, any other error
+    as ``run_as``'s failure.
+    """
+    runner_cls, kwargs, as_id, spill_dir, keep, max_rss, traceparent = (
+        payload
+    )
+    runner = runner_cls(**kwargs)
+    runner._stage_hook = ctl.heartbeat
+    runner._spill_dir = spill_dir
+    tel = runner.telemetry = _recorder(traceparent)
+    try:
+        result = runner.run_as(as_id)
+    except DiskFullError as exc:
+        message = {"status": "disk-full", "error": str(exc)}
+    except Exception as exc:  # noqa: BLE001 -- per-AS isolation
+        message = _failure(
+            runner._stage,
+            exc,
+            *probe_tallies(runner._runs),
+            runner._fingerprint_injector,
+        )
+    else:
+        message = {
+            "status": "ok",
+            "record": runner._spilled,
+            "summary": result_summary(result),
+        }
+        if keep:
+            message["result"] = result
+        if tel.enabled:
+            merge_counters(tel.counters, result_counters(result))
+    message["builds"] = int(runner._stage not in ("idle", "setup"))
+    if tel.enabled:
+        message["telemetry"] = tel.export()
+    message.update(_boundary_check(ctl, max_rss))
+    return message
+
+
+def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
+    """Executor task: probe one shard of a split AS into its spill file.
+
+    Never raises for a probing error: running out of disk comes back
+    as a structured ``disk-full`` record the supervisor turns into a
+    clean per-shard quarantine (the previous spill, if any, is intact
+    -- the atomic writer never renamed the torn temporary), any other
+    error as a ``probe``-stage failure with the shard's partial
+    tallies.  The bucket's traces stay on the worker's cached context
+    for the AS's analysis.  ``builds`` counts the topology built for
+    it.
 
     When the task envelope carries a traceparent, the shard runs under
-    a traced recorder whose export rides back on the ``ok`` message --
-    spills and checkpoint records stay byte-identical either way.
+    a traced recorder whose export rides back on the message -- spills
+    and checkpoint records stay byte-identical either way.
     """
     runner_cls, kwargs, token, shard, spill_path, max_rss, traceparent = (
         payload
@@ -276,12 +382,9 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
     ctl.heartbeat(f"shard-{shard.as_id}-{shard.bucket}")
     runner = _worker_runner(runner_cls, kwargs, token)
     context, built = _worker_context(runner, shard.as_id)
-    tel = (
-        Telemetry(trace=TraceContext.parse(traceparent))
-        if traceparent is not None
-        else NULL_TELEMETRY
-    )
+    tel = _recorder(traceparent)
     traces: list = []
+    runs: list = []
     try:
         with tel.span("shard", as_id=shard.as_id, bucket=shard.bucket):
             record = probe_shard(
@@ -292,17 +395,21 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
                 heartbeat=ctl.heartbeat,
                 telemetry=tel,
                 tee=traces.append,
+                runs=runs,
             )
     except DiskFullError as exc:
-        return {
-            "status": "disk-full",
-            "error": str(exc),
-            "builds": int(built),
-        }
-    context.buckets[shard.bucket] = traces
-    message = {"status": "ok", "record": record, "builds": int(built)}
+        message = {"status": "disk-full", "error": str(exc)}
+    except Exception as exc:  # noqa: BLE001 -- per-shard isolation
+        message = _failure("probe", exc, *probe_tallies(runs))
+    else:
+        context.buckets[shard.bucket] = traces
+        message = {"status": "ok", "record": record}
+        if tel.enabled:
+            tel.count(
+                "traces_collected", sum(vp.traces for vp in record.vps)
+            )
+    message["builds"] = int(built)
     if tel.enabled:
-        tel.count("traces_collected", sum(vp.traces for vp in record.vps))
         message["telemetry"] = tel.export()
     message.update(_boundary_check(ctl, max_rss))
     return message
@@ -319,17 +426,17 @@ def rehydrate_as(
     """Analyze one probed AS from its spills (``spill_paths``, in bucket
     order).
 
-    The one rehydration path: the sharded plane's analysis and
-    ``run_portfolio``'s resume both run it.  Without ``context`` the
-    topology is rebuilt deterministically and every spill is decoded.
-    With the AS's cached :class:`~repro.campaign.shards.ShardContext`
-    (built from the same spec, VPs and seed) its network is analyzed
-    as is, and each bucket it holds is read from memory instead of its
-    spill -- the same traces either way.  The buckets merge in order
-    into the AS's dataset, and fingerprinting and analysis run exactly
-    as in :meth:`~repro.campaign.runner.CampaignRunner.run_as`.
-    ``faults`` and ``retry`` are the AS's banked probe tallies.  Stage
-    changes go to the runner's heartbeat hook, spans to its recorder.
+    The one rehydration path: every analysis task runs it.  Without
+    ``context`` the topology is rebuilt deterministically and every
+    spill is decoded.  With the AS's cached
+    :class:`~repro.campaign.shards.ShardContext` (built from the same
+    spec, VPs and seed) its network is analyzed as is, and each bucket
+    it holds is read from memory instead of its spill -- the same
+    traces either way.  The buckets merge in order into the AS's
+    dataset, and fingerprinting and analysis run exactly as in
+    :meth:`~repro.campaign.runner.CampaignRunner.run_as`.  ``faults``
+    and ``retry`` are the AS's banked probe tallies.  Stage changes go
+    to the runner's heartbeat hook, spans to its recorder.
     """
     tel = runner.telemetry
     if context is None:
@@ -360,8 +467,11 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
 
     Analyzes on this worker's cached context of the AS when it has one,
     and drops it (the AS is finished); otherwise rebuilds.  Returns the
-    canonical summary (:func:`rehydrate_as` does the work) and
-    ``builds``, 1 when the analysis had to rebuild the topology.
+    canonical summary (:func:`rehydrate_as` does the work), the result
+    itself when ``keep`` is set, and ``builds``, 1 when the analysis
+    had to rebuild the topology.  An error comes back the way
+    ``run_as``'s does: the stage reached, and the banked tallies plus
+    the fingerprint injector's.
     """
     (
         runner_cls,
@@ -373,6 +483,7 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
         fault_dict,
         max_rss,
         traceparent,
+        keep,
     ) = payload
     ctl.heartbeat(f"analyze-{as_id}")
     runner = _worker_runner(runner_cls, kwargs, token)
@@ -381,14 +492,9 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
     # through it gives the analysis its sanitize/detect spans and
     # per-trace latency histograms for free.  Untraced runs keep the
     # no-op recorder (every span below is then free).
-    tel = (
-        Telemetry(trace=TraceContext.parse(traceparent))
-        if traceparent is not None
-        else NULL_TELEMETRY
-    )
-    previous_telemetry = runner.telemetry
-    runner.telemetry = tel
+    tel = runner.telemetry = _recorder(traceparent)
     runner._stage_hook = ctl.heartbeat
+    runner._stage = "setup"  # the cached runner's is an earlier task's
     try:
         with tel.span("as", as_id=as_id):
             result = rehydrate_as(
@@ -399,28 +505,46 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
                 RetryAccounting.from_dict(retry_dict),
                 context,
             )
+    except Exception as exc:  # noqa: BLE001 -- per-AS isolation
+        message = _failure(
+            runner._stage,
+            exc,
+            FaultCounters.from_dict(fault_dict),
+            RetryAccounting.from_dict(retry_dict),
+            runner._fingerprint_injector,
+        )
+    else:
+        message = {"status": "ok", "summary": result_summary(result)}
+        if keep:
+            message["result"] = result
+        if tel.enabled:
+            merge_counters(tel.counters, result_counters(result))
     finally:
-        runner.telemetry = previous_telemetry
+        runner.telemetry = NULL_TELEMETRY
         runner._stage_hook = None
-    message = {
-        "status": "ok",
-        "summary": result_summary(result),
-        "builds": int(context is None),
-    }
+        runner._fingerprint_injector = None
+    message["builds"] = int(context is None)
     if tel.enabled:
-        merge_counters(tel.counters, result_counters(result))
         message["telemetry"] = tel.export()
     message.update(_boundary_check(ctl, max_rss))
     return message
 
 
 def _scale_task(task: tuple, ctl: WorkerControl) -> dict:
-    """The executor's task function: ``(kind, payload)``, kind
-    ``"probe"`` or ``"analyze"``."""
+    """The executor's task function: ``(kind, payload)``, kind ``"as"``
+    (whole AS), ``"probe"`` or ``"analyze"``.  A task that did not
+    succeed recycles its worker, so its interpreter never serves the
+    next task."""
     kind, payload = task
     if kind == "probe":
-        return _probe_shard_worker(payload, ctl)
-    return _analyze_as_worker(payload, ctl)
+        message = _probe_shard_worker(payload, ctl)
+    elif kind == "analyze":
+        message = _analyze_as_worker(payload, ctl)
+    else:
+        message = _whole_as_worker(payload, ctl)
+    if message["status"] != "ok":
+        ctl.request_recycle()
+    return message
 
 
 def _as_of(key: int | tuple[int, int]) -> int:
@@ -428,7 +552,449 @@ def _as_of(key: int | tuple[int, int]) -> int:
     return key if isinstance(key, int) else key[0]
 
 
-# -- supervisor ------------------------------------------------------------------
+# -- supervisor: settle, bank, record ------------------------------------------
+
+
+def _quarantine_reason(outcome: TaskOutcome) -> str:
+    """Stable quarantine reason of a final timeout/lease-loss/crash outcome:
+    ``timeout``, ``hung`` (silent past its lease) or ``crash``."""
+    if outcome.status is TaskStatus.LEASE_EXPIRED:
+        return "hung"
+    return outcome.status.value
+
+
+def _settle(
+    outcome: TaskOutcome, raised_stage: str
+) -> dict | AsFailure | AsQuarantine:
+    """One final outcome as what it banks: the worker's ``ok`` message,
+    or its AS's failure or quarantine.  ``raised_stage`` names the
+    failure of a task function that raised."""
+    as_id = _as_of(outcome.key)
+    if outcome.status is TaskStatus.OK:
+        message = outcome.value
+        if message["status"] == "ok":
+            return message
+        if message["status"] == "disk-full":
+            return AsQuarantine(
+                as_id, "disk-full", outcome.attempts, message["error"]
+            )
+        logger.warning(
+            "AS#%d failed during %s stage: %s",
+            as_id,
+            message["stage"],
+            message["error"],
+        )
+        return AsFailure(
+            as_id,
+            message["stage"],
+            message["error"],
+            message["fault_counters"],
+            message["retry_accounting"],
+        )
+    if outcome.status is TaskStatus.ERROR:
+        logger.warning("AS#%d worker raised: %s", as_id, outcome.error)
+        return AsFailure(as_id, raised_stage, outcome.error or "")
+    # TIMEOUT / LEASE_EXPIRED / CRASH past the re-dispatch budget
+    return AsQuarantine(
+        as_id,
+        _quarantine_reason(outcome),
+        outcome.attempts,
+        outcome.error or "",
+        outcome.last_stage,
+        dict(outcome.stage_seconds or {}),
+    )
+
+
+def _bank(
+    store: ShardCheckpoint,
+    key: int | tuple[int, int],
+    entry: dict | AsFailure | AsQuarantine,
+    session: TelemetrySession | None,
+) -> bool:
+    """Durably bank one settled outcome; True when the write landed.
+
+    An answer banks its probe record first (its spill is already in
+    place) and its summary second; a failure banks per AS, a
+    quarantine per shard (an AS-level one under bucket 0).  The write's
+    latency feeds the session's ``bank`` histogram.  A full disk leaves
+    the checkpoint intact -- a torn tail at worst, salvaged on load --
+    and the outcome unbanked, to run again on resume.
+    """
+    as_id = _as_of(key)
+    tick = time.monotonic()
+    try:
+        if isinstance(entry, AsFailure):
+            store.record_failure(as_id, entry.as_dict())
+        elif isinstance(entry, AsQuarantine):
+            store.record_quarantine(
+                key if isinstance(key, tuple) else (key, 0),
+                entry.as_dict(),
+            )
+        else:
+            if entry.get("record") is not None:
+                store.record_probe(entry["record"])
+            if "summary" in entry:
+                store.record_analysis(as_id, entry["summary"])
+    except DiskFullError as exc:
+        logger.error(
+            "checkpoint write failed (disk full) banking task %r: %s -- "
+            "it will re-run on resume",
+            key,
+            exc,
+        )
+        return False
+    if session is not None:
+        session.observe("bank", time.monotonic() - tick)
+    return True
+
+
+def _record_telemetry(
+    session: TelemetrySession,
+    outcome: TaskOutcome,
+    entry: dict | AsFailure | AsQuarantine,
+    scope: int | str,
+) -> None:
+    """Append one final outcome's telemetry to the session.
+
+    An answer carries its worker's recorder export (shipped through
+    the outcome pipe); a killed or crashed worker never exports, so the
+    supervisor's observed heartbeat-stage durations stand in as its
+    post-mortem.  A failure or quarantine counts once in its scope,
+    each re-dispatch once for the campaign.
+    """
+    if outcome.attempts > 1:
+        session.count("worker_redispatches", outcome.attempts - 1)
+    if outcome.status is TaskStatus.OK:
+        export = dict(outcome.value.get("telemetry") or {})
+    else:
+        spans = [
+            {
+                "stage": stage,
+                "path": f"as/{stage}",
+                "seconds": seconds,
+                # post-mortems join the campaign trace (no start: the
+                # supervisor only knows durations between heartbeats,
+                # not the worker's clock, so they render in the stage
+                # tables rather than the Gantt view)
+                "trace_id": session.trace.trace_id,
+                "span_id": os.urandom(8).hex(),
+                "parent_span_id": session.trace.span_id,
+            }
+            for stage, seconds in sorted(
+                (outcome.stage_seconds or {}).items()
+            )
+        ]
+        export = {"spans": spans}
+    if not isinstance(entry, dict):
+        counter = (
+            "as_failed" if isinstance(entry, AsFailure) else "as_quarantined"
+        )
+        export["counters"] = dict(export.get("counters") or {})
+        merge_counters(export["counters"], {counter: 1})
+    if export.get("spans") or export.get("counters"):
+        session.record_export(scope, export)
+
+
+def _fold_worker_facts(stats: dict, message: dict, analysis: bool) -> None:
+    """Fold one task's topology builds and memory facts into stats."""
+    builds = message.get("builds", 0)
+    stats["topology_builds"] += builds
+    if analysis:
+        stats["analyses_rebuilt"] += builds
+    stats["caches_shed"] += int(message.get("shed", False))
+    stats["worker_rss_peak_bytes"] = max(
+        stats["worker_rss_peak_bytes"], message.get("peak_rss_bytes", 0)
+    )
+
+
+# -- the loop -------------------------------------------------------------------
+
+
+def open_campaign_dir(
+    runner: CampaignRunner,
+    out_dir: str | Path,
+    vps_per_shard: int | None,
+    resume: bool,
+) -> ShardCheckpoint:
+    """The checkpoint of a campaign's run directory, ready for the loop.
+
+    A resume adopts the banked layout, else ``vps_per_shard`` applies
+    (default: one shard per AS); a layout that splits a churned AS is
+    refused before anything runs.  Opening for resume deletes the
+    atomic-writer temporaries a killed run left in the directory and
+    in ``spills/``.
+    """
+    out_dir = Path(out_dir)
+    store = open_run_dir(
+        out_dir, runner._config_signature(), vps_per_shard, resume
+    )
+    if store.vps_per_shard is None:
+        store.vps_per_shard = runner.vps_per_as
+    if runner.churn_plan.active and store.vps_per_shard < runner.vps_per_as:
+        raise ValueError(
+            f"a churn plan cannot run at {store.vps_per_shard} VP(s) per "
+            f"shard: its schedule mutates the network under all of an "
+            f"AS's probes in sequence, so a churned AS runs whole (one "
+            f"shard per AS, {runner.vps_per_as} VPs)"
+        )
+    if resume:
+        torn = [
+            path
+            for folder in (out_dir, out_dir / SPILL_DIRNAME)
+            for path in folder.glob(".*.tmp")
+        ]
+        for path in torn:
+            path.unlink(missing_ok=True)
+        if torn:
+            logger.info(
+                "removed %d temporary file(s) an interrupted write left "
+                "in %s",
+                len(torn),
+                out_dir,
+            )
+    return store
+
+
+def run_lease_loop(
+    runner: CampaignRunner,
+    as_ids: list[int],
+    store: ShardCheckpoint | None,
+    session: TelemetrySession | None,
+    *,
+    jobs: int,
+    timeout: float | None,
+    lease_timeout: float | None,
+    max_redispatch: int,
+    max_rss_bytes: int | None,
+    keep_results: bool,
+    stats: dict,
+) -> tuple[dict[int, AsOutcome], set[int], bool]:
+    """Run what the campaign still needs in one executor run.
+
+    Returns the settled outcome of each AS that ran (a result, failure
+    or quarantine; kept only with ``keep_results``), the ASes whose
+    banked analysis was only re-derived, and whether the run was
+    interrupted.  ``stats`` gets the execution tallies.
+
+    Tasks queue in plan order, one kind per AS (see the module
+    docstring).  ASes with a banked failure or quarantine get no task:
+    their callers restore them as banked.  A banked analysis is
+    skipped, or, with ``keep_results``, re-derived by an analysis task
+    that banks nothing.  A split AS's analysis is the follow-up of its
+    last banked shard, or queues up front when a resume finds them all
+    banked; a failed or quarantined shard, or a probe record the disk
+    refused, leaves its AS unanalyzed.  Without a ``store`` nothing is
+    spilled or banked.
+    """
+    spill_dir = vps_per_shard = None
+    probed: dict[tuple[int, int], ShardProbeRecord] = {}
+    analyses: dict[int, dict] = {}
+    #: ASes with a banked failure or quarantine (restored as banked)
+    closed: set[int] = set()
+    #: per-VP facts a compaction left without their probe records
+    canonical: dict[int, list[VpProbe]] = {}
+    if store is not None:
+        spill_dir = store.path.parent / SPILL_DIRNAME
+        vps_per_shard = store.vps_per_shard
+        probed, analyses = store.probed, store.analyses
+        closed = set(store.failures) | {a for a, _ in store.quarantines}
+        for (as_id, _), vp in sorted(store.vp_probes.items()):
+            canonical.setdefault(as_id, []).append(vp)
+    plan = shard_plan(
+        as_ids, runner.vps_per_as, vps_per_shard or runner.vps_per_as
+    )
+    spawn = (type(runner), runner._spawn_config())
+    token = f"{os.getpid()}-{next(_token_counter)}"
+    traceparent = session.traceparent() if session is not None else None
+    by_as: dict[int, list[ShardSpec]] = {}
+    for shard in plan:
+        by_as.setdefault(shard.as_id, []).append(shard)
+    #: as_id -> bucket -> banked probe record (trusted spill)
+    records: dict[int, dict[int, ShardProbeRecord]] = {}
+    #: ASes whose analysis cannot run (a shard failed or quarantined)
+    blocked: set[int] = set()
+    #: ASes whose banked analysis is re-derived, not re-banked
+    resumed: set[int] = set()
+    settled: dict[int, AsOutcome] = {}
+    tasks: list[tuple] = []
+
+    def analysis_task(as_id: int, spills: list, vps) -> tuple:
+        faults, retry = probe_tallies(vps)
+        return (
+            as_id,
+            (
+                "analyze",
+                (
+                    *spawn,
+                    token,
+                    as_id,
+                    [str(path) for path in spills],
+                    retry.as_dict(),
+                    faults.as_dict(),
+                    max_rss_bytes,
+                    traceparent,
+                    keep_results,
+                ),
+            ),
+        )
+
+    def follow_up(as_id: int) -> list[tuple]:
+        """The AS's analysis once every shard banked, none blocked."""
+        banked = records[as_id]
+        if as_id in blocked or len(banked) < len(by_as[as_id]):
+            return []
+        ordered = [banked[b] for b in sorted(banked)]
+        return [
+            analysis_task(
+                as_id,
+                [spill_dir / r.spill for r in ordered],
+                [vp for r in ordered for vp in r.vps],
+            )
+        ]
+
+    def probe_task(shard: ShardSpec) -> tuple:
+        if len(by_as[shard.as_id]) == 1:
+            return (
+                shard.key,
+                (
+                    "as",
+                    (
+                        *spawn,
+                        shard.as_id,
+                        spill_dir,
+                        keep_results,
+                        max_rss_bytes,
+                        traceparent,
+                    ),
+                ),
+            )
+        return (
+            shard.key,
+            (
+                "probe",
+                (
+                    *spawn,
+                    token,
+                    shard,
+                    str(spill_dir / shard.spill_name),
+                    max_rss_bytes,
+                    traceparent,
+                ),
+            ),
+        )
+
+    for as_id, shards in by_as.items():
+        if as_id in closed or (as_id in analyses and not keep_results):
+            continue  # restored as banked
+        records[as_id] = {}
+        live = any(shard.key in probed for shard in shards)
+        if not live and as_id in canonical:
+            # a compaction folded the AS's probe records into per-VP
+            # facts: match them to its spills by name
+            spills = banked_spills(
+                spill_dir, as_id, canonical[as_id], runner.vps_per_as
+            )
+            if spills is not None:
+                if as_id in analyses:
+                    resumed.add(as_id)
+                tasks.append(analysis_task(as_id, spills, canonical[as_id]))
+                continue
+        pending = []
+        for shard in shards:
+            record = probed.get(shard.key)
+            if record is not None:
+                damage = spill_damage([spill_dir / record.spill], record.vps)
+                if damage is None:
+                    records[as_id][shard.bucket] = record
+                    continue  # spill matches its record
+                logger.warning(
+                    "shard %r: spill %s does not match its banked "
+                    "facts (%s); re-probing it",
+                    shard.key,
+                    record.spill,
+                    damage,
+                )
+            pending.append(shard)
+        if spill_dir is not None and not live:
+            # probed afresh: stale spills of any earlier layout go first
+            for path in as_spills(spill_dir, as_id):
+                path.unlink()
+        tasks.extend(probe_task(shard) for shard in pending)
+        if not pending and as_id in analyses:
+            resumed.add(as_id)
+        tasks.extend(follow_up(as_id))
+    probing = sum(isinstance(key, tuple) for key, _ in tasks)
+    stats.update(
+        shards_total=len(plan),
+        shards_probed=probing,
+        shards_resumed=len(plan) - probing,
+        topology_builds=0,
+        analyses_rebuilt=0,
+        caches_shed=0,
+        worker_rss_peak_bytes=0,
+    )
+    if not tasks:
+        return settled, resumed, False
+    if store is not None and any(
+        _as_of(key) not in resumed for key, _ in tasks
+    ):
+        store.reopen()
+
+    def on_complete(outcome: TaskOutcome) -> list[tuple]:
+        key = outcome.key
+        as_id = _as_of(key)
+        message = outcome.value if outcome.status is TaskStatus.OK else {}
+        _fold_worker_facts(stats, message, isinstance(key, int))
+        shard_task = isinstance(key, tuple) and len(by_as[as_id]) > 1
+        if isinstance(key, int):
+            raised = "analysis"
+        elif shard_task:
+            raised = "probe"
+        else:
+            raised = outcome.last_stage or "worker"
+        entry = _settle(outcome, raised)
+        if session is not None:
+            _record_telemetry(
+                session,
+                outcome,
+                entry,
+                f"shard:{key[0]}:{key[1]}" if shard_task else as_id,
+            )
+        banked = (
+            as_id in resumed
+            or store is None
+            or _bank(store, key, entry, session)
+        )
+        if shard_task and isinstance(entry, dict):
+            if not banked:
+                blocked.add(as_id)
+                return []
+            records[as_id][key[1]] = entry["record"]
+            return follow_up(as_id)
+        if shard_task:
+            blocked.add(as_id)
+        if keep_results:
+            settled[as_id] = (
+                entry["result"] if isinstance(entry, dict) else entry
+            )
+        return []
+
+    executor = LeaseExecutor(
+        _scale_task,
+        jobs=jobs,
+        lease_timeout=lease_timeout,
+        timeout=timeout,
+        max_redispatch=max_redispatch,
+    )
+    with GracefulShutdown() as shutdown:
+        result = executor.run(
+            tasks, on_complete=on_complete, stop=shutdown, affinity=_as_of
+        )
+    stats.update(executor.stats)
+    return settled, resumed, result.interrupted
+
+
+# -- the sharded driver ----------------------------------------------------------
 
 
 class ScaleCampaign(CampaignRunner):
@@ -436,18 +1002,12 @@ class ScaleCampaign(CampaignRunner):
 
     Construction and measurement semantics are the classic runner's:
     both draw probe faults per vantage point, which is what buys
-    partition invariance.  Churn plans are rejected outright.
+    partition invariance.  A churn plan runs at the default layout
+    (one shard per AS); a layout that splits its ASes is refused.
     """
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        if self.churn_plan.active:
-            raise ValueError(
-                "sharded campaigns cannot run under a churn plan: churn "
-                "schedules mutate the network under all probes in "
-                "sequence, which is incompatible with per-VP sharding; "
-                "use CampaignRunner for churned campaigns"
-            )
         #: observational execution tallies of the most recent run()
         self.stats: dict[str, int | float] = {}
 
@@ -470,14 +1030,17 @@ class ScaleCampaign(CampaignRunner):
         ``out_dir`` holds everything durable: ``checkpoint.jsonl`` (the
         shard checkpoint) and ``spills/`` (per-shard trace files).
         ``vps_per_shard`` sets the shard granularity (default: one
-        shard per AS); a resumed run adopts the banked layout, so
-        re-sharding mid-campaign is safe.  ``jobs`` sizes the worker
-        pool -- any value yields byte-identical results.
+        shard per AS, each AS a whole-AS task); a resumed run adopts
+        the banked layout, so re-sharding mid-campaign is safe.
+        ``jobs`` sizes the worker pool -- any value yields
+        byte-identical results.  Under an active churn plan a
+        ``vps_per_shard`` below ``vps_per_as`` raises ``ValueError``
+        before any task runs.
 
         ``telemetry_dir`` turns on distributed tracing: a
         :class:`~repro.obs.session.TelemetrySession` mints one
         campaign-wide trace context whose traceparent rides every task
-        envelope, and each worker's traced export is banked as the
+        envelope, and each worker's traced export is recorded as the
         shard (``shard:<as>:<bucket>``) or AS completes.  Purely
         observational: report JSON and checkpoint bytes are identical
         with it on or off.
@@ -500,314 +1063,51 @@ class ScaleCampaign(CampaignRunner):
             else None
         )
         try:
-            return self._run_supervised(
-                Path(out_dir), started, as_ids, jobs, vps_per_shard,
-                resume, lease_timeout, max_rss_bytes, max_redispatch,
+            store = open_campaign_dir(self, out_dir, vps_per_shard, resume)
+            self.stats = {
+                "jobs": jobs,
+                "vps_per_shard": store.vps_per_shard,
+                "ases_total": len(as_ids),
+            }
+            _, _, interrupted = run_lease_loop(
+                self,
+                as_ids,
+                store,
                 session,
+                jobs=jobs,
+                timeout=None,
+                lease_timeout=lease_timeout,
+                max_redispatch=max_redispatch,
+                max_rss_bytes=max_rss_bytes,
+                keep_results=False,
+                stats=self.stats,
             )
+            report = self._assemble(store, as_ids)
+            if interrupted:
+                report.interrupted = True
+            if not report.interrupted and not store.complete:
+                store.compact_canonical(as_ids)
+            self.stats["ases_analyzed"] = len(report.completed)
+            self.stats["traces_total"] = report.traces_total()
+            self.stats["shards_quarantined"] = len(report.quarantined)
+            self.stats["wall_seconds"] = round(time.monotonic() - started, 3)
+            self.stats["rss_peak_bytes"] = peak_rss_bytes()
+            if session is not None:
+                session.record_scope(
+                    PORTFOLIO_SCOPE,
+                    gauges={
+                        name: float(value)
+                        for name, value in sorted(self.stats.items())
+                    },
+                )
+                session.finalize(
+                    "interrupted" if report.interrupted else "ok"
+                )
         except BaseException:
             if session is not None:
                 session.finalize("error")
             raise
-
-    def _run_supervised(
-        self,
-        out_dir: Path,
-        started: float,
-        as_ids: list[int],
-        jobs: int,
-        vps_per_shard: int | None,
-        resume: bool,
-        lease_timeout: float | None,
-        max_rss_bytes: int | None,
-        max_redispatch: int,
-        session: TelemetrySession | None,
-    ) -> ScaleReport:
-        store = open_run_dir(
-            out_dir, self._config_signature(), vps_per_shard, resume
-        )
-        spill_dir = out_dir / SPILL_DIRNAME
-        if store.vps_per_shard is None:
-            store.vps_per_shard = self.vps_per_as
-        if store.complete:
-            # "complete" is scoped to the as_ids the run compacted
-            # with; asking for ASes it never saw reopens the campaign
-            # (their shards probe fresh, banked ASes stay skipped, and
-            # the final re-compaction folds both into canonical form).
-            accounted = (
-                set(store.analyses)
-                | set(store.failures)
-                | {key[0] for key in store.quarantines}
-            )
-            if any(as_id not in accounted for as_id in as_ids):
-                store.reopen()
-        token = f"{os.getpid()}-{next(_token_counter)}"
-        self.stats = {
-            "jobs": jobs,
-            "vps_per_shard": store.vps_per_shard,
-            "ases_total": len(as_ids),
-            "topology_builds": 0,
-            "analyses_rebuilt": 0,
-            "caches_shed": 0,
-            "worker_rss_peak_bytes": 0,
-        }
-
-        interrupted = False
-        if not store.complete:
-            plan = shard_plan(as_ids, self.vps_per_as, store.vps_per_shard)
-            self.stats["shards_total"] = len(plan)
-            interrupted = self._run_plan(
-                store, plan, spill_dir, token, jobs,
-                lease_timeout, max_rss_bytes, max_redispatch, session,
-            )
-
-        report = self._assemble(store, as_ids)
-        if interrupted:
-            report.interrupted = True
-        if not report.interrupted and not store.complete:
-            store.compact_canonical(as_ids)
-        self.stats["ases_analyzed"] = len(report.completed)
-        self.stats["traces_total"] = report.traces_total()
-        self.stats["shards_quarantined"] = len(report.quarantined)
-        self.stats["wall_seconds"] = round(time.monotonic() - started, 3)
-        self.stats["rss_peak_bytes"] = peak_rss_bytes()
-        if session is not None:
-            session.record_scope(
-                PORTFOLIO_SCOPE,
-                gauges={
-                    name: float(value)
-                    for name, value in sorted(self.stats.items())
-                },
-            )
-            session.finalize("interrupted" if report.interrupted else "ok")
         return report
-
-    # -- the lease loop -------------------------------------------------------
-
-    def _run_plan(
-        self,
-        store: ShardCheckpoint,
-        plan: list[ShardSpec],
-        spill_dir: Path,
-        token: str,
-        jobs: int,
-        lease_timeout: float | None,
-        max_rss_bytes: int | None,
-        max_redispatch: int,
-        session: TelemetrySession | None = None,
-    ) -> bool:
-        """Probe and analyze what the plan still needs, in one executor
-        run; returns True when interrupted.
-
-        Tasks queue in plan order.  An AS's analysis is the follow-up
-        of its last banked shard, or queues up front when a resume
-        finds all its shards banked.  A failed or quarantined shard,
-        or a probe record the disk refused, leaves its AS unanalyzed.
-        """
-        probed = store.probed
-        analyses = store.analyses
-        failures = store.failures
-        quarantines = store.quarantines
-        spawn = self._spawn_config()
-        traceparent = session.traceparent() if session is not None else None
-        by_as: dict[int, list[ShardSpec]] = {}
-        for shard in plan:
-            by_as.setdefault(shard.as_id, []).append(shard)
-        #: as_id -> bucket -> banked probe record (trusted spill)
-        records: dict[int, dict[int, ShardProbeRecord]] = {}
-        #: ASes whose analysis cannot run (a shard failed or quarantined)
-        blocked: set[int] = set()
-        tasks: list[tuple] = []
-
-        def ready(as_id: int) -> bool:
-            """Every shard of the AS banked, none failed or quarantined."""
-            banked = records[as_id]
-            return as_id not in blocked and len(banked) == len(by_as[as_id])
-
-        def analysis_task(as_id: int) -> tuple:
-            banked = [records[as_id][b] for b in sorted(records[as_id])]
-            faults, retry = probe_tallies(
-                vp for record in banked for vp in record.vps
-            )
-            return (
-                as_id,
-                (
-                    "analyze",
-                    (
-                        type(self),
-                        spawn,
-                        token,
-                        as_id,
-                        [str(spill_dir / r.spill) for r in banked],
-                        retry.as_dict(),
-                        faults.as_dict(),
-                        max_rss_bytes,
-                        traceparent,
-                    ),
-                ),
-            )
-
-        for as_id, shards in by_as.items():
-            if as_id in analyses or as_id in failures:
-                continue  # downstream already banked; spills done
-            records[as_id] = {}
-            for shard in shards:
-                if shard.key in quarantines:
-                    blocked.add(as_id)
-                    continue  # circuit breaker stays open across resume
-                record = probed.get(shard.key)
-                if record is not None:
-                    damage = spill_damage(spill_dir / record.spill, record.vps)
-                    if damage is None:
-                        records[as_id][shard.bucket] = record
-                        continue  # spill matches its record
-                    logger.warning(
-                        "shard %r: spill %s does not match its banked "
-                        "facts (%s); re-probing it",
-                        shard.key,
-                        record.spill,
-                        damage,
-                    )
-                tasks.append(
-                    (
-                        shard.key,
-                        (
-                            "probe",
-                            (
-                                type(self),
-                                spawn,
-                                token,
-                                shard,
-                                str(spill_dir / shard.spill_name),
-                                max_rss_bytes,
-                                traceparent,
-                            ),
-                        ),
-                    )
-                )
-            if ready(as_id):
-                tasks.append(analysis_task(as_id))
-        probing = sum(isinstance(key, tuple) for key, _ in tasks)
-        self.stats["shards_probed"] = probing
-        self.stats["shards_resumed"] = len(plan) - probing
-        if not tasks:
-            return False
-
-        def on_complete(outcome: TaskOutcome) -> list[tuple]:
-            message = outcome.value if outcome.status is TaskStatus.OK else {}
-            self._fold_worker_facts(message)
-            if isinstance(outcome.key, int):
-                self.stats["analyses_rebuilt"] += message.get("builds", 0)
-                self._bank_analysis(store, outcome, session)
-                return []
-            as_id, bucket = outcome.key
-            if not self._bank_probe(store, outcome, session):
-                blocked.add(as_id)
-                return []
-            records[as_id][bucket] = message["record"]
-            return [analysis_task(as_id)] if ready(as_id) else []
-
-        executor = LeaseExecutor(
-            _scale_task,
-            jobs=jobs,
-            lease_timeout=lease_timeout,
-            max_redispatch=max_redispatch,
-        )
-        with GracefulShutdown() as shutdown:
-            result = executor.run(
-                tasks, on_complete=on_complete, stop=shutdown, affinity=_as_of
-            )
-        self.stats.update(executor.stats)
-        return result.interrupted
-
-    @staticmethod
-    def _bank_probe(
-        store: ShardCheckpoint,
-        outcome: TaskOutcome,
-        session: TelemetrySession | None,
-    ) -> bool:
-        """Bank one shard's outcome; True when its probe record banked."""
-        key = outcome.key
-        message = outcome.value if outcome.status is TaskStatus.OK else {}
-        ok = message.get("status") == "ok"
-
-        def write() -> None:
-            if ok:
-                # Spill was renamed into place before the worker
-                # answered; banking second closes the crash window
-                # on the safe side (re-run, never lose).
-                store.record_probe(message["record"])
-            elif message:  # structured disk-full degradation
-                store.record_quarantine(
-                    key,
-                    {
-                        "reason": "disk-full",
-                        "attempts": outcome.attempts,
-                        "detail": message["error"],
-                    },
-                )
-            elif outcome.status is TaskStatus.ERROR:
-                store.record_failure(
-                    key[0],
-                    {"stage": "probe", "error": outcome.error or ""},
-                )
-            else:  # LEASE_EXPIRED / CRASH past the re-dispatch budget
-                store.record_quarantine(
-                    key,
-                    {
-                        "reason": outcome.status.value,
-                        "attempts": outcome.attempts,
-                        "detail": outcome.error or "",
-                    },
-                )
-
-        banked = bank_durably(
-            write,
-            f"shard {key!r}",
-            session,
-            f"shard:{key[0]}:{key[1]}",
-            message.get("telemetry"),
-        )
-        return ok and banked
-
-    @staticmethod
-    def _bank_analysis(
-        store: ShardCheckpoint,
-        outcome: TaskOutcome,
-        session: TelemetrySession | None,
-    ) -> None:
-        """Bank one AS's analysis summary (or its failure)."""
-        as_id = outcome.key
-        ok = outcome.status is TaskStatus.OK
-
-        def write() -> None:
-            if ok:
-                store.record_analysis(as_id, outcome.value["summary"])
-            else:
-                # Deterministic analysis failures *and* workers that
-                # die past the budget are banked per AS: the data is
-                # on disk, only the derivation failed.
-                store.record_failure(
-                    as_id,
-                    {"stage": "analysis", "error": outcome.error or ""},
-                )
-
-        bank_durably(
-            write,
-            f"analysis of AS#{as_id}",
-            session,
-            as_id,
-            outcome.value.get("telemetry") if ok else None,
-        )
-
-    def _fold_worker_facts(self, message: dict) -> None:
-        """Fold one task's topology builds and memory facts into stats."""
-        stats = self.stats
-        stats["topology_builds"] += message.get("builds", 0)
-        stats["caches_shed"] += int(message.get("shed", False))
-        stats["worker_rss_peak_bytes"] = max(
-            stats["worker_rss_peak_bytes"], message.get("peak_rss_bytes", 0)
-        )
 
     # -- assembly -------------------------------------------------------------
 

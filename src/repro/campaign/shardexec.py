@@ -1,9 +1,11 @@
 """The campaign executor: keyed tasks on persistent, leased workers.
 
-Every campaign dispatches through :class:`LeaseExecutor`:
-:meth:`~repro.campaign.runner.CampaignRunner.run_portfolio` runs one
-task per AS, :class:`~repro.campaign.scale.ScaleCampaign` one task per
-shard.  A fixed pool of **persistent workers** *pulls* work: a worker
+Every campaign dispatches through :class:`LeaseExecutor`, from the one
+campaign lease loop (:func:`~repro.campaign.scale.run_lease_loop`),
+which both :meth:`~repro.campaign.runner.CampaignRunner.run_portfolio`
+and :class:`~repro.campaign.scale.ScaleCampaign` run on: one task per
+one-bucket AS, one per shard of a split AS plus its analysis.  A fixed
+pool of **persistent workers** *pulls* work: a worker
 that finishes early immediately claims the next pending task, so fast
 workers steal the queue out from under slow ones and the pool drains at
 the speed of its healthiest members (self-scheduling pull is work

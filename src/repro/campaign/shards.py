@@ -23,8 +23,9 @@ output invariant under ``--shards``, ``--jobs``, and crash-and-resume.
 runner's :meth:`~repro.campaign.runner.CampaignRunner.run_as` runs it
 over all of an AS's VPs, :func:`probe_shard` over one bucket.  (Churn
 is the one plan that breaks per-VP purity -- its schedule mutates the
-network under *all* probes in sequence -- so sharded campaigns refuse
-it; ``run_as`` keeps one AS-wide schedule across the loop.)
+network under *all* probes in sequence -- so a churned AS is never
+split: it runs whole, through ``run_as``, which keeps one AS-wide
+schedule across the loop.)
 
 Each shard streams its traces straight to a **spill file** -- a normal
 :meth:`TraceDataset.dump_jsonl` file written through
@@ -50,7 +51,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.campaign.dataset import TraceDataset, trace_to_json
 from repro.netsim.faults import FaultCounters, FaultInjector
@@ -460,34 +461,53 @@ def probe_shard(
     )
 
 
-def spill_damage(path: Path, vps: list[VpProbe]) -> str | None:
-    """Why spill ``path`` fails its banked facts ``vps``, or None.
+def as_spills(spill_dir: Path, as_id: int) -> list[Path]:
+    """Every spill of ``as_id`` in ``spill_dir``, in bucket order."""
+    prefix = f"as{as_id:06d}-b"
+    return sorted(
+        spill_dir.glob(f"{prefix}*.jsonl"),
+        key=lambda path: int(path.stem[len(prefix):]),
+    )
 
-    The spill's trace lines, in order, must be exactly each VP's banked
-    slice in turn: its line count and the SHA-256 of its lines.  Every
-    process that trusts a spill an earlier one wrote checks it here
-    first; a run never re-reads the spills it wrote itself.
-    """
-    try:
+
+def _trace_lines(paths: list[Path]) -> Iterator[bytes]:
+    """The trace lines of ``paths`` in turn, each file's header skipped."""
+    for path in paths:
         with path.open("rb") as fh:
             if not fh.readline():
-                return f"{path.name} is empty"
-            for vp in vps:
-                digest = hashlib.sha256()
-                for seen in range(vp.traces):
-                    line = fh.readline()
-                    if not line:
-                        return (
-                            f"VP {vp.vp_id} has {seen} of its {vp.traces} "
-                            f"banked traces"
-                        )
-                    digest.update(line)
-                if digest.hexdigest() != vp.sha256:
-                    return f"VP {vp.vp_id}'s traces do not match their digest"
-            if fh.readline():
-                return "it holds traces past the banked VPs"
-    except OSError as exc:
+                raise ValueError(f"{path.name} is empty")
+            yield from fh
+
+
+def spill_damage(spills: list[Path], vps: list[VpProbe]) -> str | None:
+    """Why ``spills`` fail their banked facts ``vps``, or None.
+
+    The spills (one shard's, or an AS's in bucket order) are read as one
+    run of trace lines: they must be exactly each VP's banked slice in
+    turn -- its line count and the SHA-256 of its lines.  Every process
+    that trusts a spill an earlier one wrote checks it here first; a
+    run never re-reads the spills it wrote itself.
+    """
+    lines = _trace_lines(spills)
+    try:
+        for vp in vps:
+            digest = hashlib.sha256()
+            for seen in range(vp.traces):
+                line = next(lines, None)
+                if line is None:
+                    return (
+                        f"VP {vp.vp_id} has {seen} of its {vp.traces} "
+                        f"banked traces"
+                    )
+                digest.update(line)
+            if digest.hexdigest() != vp.sha256:
+                return f"VP {vp.vp_id}'s traces do not match their digest"
+        if next(lines, None) is not None:
+            return "it holds traces past the banked VPs"
+    except (OSError, ValueError) as exc:
         return str(exc)
+    finally:
+        lines.close()
     return None
 
 

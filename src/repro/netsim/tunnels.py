@@ -267,8 +267,10 @@ class TunnelController:
         demand, so :class:`~repro.netsim.dynamics.NetworkDynamics`
         re-converges after every mutation -- post-churn label values
         must likewise not depend on which walk rebuilds them first.
-        (Sharded campaigns still refuse churn plans: the churn *clock*
-        ticks per probe and is inherently schedule-dependent.)
+        (A churned AS still never splits into VP shards: the churn
+        *clock* ticks per probe across all of the AS's VPs in turn, so
+        campaigns run it whole, and refuse a layout that would split
+        it.)
         """
         routers = sorted(
             router.router_id for router in self._network.routers()

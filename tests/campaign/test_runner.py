@@ -96,6 +96,24 @@ class TestRunnerMechanics:
         with pytest.raises(ValueError):
             CampaignRunner(vps_per_as=0)
 
+    def test_whole_as_task_renews_its_lease_per_vp(self):
+        # each VP re-sends the current stage as a heartbeat, so a long
+        # probe stage keeps its lease without a stage name of its own
+        from repro.campaign.scale import _scale_task
+        from repro.campaign.shardexec import WorkerControl
+
+        runner = CampaignRunner(seed=1, vps_per_as=3, targets_per_as=4)
+        ctl = WorkerControl()
+        # (runner class, kwargs, AS, spill dir, keep, RSS budget, trace)
+        payload = (CampaignRunner, runner._spawn_config(), 46, None,
+                   False, None, None)
+        message = _scale_task(("as", payload), ctl)
+        assert message["status"] == "ok"
+        assert set(ctl.stages) == {
+            "setup", "topology", "probe", "fingerprint", "analysis", "done"
+        }
+        assert ctl.stages.count("probe") == 1 + runner.vps_per_as
+
     def test_metadata_recorded(self):
         runner = CampaignRunner(seed=3, vps_per_as=2, targets_per_as=6)
         result = runner.run_as(27)

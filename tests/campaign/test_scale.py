@@ -1,13 +1,15 @@
 """Unit tests for the paper-scale campaign driver.
 
 Fast, in-process (``jobs=1``) coverage of the orchestration logic:
-resume skipping, quarantine surfacing, disk-full degradation, churn
-refusal, canonical checkpoint completion, the stats surface, and
-topology locality (each AS analyzed on the context that probed it,
+resume skipping, quarantine surfacing, disk-full degradation on split
+and whole ASes, churn at one shard per AS (and its refusal when split),
+canonical checkpoint completion, torn temporaries, the stats surface,
+and topology locality (each AS analyzed on the context that probed it,
 rebuilt from spills only on a cache miss).  The jobs/shards
 byte-identity contract lives in ``test_scale_properties.py``.
 """
 
+import errno
 import json
 import os
 import signal
@@ -30,6 +32,7 @@ from repro.campaign.shards import (
 from repro.netsim.dynamics import ChurnPlan
 from repro.netsim.faults import FaultPlan
 from repro.topogen.synthetic import SyntheticPortfolio
+from repro.util.atomicio import DiskFullError
 from repro.util.retry import RetryPolicy
 
 from tests.conftest import SPILL_DAMAGE, damage_spill
@@ -60,13 +63,69 @@ def _sigint_while_probing(monkeypatch, key: tuple[int, int]) -> None:
     monkeypatch.setattr(scale, "_probe_shard_worker", worker)
 
 
-class TestConstruction:
-    def test_churn_plans_are_refused(self):
-        with pytest.raises(ValueError, match="churn"):
-            ScaleCampaign(
-                portfolio=SyntheticPortfolio(2, seed=1),
-                churn_plan=ChurnPlan.intensity(0.2, seed=1),
+class FaultyRunAs(ScaleCampaign):
+    """Injects a fault into one AS's whole-AS task, through ``run_as``.
+
+    ``fault`` is ``"disk-full"`` or ``"bug"`` (raised at the probe
+    stage, where spilling runs) or ``"ctrl-c"`` (a KeyboardInterrupt
+    as the AS starts).
+    """
+
+    def __init__(self, *, victim=None, fault=None, **kwargs):
+        super().__init__(**kwargs)
+        self.victim = victim
+        self.fault = fault
+        self._victim_active = False
+
+    def _spawn_config(self):
+        return dict(
+            super()._spawn_config(), victim=self.victim, fault=self.fault
+        )
+
+    def run_as(self, as_id, telemetry_dir=None):
+        self._victim_active = as_id == self.victim
+        if self._victim_active and self.fault == "ctrl-c":
+            raise KeyboardInterrupt
+        return super().run_as(as_id, telemetry_dir)
+
+    def _probe(self, context, dataset):
+        if self._victim_active and self.fault == "disk-full":
+            raise DiskFullError(
+                "spill", OSError(errno.ENOSPC, "No space left on device")
             )
+        if self._victim_active and self.fault == "bug":
+            raise RuntimeError("synthetic probe bug")
+        super()._probe(context, dataset)
+
+
+def _faulty(victim: int, fault: str, n_ases: int = 2) -> FaultyRunAs:
+    return FaultyRunAs(
+        victim=victim,
+        fault=fault,
+        portfolio=SyntheticPortfolio(n_ases, seed=1),
+        seed=1,
+        vps_per_as=2,
+        targets_per_as=4,
+    )
+
+
+class TestConstruction:
+    def test_churn_plans_are_refused(self, tmp_path, monkeypatch):
+        churned = dict(
+            portfolio=SyntheticPortfolio(2, seed=1),
+            seed=1,
+            vps_per_as=2,
+            targets_per_as=4,
+            churn_plan=ChurnPlan.intensity(0.2, seed=1),
+        )
+        # one shard per AS (the default): each churned AS runs whole
+        report = ScaleCampaign(**churned).run(tmp_path / "whole")
+        assert set(report.completed) == {1, 2}
+        # a layout that splits a churned AS is refused before any task
+        tasks = _count_calls(monkeypatch, scale, "_scale_task")
+        with pytest.raises(ValueError, match="churn"):
+            ScaleCampaign(**churned).run(tmp_path / "split", vps_per_shard=1)
+        assert tasks == []
 
     def test_inactive_churn_plan_is_fine(self):
         ScaleCampaign(
@@ -180,7 +239,7 @@ class TestDegradation:
             return real(payload, ctl)
 
         monkeypatch.setattr(scale, "_probe_shard_worker", worker)
-        report = _campaign().run(tmp_path)
+        report = _campaign().run(tmp_path, vps_per_shard=1)
         assert set(report.completed) == {1}
         assert report.quarantined["2:0"]["reason"] == "disk-full"
         assert not report.interrupted  # degraded, not interrupted
@@ -204,7 +263,7 @@ class TestDegradation:
             return real(payload, ctl)
 
         monkeypatch.setattr(scale, "_probe_shard_worker", worker)
-        report = _campaign().run(tmp_path)
+        report = _campaign().run(tmp_path, vps_per_shard=1)
         assert set(report.completed) == {2}
         assert report.failures[1]["stage"] == "probe"
         assert "synthetic probe bug" in report.failures[1]["error"]
@@ -220,18 +279,18 @@ class TestDegradation:
         calls = []
 
         def flaky(payload, ctl):
-            if len(calls) >= 1:  # first shard lands, then Ctrl-C
+            if len(calls) >= 2:  # the first AS's shards land, then Ctrl-C
                 raise KeyboardInterrupt
             calls.append(payload[3].key)
             return real(payload, ctl)
 
         out = tmp_path / "run"
         monkeypatch.setattr(scale, "_probe_shard_worker", flaky)
-        partial = _campaign(n_ases=3).run(out)
+        partial = _campaign(n_ases=3).run(out, vps_per_shard=1)
         assert partial.interrupted
-        # the first AS's analysis followed its shard before the Ctrl-C
-        # hit the second AS's probe
-        assert calls == [(1, 0)]
+        # the first AS's analysis followed its last shard before the
+        # Ctrl-C hit the second AS's probe
+        assert calls == [(1, 0), (1, 1)]
         assert set(partial.completed) == {1}
         monkeypatch.undo()
 
@@ -242,6 +301,56 @@ class TestDegradation:
         assert (out / "checkpoint.jsonl").read_bytes() == (
             reference_dir / "checkpoint.jsonl"
         ).read_bytes()
+
+
+class TestWholeAsDegradation:
+    """The same faults on whole-AS tasks, injected through ``run_as``."""
+
+    def test_disk_full_quarantines_the_as(self, tmp_path):
+        report = _faulty(2, "disk-full").run(tmp_path)
+        assert set(report.completed) == {1}
+        quarantine = report.quarantined["2:0"]
+        assert quarantine["reason"] == "disk-full"
+        assert "No space left" in quarantine["detail"]
+        assert not report.interrupted
+        resumed = _campaign()
+        again = resumed.run(tmp_path, resume=True)
+        assert again.quarantined["2:0"] == quarantine
+        assert resumed.stats["shards_probed"] == 0
+
+    def test_probe_error_fails_the_as(self, tmp_path):
+        report = _faulty(1, "bug").run(tmp_path)
+        assert set(report.completed) == {2}
+        failure = report.failures[1]
+        assert failure["stage"] == "probe"
+        assert "synthetic probe bug" in failure["error"]
+        assert not report.interrupted
+
+    def test_ctrl_c_then_resume_gives_identical_bytes(self, tmp_path):
+        reference = _campaign(n_ases=3).run(tmp_path / "reference")
+        out = tmp_path / "run"
+        partial = _faulty(2, "ctrl-c", n_ases=3).run(out)
+        assert partial.interrupted and set(partial.completed) == {1}
+        resumed = _campaign(n_ases=3).run(out, resume=True)
+        assert json.dumps(resumed.as_dict()) == json.dumps(
+            reference.as_dict()
+        )
+        assert _run_bytes(out) == _run_bytes(tmp_path / "reference")
+
+
+class TestTornTemporaries:
+    def test_resume_removes_what_a_killed_write_left(self, tmp_path, caplog):
+        reference = tmp_path / "reference"
+        _campaign().run(reference)
+        out = tmp_path / "run"
+        _campaign().run(out, as_ids=[1])
+        # a SIGKILL mid-write leaves the atomic writer's temporaries
+        (out / "spills" / ".as000002-b000.jsonl.4242.tmp").write_text("{")
+        (out / ".checkpoint.jsonl.4242.tmp").write_text("{")
+        with caplog.at_level("INFO", logger="repro.campaign.scale"):
+            _campaign().run(out, resume=True)
+        assert "removed 2 temporary file(s)" in caplog.text
+        assert _run_bytes(out) == _run_bytes(reference)
 
 
 class TestDamagedSpill:

@@ -8,7 +8,8 @@ The acceptance criteria for the shard executor, stated as properties:
    execution-plane concerns.
 2. A campaign SIGKILLed at an arbitrary instant and then resumed
    produces byte-identical artifacts to one that was never interrupted:
-   zero traces lost, zero duplicated.
+   zero traces lost, zero duplicated, and no file the kill tore left
+   behind.
 """
 
 import json
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign import ScaleCampaign
+from repro.campaign import ScaleCampaign, shard_plan
 from repro.netsim.faults import FaultPlan
 from repro.topogen.synthetic import SyntheticPortfolio
 from repro.util.retry import RetryPolicy
@@ -169,3 +170,14 @@ class TestKillNineResume:
         reference_json, reference_bytes = self._reference(tmp_path)
         assert report_json == reference_json
         assert (out / "checkpoint.jsonl").read_bytes() == reference_bytes
+        # the file set of an uninterrupted run at the same layout: no
+        # atomic-writer temporary the kill tore survives the resume
+        files = sorted(
+            str(path.relative_to(out))
+            for path in out.rglob("*")
+            if path.is_file()
+        )
+        assert files == [
+            "checkpoint.jsonl",
+            *(f"spills/{s.spill_name}" for s in shard_plan(range(1, 7), 2, 1)),
+        ]
