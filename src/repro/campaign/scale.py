@@ -79,6 +79,7 @@ import logging
 import os
 import time
 from pathlib import Path
+from typing import Callable
 
 from repro.campaign.checkpoint import (
     SPILL_DIRNAME,
@@ -271,16 +272,38 @@ def _worker_watchdog(max_rss_bytes: int | None) -> RssWatchdog:
     return watchdog
 
 
-def _boundary_check(ctl: WorkerControl, max_rss_bytes: int | None) -> dict:
+def _boundary_check(ctl: WorkerControl, max_rss_bytes: int | None) -> None:
     """The task-boundary watchdog check; may request a recycle.
 
-    Returns the worker's memory facts the supervisor folds into the
-    campaign's stats.
+    Reports the worker's memory facts, which the supervisor folds into
+    the campaign's stats.
     """
     verdict = _worker_watchdog(max_rss_bytes).check()
     if verdict.recycle:
         ctl.request_recycle()
-    return {"shed": verdict.shed, "peak_rss_bytes": peak_rss_bytes()}
+    ctl.report({"shed": verdict.shed, "peak_rss_bytes": peak_rss_bytes()})
+
+
+def _report_build(ctl: WorkerControl) -> None:
+    """Report one topology build, and the worker's peak RSS so far.
+
+    Sent at once, not with the task's answer: a worker that dies or
+    loses its lease later never answers, but its build counts.
+    """
+    ctl.report({"builds": 1, "peak_rss_bytes": peak_rss_bytes()})
+
+
+def _stage_hook(ctl: WorkerControl) -> Callable[[str], None]:
+    """A runner stage hook: every stage heartbeats, and the
+    ``topology`` stage (which builds the AS's network) reports its
+    build."""
+
+    def stage(note: str) -> None:
+        ctl.heartbeat(note)
+        if note == "topology":
+            _report_build(ctl)
+
+    return stage
 
 
 def _recorder(traceparent: str | None) -> Telemetry:
@@ -319,17 +342,18 @@ def _whole_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
     fresh runner, so results are a pure function of ``(config, as_id)``
     and nothing of the AS -- no cached context, no runner state --
     outlives the task.  Each stage transition and each VP renews the
-    lease.  With a run directory the AS's single bucket spills there
-    and the answer carries its probe record; it always carries the
-    canonical summary, and the result itself when ``keep`` is set.  A
-    full disk while spilling comes back ``disk-full``, any other error
-    as ``run_as``'s failure.
+    lease, and the topology build is reported as it starts.  With a
+    run directory the AS's single bucket spills there and the answer
+    carries its probe record; it always carries the canonical summary,
+    and the result itself when ``keep`` is set.  A full disk while
+    spilling comes back ``disk-full``, any other error as ``run_as``'s
+    failure.
     """
     runner_cls, kwargs, as_id, spill_dir, keep, max_rss, traceparent = (
         payload
     )
     runner = runner_cls(**kwargs)
-    runner._stage_hook = ctl.heartbeat
+    runner._stage_hook = _stage_hook(ctl)
     runner._spill_dir = spill_dir
     tel = runner.telemetry = _recorder(traceparent)
     try:
@@ -353,10 +377,9 @@ def _whole_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
             message["result"] = result
         if tel.enabled:
             merge_counters(tel.counters, result_counters(result))
-    message["builds"] = int(runner._stage not in ("idle", "setup"))
     if tel.enabled:
         message["telemetry"] = tel.export()
-    message.update(_boundary_check(ctl, max_rss))
+    _boundary_check(ctl, max_rss)
     return message
 
 
@@ -369,8 +392,8 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
     -- the atomic writer never renamed the torn temporary), any other
     error as a ``probe``-stage failure with the shard's partial
     tallies.  The bucket's traces stay on the worker's cached context
-    for the AS's analysis.  ``builds`` counts the topology built for
-    it.
+    for the AS's analysis.  A topology built for it is reported at
+    once.
 
     When the task envelope carries a traceparent, the shard runs under
     a traced recorder whose export rides back on the message -- spills
@@ -382,6 +405,8 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
     ctl.heartbeat(f"shard-{shard.as_id}-{shard.bucket}")
     runner = _worker_runner(runner_cls, kwargs, token)
     context, built = _worker_context(runner, shard.as_id)
+    if built:
+        _report_build(ctl)
     tel = _recorder(traceparent)
     traces: list = []
     runs: list = []
@@ -408,10 +433,9 @@ def _probe_shard_worker(payload: tuple, ctl: WorkerControl) -> dict:
             tel.count(
                 "traces_collected", sum(vp.traces for vp in record.vps)
             )
-    message["builds"] = int(built)
     if tel.enabled:
         message["telemetry"] = tel.export()
-    message.update(_boundary_check(ctl, max_rss))
+    _boundary_check(ctl, max_rss)
     return message
 
 
@@ -466,10 +490,10 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
     """Executor task: analyze one fully-probed AS and summarize it.
 
     Analyzes on this worker's cached context of the AS when it has one,
-    and drops it (the AS is finished); otherwise rebuilds.  Returns the
-    canonical summary (:func:`rehydrate_as` does the work), the result
-    itself when ``keep`` is set, and ``builds``, 1 when the analysis
-    had to rebuild the topology.  An error comes back the way
+    and drops it (the AS is finished); otherwise rebuilds, and reports
+    the build as it starts.  Returns the canonical summary
+    (:func:`rehydrate_as` does the work) and the result itself when
+    ``keep`` is set.  An error comes back the way
     ``run_as``'s does: the stage reached, and the banked tallies plus
     the fingerprint injector's.
     """
@@ -493,7 +517,7 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
     # per-trace latency histograms for free.  Untraced runs keep the
     # no-op recorder (every span below is then free).
     tel = runner.telemetry = _recorder(traceparent)
-    runner._stage_hook = ctl.heartbeat
+    runner._stage_hook = _stage_hook(ctl)
     runner._stage = "setup"  # the cached runner's is an earlier task's
     try:
         with tel.span("as", as_id=as_id):
@@ -523,10 +547,9 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
         runner.telemetry = NULL_TELEMETRY
         runner._stage_hook = None
         runner._fingerprint_injector = None
-    message["builds"] = int(context is None)
     if tel.enabled:
         message["telemetry"] = tel.export()
-    message.update(_boundary_check(ctl, max_rss))
+    _boundary_check(ctl, max_rss)
     return message
 
 
@@ -695,16 +718,18 @@ def _record_telemetry(
         session.record_export(scope, export)
 
 
-def _fold_worker_facts(stats: dict, message: dict, analysis: bool) -> None:
-    """Fold one task's topology builds and memory facts into stats."""
-    builds = message.get("builds", 0)
-    stats["topology_builds"] += builds
-    if analysis:
-        stats["analyses_rebuilt"] += builds
-    stats["caches_shed"] += int(message.get("shed", False))
-    stats["worker_rss_peak_bytes"] = max(
-        stats["worker_rss_peak_bytes"], message.get("peak_rss_bytes", 0)
-    )
+def _fold_worker_facts(stats: dict, facts: list[dict], analysis: bool) -> None:
+    """Fold one task's reported topology builds and memory facts (of
+    every attempt, finished or not) into stats."""
+    for fact in facts:
+        builds = fact.get("builds", 0)
+        stats["topology_builds"] += builds
+        if analysis:
+            stats["analyses_rebuilt"] += builds
+        stats["caches_shed"] += int(fact.get("shed", False))
+        stats["worker_rss_peak_bytes"] = max(
+            stats["worker_rss_peak_bytes"], fact.get("peak_rss_bytes", 0)
+        )
 
 
 # -- the loop -------------------------------------------------------------------
@@ -943,8 +968,7 @@ def run_lease_loop(
     def on_complete(outcome: TaskOutcome) -> list[tuple]:
         key = outcome.key
         as_id = _as_of(key)
-        message = outcome.value if outcome.status is TaskStatus.OK else {}
-        _fold_worker_facts(stats, message, isinstance(key, int))
+        _fold_worker_facts(stats, outcome.facts, isinstance(key, int))
         shard_task = isinstance(key, tuple) and len(by_as[as_id]) > 1
         if isinstance(key, int):
             raised = "analysis"

@@ -15,8 +15,8 @@ Persistence raises the stakes on failure -- a wedged worker blocks a
 whole stream of tasks, not one -- so every claim is bounded:
 
 - granting a task to a worker starts a **lease** of ``lease_timeout``
-  seconds; every message from the worker (stage heartbeats, results)
-  renews it.  A worker whose lease expires is presumed lost;
+  seconds; every message from the worker (stage heartbeats, facts,
+  results) renews it.  A worker whose lease expires is presumed lost;
 - with ``timeout`` set, an attempt still running that long after its
   grant has missed its **deadline**, however chatty the worker is;
 - a lost or late worker is SIGKILLed and replaced, and its task
@@ -30,6 +30,12 @@ whole stream of tasks, not one -- so every claim is bounded:
 A delivered answer always wins: the supervisor reads a worker's pipe
 before judging it, so a result that arrived just before a deadline,
 a lease expiry or the worker's exit is settled ``OK``, never re-run.
+
+A task can also **report** facts about its work (a dict, e.g. what it
+built and how much memory it took) the moment they are true.  They
+travel on the heartbeat pipe, so they reach the supervisor even when
+the worker later dies or loses its lease and its result never comes;
+the final outcome carries the facts of every attempt.
 
 Workers can also ask to be **recycled**: the request is honoured
 *between* tasks -- the worker delivers its result and exits cleanly;
@@ -79,7 +85,8 @@ from typing import Any, Callable, Iterable, Sequence
 logger = logging.getLogger(__name__)
 
 #: task callable: ``fn(payload, ctl)`` with ``ctl.heartbeat(note)`` for
-#: liveness/lease renewal and ``ctl.request_recycle()`` for a graceful
+#: liveness/lease renewal, ``ctl.report(facts)`` for facts that must
+#: survive the worker, and ``ctl.request_recycle()`` for a graceful
 #: between-tasks process replacement
 ShardFn = Callable[[Any, "WorkerControl"], Any]
 
@@ -120,6 +127,9 @@ class TaskOutcome:
     #: tasks that never returned a value -- the post-mortem of where a
     #: killed worker spent its life
     stage_seconds: dict[str, float] | None = None
+    #: facts the task reported (:meth:`WorkerControl.report`), over
+    #: every attempt in order, those of killed or dead workers included
+    facts: list[dict] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -183,19 +193,31 @@ class GracefulShutdown:
 class WorkerControl:
     """The worker-side handle a task function talks to."""
 
-    __slots__ = ("_send", "recycle_requested", "stages")
+    __slots__ = ("_send", "recycle_requested", "stages", "facts")
 
     def __init__(self, send: Callable[[Any], None] | None = None) -> None:
         self._send = send
         self.recycle_requested = False
         #: stages reported so far (in-process mode's heartbeat record)
         self.stages: list[str] = []
+        #: facts reported so far (in-process mode's record)
+        self.facts: list[dict] = []
 
     def heartbeat(self, note: str) -> None:
         """Report the current stage; renews the supervisor's lease."""
         self.stages.append(note)
         if self._send is not None:
             self._send(("hb", note))
+
+    def report(self, facts: dict) -> None:
+        """Send facts about this task's work to the supervisor now.
+
+        They reach the task's outcome even if this worker dies before
+        it answers; renews the lease like any message.
+        """
+        self.facts.append(facts)
+        if self._send is not None:
+            self._send(("facts", facts))
 
     def request_recycle(self) -> None:
         """Ask for a fresh process after the current task completes."""
@@ -255,6 +277,8 @@ class _Assignment:
     last_stage: str | None = None
     stage_started: float = 0.0
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    #: facts reported by this attempt's worker
+    facts: list[dict] = field(default_factory=list)
     #: terminal message received from the worker, if any
     message: tuple | None = None
 
@@ -505,6 +529,7 @@ class LeaseExecutor:
                     status=TaskStatus.ERROR,
                     error=f"{type(exc).__name__}: {exc}",
                     last_stage=ctl.stages[-1] if ctl.stages else None,
+                    facts=ctl.facts,
                 )
             else:
                 outcome = TaskOutcome(
@@ -512,6 +537,7 @@ class LeaseExecutor:
                     status=TaskStatus.OK,
                     value=value,
                     last_stage=ctl.stages[-1] if ctl.stages else None,
+                    facts=ctl.facts,
                 )
             finish(outcome)
 
@@ -605,6 +631,12 @@ class LeaseExecutor:
     ) -> None:
         ctx = _mp_context()
         pool: list[_Worker | None] = [None] * self.jobs
+        #: task key -> facts reported by its earlier, failed attempts
+        carried: dict[Any, list[dict]] = {}
+
+        def facts_of(assignment: _Assignment) -> list[dict]:
+            """Every fact the task reported, over all its attempts."""
+            return carried.pop(assignment.key, []) + assignment.facts
 
         def fail_or_requeue(
             assignment: _Assignment,
@@ -628,6 +660,9 @@ class LeaseExecutor:
                 pending.push(
                     assignment.key, assignment.payload, assignment.attempts + 1
                 )
+                carried.setdefault(assignment.key, []).extend(
+                    assignment.facts
+                )
                 return
             self.stats["shards_quarantined"] += 1
             logger.warning(
@@ -644,6 +679,7 @@ class LeaseExecutor:
                     attempts=assignment.attempts,
                     last_stage=assignment.last_stage,
                     stage_seconds=dict(assignment.stage_seconds),
+                    facts=facts_of(assignment),
                 )
             )
 
@@ -682,6 +718,7 @@ class LeaseExecutor:
                                     value=value,
                                     attempts=assignment.attempts,
                                     last_stage=assignment.last_stage,
+                                    facts=facts_of(assignment),
                                 )
                             )
                             if recycle:
@@ -700,6 +737,7 @@ class LeaseExecutor:
                                     stage_seconds=dict(
                                         assignment.stage_seconds
                                     ),
+                                    facts=facts_of(assignment),
                                 )
                             )
                             self._retire(worker)  # worker exited itself
@@ -765,6 +803,8 @@ class LeaseExecutor:
                 self.stats["leases_renewed"] += 1
                 _close_stage(assignment, now)
                 assignment.last_stage = str(message[1])
+            elif message[0] == "facts":
+                assignment.facts.append(message[1])
             else:  # "res" / "exc"
                 assignment.message = message
 

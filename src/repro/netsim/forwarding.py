@@ -33,10 +33,11 @@ Fast path
 Because forwarding decisions never read the TTL, one instrumented walk
 per ``(src, destination, flow)`` -- :meth:`ForwardingEngine.record_walk`
 -- captures enough state to answer every probe TTL of a traceroute in
-O(1) via :meth:`ForwardingEngine.forward_probe_cached`, with per-probe
-fault draws replayed in the reference call order.  See
-:mod:`repro.netsim.walkcache` for the synthesis model and its exactness
-guarantees.
+O(1).  The TNT prober's fused loop answers its probes from that
+recording, replaying the per-probe fault draws in the reference call
+order, and hands any probe the recording cannot answer exactly to
+:meth:`ForwardingEngine.walk_probe`.  See :mod:`repro.netsim.walkcache`
+for the synthesis model and its exactness guarantees.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ class ForwardingEngine:
 
         Also invalidates the underlying IGP caches and advances the
         topology :attr:`epoch`.  Recorded walks held by callers are NOT
-        tracked here: they keep the epoch they were stamped with, and
-        :meth:`forward_probe_cached` refuses to synthesize from a
-        recording whose epoch trails the engine's.
+        tracked here: they keep the epoch they were stamped with, and a
+        recording whose epoch trails the engine's must never answer a
+        probe (the TNT prober walks such a probe live and re-records).
         """
         self._next_hop_cache.clear()
         self._reply_skeletons.clear()
@@ -262,6 +263,17 @@ class ForwardingEngine:
             self._faults.on_probe()
             if self._faults.probe_lost(flow_id, dest, ttl, attempt):
                 return None
+        return self.walk_probe(src, dest, ttl, flow_id)
+
+    def walk_probe(
+        self, src: int, dest: IPv4Address, ttl: int, flow_id: int = 0
+    ) -> ProbeReply | None:
+        """Forward one sent, unlost probe hop by hop; return its reply.
+
+        The walk of :meth:`forward_probe` without its clock ticks and
+        loss draw: the TNT prober's fused loop makes those itself and
+        calls this for a probe its recorded walk cannot answer.
+        """
         try:
             return self._walk(src, dest, ttl, flow_id, truth=None)
         except PacketDropped:
@@ -291,10 +303,10 @@ class ForwardingEngine:
 
         The recording consumes no fault-injector state, so it may run at
         any point relative to the probes it answers.  When the walk
-        cannot guarantee exactness the result has ``ok=False`` and
-        :meth:`forward_probe_cached` transparently falls back to the
-        reference walker.  The recording doubles as the ground-truth
-        walk (``RecordedWalk.truth`` equals :meth:`truth_walk` output).
+        cannot guarantee exactness the result has ``ok=False`` and every
+        probe of the flow goes to :meth:`walk_probe` instead.  The
+        recording doubles as the ground-truth walk
+        (``RecordedWalk.truth`` equals :meth:`truth_walk` output).
         """
         recorder = WalkRecorder(self, src, dest, flow_id)
         truth: list[TruthHop] = []
@@ -326,82 +338,6 @@ class ForwardingEngine:
         else:
             self.stats.walks_fallback += 1
         return walk
-
-    def forward_probe_cached(
-        self, walk: RecordedWalk, ttl: int, attempt: int = 0
-    ) -> ProbeReply | None:
-        """Answer one probe of a recorded flow in O(1).
-
-        Bit-equivalent to ``forward_probe(walk.src, walk.dest, ttl,
-        walk.flow_id, attempt)``: the per-probe fault draws -- loss,
-        blackout checks along the visited prefix, ICMP policing at the
-        responder -- replay in the reference call order; only the path
-        walk itself is skipped.  Falls back to the reference walker when
-        the recording is inexact, the TTL exceeds the recording base,
-        the recording's topology epoch is stale, or an attached churn
-        scheduler is mid-reconvergence.
-        """
-        if ttl <= 0:
-            raise ValueError(f"probe TTL must be positive, got {ttl}")
-        dynamics = self._dynamics
-        if dynamics is not None:
-            dynamics.on_probe()
-        faults = self._faults
-        if faults is not None:
-            faults.on_probe()
-            if faults.probe_lost(walk.flow_id, walk.dest, ttl, attempt):
-                return None
-        if walk.epoch != self._epoch:
-            # The recording predates a topology mutation: never serve a
-            # pre-change reply.  A live reference walk over the current
-            # topology answers instead.
-            self.stats.stale_walk_fallbacks += 1
-        elif dynamics is not None and dynamics.in_transient():
-            # Mid-reconvergence the data plane is not the converged one
-            # the recording captured (transient blackholes, micro-loops):
-            # only the reference walker models those, so step aside.
-            pass
-        elif walk.ok and ttl <= RECORD_TTL:
-            event = walk.expiry_by_ttl.get(ttl)
-            if faults is not None:
-                # Replay the blackout checks the reference walk would
-                # make: one per visited router up to (and including) the
-                # expiry node, stopping at the first hit exactly as the
-                # walk does.
-                upto = (
-                    event.visit_index
-                    if event is not None
-                    else len(walk.visits)
-                )
-                for node in walk.visits[:upto]:
-                    if faults.blacked_out(node):
-                        return None
-            self.stats.probes_synthesized += 1
-            if event is None:
-                # The probe outlives every expiry checkpoint: it reaches
-                # the walk's terminal fate (delivery, or a silent drop).
-                return walk.terminal_reply
-            if event.silent or not event.rate_passed:
-                return None
-            if faults is not None and not faults.allow_icmp(event.node):
-                return None
-            return ProbeReply(
-                kind=ReplyKind.TIME_EXCEEDED,
-                source_ip=event.source_ip,
-                quoted_stack=event.materialize_quote(ttl),
-                reply_ip_ttl=event.reply_ip_ttl,
-                truth_router_id=event.node,
-                truth_forward_hops=event.return_hops,
-            )
-        self.stats.probes_walked += 1
-        try:
-            return self._walk(
-                walk.src, walk.dest, ttl, walk.flow_id, truth=None
-            )
-        except PacketDropped:
-            return None
-        except NoRouteError:
-            return None
 
     def ping(self, src: int, target: IPv4Address, flow_id: int = 0) -> ProbeReply | None:
         """ICMP echo to an interface address (TTL fingerprint, 2nd half)."""

@@ -8,7 +8,7 @@ TTL: forwarding decisions (IGP next hops, label operations, policy
 splices) never read the TTL; the TTL only selects *where the probe
 expires*.  So one instrumented walk can record, per expiry checkpoint,
 everything needed to synthesize the reply for **every** probe TTL, and
-:meth:`~repro.netsim.forwarding.ForwardingEngine.forward_probe_cached`
+the TNT prober's fused loop (:meth:`repro.probing.tnt.TntProber.trace`)
 answers each probe in O(1) from the recording.
 
 Symbolic TTLs
@@ -41,29 +41,31 @@ Faults stay per-probe
 
 The recording itself is fault-free and advances no fault clock.  Every
 per-probe draw -- loss, blackout windows along the visited prefix, the
-ICMP token bucket at the responder -- is replayed by
-``forward_probe_cached`` in exactly the reference call order, so fault
-schedules, counters and retry semantics are bit-identical.
+ICMP token bucket at the responder -- is made by the fused loop, per
+attempt, in exactly the reference call order, so fault schedules,
+counters and retry semantics are bit-identical.
 
 Fallback
 --------
 
 Whenever exactness cannot be guaranteed -- the recording walk itself
 expired (a path deeper than the recording TTL), checkpoint offsets came
-out non-contiguous, the walk raised outside the modelled drop reasons,
-or a probe TTL at or beyond the recording base is requested -- the
-recording is marked not-:attr:`~RecordedWalk.ok` and the engine falls
-back to the reference walker for every probe of that flow.
+out non-contiguous, or the walk raised outside the modelled drop
+reasons -- the recording is marked not-:attr:`~RecordedWalk.ok` and
+every probe of that flow is walked live
+(:meth:`~repro.netsim.forwarding.ForwardingEngine.walk_probe`).  So is
+a probe TTL beyond the recording base, a probe sent after a topology
+mutation made the recording stale, and a probe sent while a churn
+scheduler is mid-reconvergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.netsim.addressing import IPv4Address
-from repro.netsim.mpls import LabelStack, LabelStackEntry
+from repro.netsim.mpls import LabelStack
 from repro.util.determinism import unit_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -71,8 +73,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Initial TTL of the recording walk.  Mirrors ``truth_walk``'s 255 --
 #: the largest value that survives a uniform-mode push into an 8-bit
-#: LSE-TTL.  Probes with TTL >= this base cannot be synthesized exactly
-#: and fall back to the reference walker.
+#: LSE-TTL.  Probes with a TTL above this base cannot be synthesized
+#: exactly and are walked live.
 RECORD_TTL = 255
 
 
@@ -115,24 +117,6 @@ _PROBE_TTL_POOL = tuple(SymTtl(value, True) for value in range(256))
 QuoteTemplate = tuple[tuple[int, int, bool, bool, int], ...]
 
 
-@lru_cache(maxsize=1 << 14)
-def _materialize(quote: QuoteTemplate, ttl: int) -> tuple[LabelStackEntry, ...]:
-    """The concrete quoted stack for a probe sent with ``ttl``.
-
-    Memoized: probes of different flows expiring at the same position of
-    the same tunnel materialize the same stack over and over.
-    """
-    return tuple(
-        LabelStackEntry(
-            label=label,
-            tc=tc,
-            bottom_of_stack=bottom,
-            ttl=ttl + value if relative else value,
-        )
-        for label, tc, bottom, relative, value in quote
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class WalkEvent:
     """One TTL-expiry checkpoint of the recorded walk.
@@ -155,12 +139,6 @@ class WalkEvent:
     return_hops: int
     #: RFC 4950 quote template, or None when the responder does not quote
     quote: QuoteTemplate | None
-
-    def materialize_quote(self, ttl: int) -> tuple[LabelStackEntry, ...] | None:
-        """The concrete quoted stack for a probe sent with ``ttl``."""
-        if self.quote is None:
-            return None
-        return _materialize(self.quote, ttl)
 
 
 @dataclass(slots=True)
@@ -206,8 +184,8 @@ class RecordedWalk:
     """One recorded ``(src, destination, flow)`` walk, ready to answer
     any probe TTL.
 
-    ``ok`` is the exactness guarantee: when False, the engine must (and
-    does) fall back to the reference walker for every probe.
+    ``ok`` is the exactness guarantee: when False, every probe of the
+    flow must be (and is) walked live.
     """
 
     src: int
@@ -216,7 +194,7 @@ class RecordedWalk:
     ok: bool = False
     #: engine topology epoch the recording was taken under; a recording
     #: whose epoch trails the engine's is *stale* and must never be used
-    #: to synthesize a reply (the engine falls back to a live walk)
+    #: to synthesize a reply (the probe is walked live instead)
     epoch: int = 0
     #: probe TTL -> expiry checkpoint; keys are exactly 1..len(events)
     expiry_by_ttl: dict[int, WalkEvent] = field(default_factory=dict)

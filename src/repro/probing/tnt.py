@@ -26,6 +26,7 @@ from repro.probing.traceroute import (
     _HOP_LATENCY_MS,
     _MAX_CONSECUTIVE_STARS,
     ParisTraceroute,
+    _quote_entries,
     derive_flow_id,
     quote_records,
 )
@@ -34,7 +35,13 @@ from repro.util.retry import RetryAccounting, RetryPolicy
 
 
 class TntProber:
-    """Paris traceroute + tunnel revelation + ground-truth annotation."""
+    """Paris traceroute + tunnel revelation + ground-truth annotation.
+
+    Traces come from one fused loop (:meth:`trace`) that answers each
+    probe from a recorded walk of its flow.  ``fast_path=False`` probes
+    through the plain per-probe walker of :class:`ParisTraceroute`
+    instead: the reference the fused loop is tested against.
+    """
 
     def __init__(
         self,
@@ -50,12 +57,9 @@ class TntProber:
         self._engine = engine
         self._retry = retry or RetryPolicy.none()
         self._traceroute = ParisTraceroute(
-            engine,
-            max_ttl=max_ttl,
-            seed=seed,
-            retry=self._retry,
-            fast_path=fast_path,
+            engine, max_ttl=max_ttl, seed=seed, retry=self._retry
         )
+        self._fast_path = fast_path
         self._reveal_rate = reveal_success_rate
         self._seed = seed
 
@@ -71,181 +75,246 @@ class TntProber:
         vp_name: str = "",
     ) -> Trace:
         """Run one TNT traceroute: probe, annotate, reveal."""
-        prober = self._traceroute
-        walk: RecordedWalk | None = None
-        if (
-            prober.fast_path
-            and self._engine.faults is None
-            and self._engine.dynamics is None
-            and not self._retry.enabled
-        ):
-            flow_id = derive_flow_id(vp_router_id, destination)
-            walk = self._engine.record_walk(
-                vp_router_id, destination, flow_id
-            )
-            if (
-                walk.ok
-                and len(walk.expiry_by_ttl) + _MAX_CONSECUTIVE_STARS
-                <= RECORD_TTL
-            ):
-                return self._fused_trace(
-                    vp_router_id, destination, vp_name, flow_id, walk
-                )
-        trace, walk = prober.trace_recorded(
-            vp_router_id, destination, vp_name, prerecorded=walk
+        if self._fast_path:
+            return self._fused_trace(vp_router_id, destination, vp_name)
+        trace = self._traceroute.trace(vp_router_id, destination, vp_name)
+        truth = self._engine.truth_walk(
+            vp_router_id, destination, trace.flow_id
         )
-        if (
-            walk is not None
-            and walk.ok
-            and walk.epoch == self._engine.epoch
-        ):
-            # The recording already walked the full path with an
-            # effectively infinite TTL; its truth equals truth_walk's.
-            # A stale recording (the topology churned mid-trace) is
-            # never trusted -- truth is re-walked live instead.
-            truth = walk.truth
-        else:
-            truth = self._engine.truth_walk(
-                vp_router_id, destination, trace.flow_id
-            )
-        trace = self._annotate_truth(trace, truth)
-        trace = self._reveal_hidden(trace, truth)
-        return trace
+        return self._reveal_hidden(self._annotate_truth(trace, truth), truth)
 
     def _fused_trace(
-        self,
-        vp_router_id: int,
-        destination: IPv4Address,
-        vp_name: str,
-        flow_id: int,
-        walk: RecordedWalk,
+        self, vp_router_id: int, destination: IPv4Address, vp_name: str
     ) -> Trace:
         """Synthesize the fully annotated trace in one pass.
 
-        Bit-equivalent to ``trace_recorded`` + ``_annotate_truth`` over a
-        pristine data plane (no faults, no retries): probe outcomes come
-        from the recorded walk exactly as ``forward_probe_cached`` would
-        synthesize them, and each :class:`TraceHop` is constructed once,
-        truth annotations included, instead of probe-reply -> bare hop ->
-        annotated copy.  Revelation runs unchanged on top.
+        Bit-equivalent to the reference (``fast_path=False``): per
+        probe attempt it makes the churn and fault clock ticks, the
+        loss draw, the blackout checks along the visited prefix and
+        the ICMP policing at the responder in the reference call
+        order, and answers from the recorded walk of the probe's flow
+        (one per flow, re-recorded once a topology mutation made it
+        stale).  A probe the recording cannot answer exactly -- sent
+        on a stale recording or mid-reconvergence, on an inexact walk,
+        or beyond the recording TTL -- is walked live.  Each
+        :class:`TraceHop` is built once, truth annotations included,
+        after any corruption of its reply; revelation runs on top.
         """
+        engine = self._engine
         prober = self._traceroute
-        truth = walk.truth
+        faults = engine.faults
+        dynamics = engine.dynamics
+        stats = engine.stats
+        accounting = prober.accounting
+        retry = self._retry
+        flow_id = derive_flow_id(vp_router_id, destination)
+        corrupting = faults is not None and faults.plan.corruption_active
+        reroute = (
+            faults.rerouted_flow(flow_id, destination, prober.max_ttl)
+            if corrupting
+            else None
+        )
+        # recording is fault-free and consumes no injector state, so a
+        # flow is recorded when first probed, and again once a topology
+        # mutation made its recording stale; ``primary`` is the trace
+        # flow's latest recording
+        walk = primary = engine.record_walk(
+            vp_router_id, destination, flow_id
+        )
+        # Epochs are stamped relative to the trace's start (as the
+        # reference stamps them); only a churn scheduler moves them.
+        epoch_base = engine.epoch if dynamics is not None else 0
+        epoch_lo: int | None = None
+        epoch_hi: int | None = None
+
+        def answer(walk: RecordedWalk, ttl: int, attempt: int):
+            """One attempt: the reply as ``(address, return hops, reply
+            IP TTL, quoted records, destination reply, responder)``, or
+            None for silence."""
+            if dynamics is not None:
+                dynamics.on_probe()
+            if faults is not None:
+                faults.on_probe()
+                if faults.probe_lost(walk.flow_id, destination, ttl, attempt):
+                    return None
+            if walk.ok and ttl <= RECORD_TTL and (
+                dynamics is None
+                # never answer from a pre-mutation recording, nor while
+                # transient blackholes and micro-loops reshape the live
+                # data plane
+                or (
+                    walk.epoch == engine.epoch
+                    and not dynamics.in_transient()
+                )
+            ):
+                event = walk.expiry_by_ttl.get(ttl)
+                if faults is not None:
+                    # the blackout checks the reference walk makes: one
+                    # per router reached, the expiry node included,
+                    # stopping at the first dark one
+                    upto = (
+                        len(walk.visits) if event is None
+                        else event.visit_index
+                    )
+                    for node in walk.visits[:upto]:
+                        if faults.blacked_out(node):
+                            return None
+                stats.probes_synthesized += 1
+                if event is None:
+                    # past every expiry checkpoint: the walk's terminal
+                    # fate (delivery, or a silent drop)
+                    reply = walk.terminal_reply
+                elif event.silent or not event.rate_passed or (
+                    faults is not None and not faults.allow_icmp(event.node)
+                ):
+                    return None
+                else:
+                    quote = event.quote
+                    return (
+                        event.source_ip,
+                        event.return_hops,
+                        event.reply_ip_ttl,
+                        None if quote is None else quote_records(quote, ttl),
+                        False,
+                        event.node,
+                    )
+            else:
+                if dynamics is not None and walk.epoch != engine.epoch:
+                    stats.stale_walk_fallbacks += 1
+                stats.probes_walked += 1
+                reply = engine.walk_probe(
+                    vp_router_id, destination, ttl, walk.flow_id
+                )
+            if reply is None:
+                return None
+            stack = reply.quoted_stack
+            return (
+                reply.source_ip,
+                reply.truth_forward_hops,
+                reply.reply_ip_ttl,
+                None if stack is None else _quote_entries(stack),
+                reply.kind is not ReplyKind.TIME_EXCEEDED,
+                reply.truth_router_id,
+            )
+
+        def current_truth() -> list[TruthHop]:
+            """The ground truth as the reference takes it after the last
+            probe: the primary flow's recording walked the full path
+            with an effectively infinite TTL, so its truth equals
+            truth_walk's unless the topology moved on since."""
+            if primary.ok and primary.epoch == engine.epoch:
+                return primary.truth
+            return engine.truth_walk(vp_router_id, destination, flow_id)
+
+        # Without churn the topology cannot move during the trace, so
+        # the truth is known up front and each hop is annotated as it is
+        # built; under churn the hops are annotated once the trace ends.
+        truth = current_truth() if dynamics is None else []
         by_router: dict[int, list[TruthHop]] = {}
         for t in truth:
             by_router.setdefault(t.router_id, []).append(t)
+        candidates_for = by_router.get
+        match = self._match_candidates
         # jitter keys never repeat within a trace, so hash the prebuilt
         # key text directly: the memoized unit_hash pays more building
         # its key string than the raw SHA-256 costs (bit-identical)
         jitter_prefix = f"{prober.seed}\x1frtt\x1f{flow_id}\x1f"
-        events_get = walk.expiry_by_ttl.get
-        candidates_for = by_router.get
-        match = self._match_candidates
+        digest64 = sha256
+        from_bytes = int.from_bytes
+        attempts = retry.max_attempts
         # hot-loop locals; TraceHop built positionally, field order as in
         # records.py: (probe_ttl, address, rtt_ms, reply_ip_ttl, lses,
         # tnt_revealed, destination_reply, truth_router_id, truth_asn,
         # truth_planes, truth_uniform)
         hop = TraceHop
-        digest64 = sha256
-        from_bytes = int.from_bytes
         hops: list[TraceHop] = []
         append = hops.append
         reached = False
         stars = 0
         probes = 0
         for ttl in range(1, prober.max_ttl + 1):
+            if reroute is not None and ttl == reroute[0]:
+                # from the pivot on, the trace's probes take a new flow
+                walk = engine.record_walk(
+                    vp_router_id, destination, reroute[1]
+                )
+            elif dynamics is not None and walk.epoch != engine.epoch:
+                walk = engine.record_walk(
+                    vp_router_id, destination, walk.flow_id
+                )
+                if walk.flow_id == flow_id:
+                    primary = walk
             probes += 1
-            event = events_get(ttl)
-            terminal = None
-            if event is None:
-                terminal = walk.terminal_reply
-                if terminal is None:
-                    # the walk died silently past its last checkpoint
-                    append(hop(ttl, None))
-                    stars += 1
-                    if stars >= _MAX_CONSECUTIVE_STARS:
-                        break
-                    continue
-            elif event.silent or not event.rate_passed:
+            reply = answer(walk, ttl, 0)
+            attempt = 1
+            while reply is None and attempt < attempts:
+                accounting.retries += 1
+                accounting.backoff_ms += retry.backoff_ms(attempt)
+                reply = answer(walk, ttl, attempt)
+                attempt += 1
+            if dynamics is not None:
+                # the epoch the probe was forwarded under (read after
+                # the send: its own tick may have fired the mutation)
+                observed = engine.epoch - epoch_base
+                if epoch_lo is None:
+                    epoch_lo = observed
+                epoch_hi = observed
+            if reply is None:
+                if attempts > 1:
+                    accounting.exhausted += 1
                 append(hop(ttl, None))
                 stars += 1
                 if stars >= _MAX_CONSECUTIVE_STARS:
                     break
                 continue
             stars = 0
-            digest = digest64(
-                (jitter_prefix + str(ttl)).encode("utf-8")
-            ).digest()
-            jitter = (from_bytes(digest[:8], "big") / 2**64) * 0.3
-            if terminal is None:
-                quote = event.quote
-                lses = (
-                    quote_records(quote, ttl) if quote is not None else None
+            address, return_hops, reply_ip_ttl, lses, is_destination, node = (
+                reply
+            )
+            digest = digest64((jitter_prefix + str(ttl)).encode()).digest()
+            rtt = round(
+                (ttl + return_hops) * _HOP_LATENCY_MS
+                + (from_bytes(digest[:8], "big") / 2**64) * 0.3,
+                3,
+            )
+            if corrupting:
+                corrupted = ParisTraceroute._corrupt_hop(
+                    hop(
+                        ttl, address, rtt, reply_ip_ttl, lses, False,
+                        is_destination, node,
+                    ),
+                    hops[-1].lses if hops else None,
+                    faults,
+                    flow_id,
+                    destination,
                 )
-                info = match(candidates_for(event.node), lses)
-                if info is None:
-                    append(hop(
-                        ttl,
-                        event.source_ip,
-                        round(
-                            (ttl + event.return_hops) * _HOP_LATENCY_MS
-                            + jitter,
-                            3,
-                        ),
-                        event.reply_ip_ttl,
-                        lses,
-                        False,
-                        False,
-                        event.node,
-                    ))
-                else:
-                    append(hop(
-                        ttl,
-                        event.source_ip,
-                        round(
-                            (ttl + event.return_hops) * _HOP_LATENCY_MS
-                            + jitter,
-                            3,
-                        ),
-                        event.reply_ip_ttl,
-                        lses,
-                        False,
-                        False,
-                        event.node,
-                        info.asn,
-                        info.received_planes,
-                        info.uniform,
-                    ))
-                continue
-            is_destination = terminal.kind is not ReplyKind.TIME_EXCEEDED
-            info = match(candidates_for(terminal.truth_router_id), None)
-            append(hop(
-                ttl,
-                terminal.source_ip,
-                round(
-                    (ttl + terminal.truth_forward_hops) * _HOP_LATENCY_MS
-                    + jitter,
-                    3,
-                ),
-                terminal.reply_ip_ttl,
-                None,
-                False,
-                is_destination,
-                terminal.truth_router_id,
-                info.asn if info is not None else None,
-                # a destination reply is not forwarding evidence
-                # (see _annotate_truth)
-                (
-                    () if is_destination or info is None
-                    else info.received_planes
-                ),
-                info.uniform if info is not None else True,
-            ))
+                address, reply_ip_ttl, lses, node = (
+                    corrupted.address, corrupted.reply_ip_ttl,
+                    corrupted.lses, corrupted.truth_router_id,
+                )
+            info = match(candidates_for(node), lses)
+            if info is None:
+                append(hop(
+                    ttl, address, rtt, reply_ip_ttl, lses, False,
+                    is_destination, node,
+                ))
+            else:
+                append(hop(
+                    ttl, address, rtt, reply_ip_ttl, lses, False,
+                    is_destination, node, info.asn,
+                    # a destination reply is not forwarding evidence
+                    # (see _annotate_truth)
+                    () if is_destination else info.received_planes,
+                    info.uniform,
+                ))
             if is_destination:
                 reached = True
                 break
-        prober.accounting.probes += probes
-        self._engine.stats.probes_synthesized += probes
+        accounting.probes += probes
+        if corrupting:
+            hops = ParisTraceroute._corrupt_order(
+                hops, faults, flow_id, destination
+            )
         trace = Trace(
             vp=vp_name or f"vp{vp_router_id}",
             vp_router_id=vp_router_id,
@@ -253,7 +322,13 @@ class TntProber:
             flow_id=flow_id,
             hops=tuple(hops),
             reached=reached,
+            epoch_span=(
+                (epoch_lo, epoch_hi) if epoch_lo is not None else None
+            ),
         )
+        if dynamics is not None:
+            truth = current_truth()
+            trace = self._annotate_truth(trace, truth)
         return self._reveal_hidden(trace, truth)
 
     # -- annotation ------------------------------------------------------------

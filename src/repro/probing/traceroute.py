@@ -7,6 +7,15 @@ responding address, RTT, reply TTL and any RFC 4950-quoted label stack.
 RTTs are synthesized from hop counts with deterministic jitter -- enough
 for TNT-style heuristics (RTT jumps at tunnel entrances) to have
 something to look at without pretending to model queueing.
+
+:class:`ParisTraceroute` is the plain per-probe reference walker: every
+probe, and every retry, is forwarded hop by hop through
+:meth:`~repro.netsim.forwarding.ForwardingEngine.forward_probe`.  The
+TNT prober's fused loop (:meth:`repro.probing.tnt.TntProber.trace`)
+synthesizes the same traces from one recorded walk per flow;
+``TntProber(fast_path=False)`` probes through this client instead, as
+the oracle the fused loop is tested against.  The reply-corruption
+helpers here serve both.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from repro.netsim.addressing import IPv4Address
 from repro.netsim.faults import FaultInjector
 from repro.netsim.forwarding import ForwardingEngine, ProbeReply, ReplyKind
 from repro.netsim.mpls import LabelStackEntry
-from repro.netsim.walkcache import RecordedWalk
 from repro.probing.records import QuotedLse, Trace, TraceHop
 from repro.util.determinism import unit_hash
 from repro.util.retry import RetryAccounting, RetryPolicy
@@ -71,12 +79,8 @@ def _quote_entries(
 def quote_records(
     quote: tuple[tuple[int, int, bool, bool, int], ...], ttl: int
 ) -> tuple[QuotedLse, ...]:
-    """Measurement records for a quote template at one probe TTL.
-
-    Fuses :func:`repro.netsim.walkcache._materialize` with the
-    LSE-to-record conversion: the synthesis path never needs the
-    intermediate :class:`LabelStackEntry` tuple, only the records.
-    """
+    """Measurement records for a recorded walk's quote template
+    (:data:`repro.netsim.walkcache.QuoteTemplate`) at one probe TTL."""
     return tuple(
         QuotedLse(
             label=label,
@@ -89,7 +93,8 @@ def quote_records(
 
 
 class ParisTraceroute:
-    """A traceroute client bound to one forwarding engine."""
+    """A traceroute client bound to one forwarding engine, forwarding
+    every probe hop by hop."""
 
     def __init__(
         self,
@@ -97,7 +102,6 @@ class ParisTraceroute:
         max_ttl: int = 40,
         seed: int = 0,
         retry: RetryPolicy | None = None,
-        fast_path: bool = True,
     ) -> None:
         if max_ttl <= 0:
             raise ValueError("max_ttl must be positive")
@@ -105,18 +109,12 @@ class ParisTraceroute:
         self._max_ttl = max_ttl
         self._seed = seed
         self._retry = retry or RetryPolicy.none()
-        self._fast_path = fast_path
         self.accounting = RetryAccounting()
 
     @property
     def retry(self) -> RetryPolicy:
         """The per-probe retry policy."""
         return self._retry
-
-    @property
-    def fast_path(self) -> bool:
-        """True when traces are synthesized from recorded walks."""
-        return self._fast_path
 
     @property
     def max_ttl(self) -> int:
@@ -137,28 +135,6 @@ class ParisTraceroute:
     ) -> Trace:
         """Run one traceroute; the flow id defaults to a stable hash of
         (vp, destination) as Paris traceroute derives it from the tuple."""
-        trace, _ = self.trace_recorded(
-            vp_router_id, destination, vp_name, flow_id
-        )
-        return trace
-
-    def trace_recorded(
-        self,
-        vp_router_id: int,
-        destination: IPv4Address,
-        vp_name: str = "",
-        flow_id: int | None = None,
-        prerecorded: RecordedWalk | None = None,
-    ) -> tuple[Trace, RecordedWalk | None]:
-        """Run one traceroute and also return the recorded walk of its
-        primary flow (None when the fast path is disabled or the primary
-        flow never probed).
-
-        The walk carries the ground truth of the forward path, letting
-        MPLS-aware callers (the TNT prober) skip a second full walk.
-        ``prerecorded`` hands in a walk of the primary flow a caller
-        already recorded, so a fused-path fallback never records twice.
-        """
         if flow_id is None:
             flow_id = derive_flow_id(vp_router_id, destination)
         faults = self._engine.faults
@@ -168,33 +144,6 @@ class ParisTraceroute:
             if corrupting
             else None
         )
-        walks: dict[int, RecordedWalk] = {}
-        if (
-            prerecorded is not None
-            and self._fast_path
-            and prerecorded.src == vp_router_id
-            and prerecorded.dest == destination
-            and prerecorded.flow_id == flow_id
-        ):
-            walks[flow_id] = prerecorded
-
-        def walk_for(flow: int) -> RecordedWalk | None:
-            # One recording per probed flow; recording is fault-free and
-            # consumes no injector state, so laziness is safe.  A
-            # recording stamped with an older topology epoch is
-            # re-recorded: the engine would refuse to synthesize from it
-            # anyway, and re-recording restores O(1) synthesis for the
-            # rest of the trace.
-            if not self._fast_path:
-                return None
-            walk = walks.get(flow)
-            if walk is None or walk.epoch != self._engine.epoch:
-                walk = self._engine.record_walk(
-                    vp_router_id, destination, flow
-                )
-                walks[flow] = walk
-            return walk
-
         churning = self._engine.dynamics is not None
         # Epochs are stamped relative to the trace's start so the span
         # reflects only mutations observed mid-trace -- engine-internal
@@ -210,8 +159,7 @@ class ParisTraceroute:
             if reroute is not None and ttl >= reroute[0]:
                 probe_flow = reroute[1]
             reply = self._probe_with_retries(
-                vp_router_id, destination, ttl, probe_flow,
-                walk_for(probe_flow),
+                vp_router_id, destination, ttl, probe_flow
             )
             if churning:
                 # Stamp the epoch each probe was actually forwarded
@@ -245,7 +193,7 @@ class ParisTraceroute:
                 break
         if corrupting:
             hops = self._corrupt_order(hops, faults, flow_id, destination)
-        trace = Trace(
+        return Trace(
             vp=vp_name or f"vp{vp_router_id}",
             vp_router_id=vp_router_id,
             destination=destination,
@@ -256,7 +204,6 @@ class ParisTraceroute:
                 (epoch_lo, epoch_hi) if epoch_lo is not None else None
             ),
         )
-        return trace, walks.get(flow_id)
 
     def _probe_with_retries(
         self,
@@ -264,7 +211,6 @@ class ParisTraceroute:
         destination: IPv4Address,
         ttl: int,
         flow_id: int,
-        walk: RecordedWalk | None = None,
     ) -> ProbeReply | None:
         """Fire one probe, re-firing per the retry policy while silent.
 
@@ -273,34 +219,20 @@ class ParisTraceroute:
         lost probes; a router that is ICMP-silent by configuration stays
         silent on every attempt, exactly as in the wild.
         """
+        forward = self._engine.forward_probe
         self.accounting.probes += 1
-        reply = self._send(vp_router_id, destination, ttl, flow_id, 0, walk)
+        reply = forward(vp_router_id, destination, ttl, flow_id, attempt=0)
         attempt = 1
         while reply is None and attempt < self._retry.max_attempts:
             self.accounting.retries += 1
             self.accounting.backoff_ms += self._retry.backoff_ms(attempt)
-            reply = self._send(
-                vp_router_id, destination, ttl, flow_id, attempt, walk
+            reply = forward(
+                vp_router_id, destination, ttl, flow_id, attempt=attempt
             )
             attempt += 1
         if reply is None and self._retry.enabled:
             self.accounting.exhausted += 1
         return reply
-
-    def _send(
-        self,
-        vp_router_id: int,
-        destination: IPv4Address,
-        ttl: int,
-        flow_id: int,
-        attempt: int,
-        walk: RecordedWalk | None,
-    ) -> ProbeReply | None:
-        if walk is not None:
-            return self._engine.forward_probe_cached(walk, ttl, attempt)
-        return self._engine.forward_probe(
-            vp_router_id, destination, ttl, flow_id, attempt=attempt
-        )
 
     def _hop_from_reply(
         self,

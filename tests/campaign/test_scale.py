@@ -11,6 +11,7 @@ byte-identity contract lives in ``test_scale_properties.py``.
 
 import errno
 import json
+import multiprocessing
 import os
 import signal
 from pathlib import Path
@@ -516,6 +517,48 @@ class TestLocality:
         assert campaign.stats["topology_builds"] == 3
         assert campaign.stats["analyses_rebuilt"] == 0
         assert campaign.stats["caches_shed"] == 0
+        assert campaign.stats["worker_rss_peak_bytes"] > 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers must inherit the build spies",
+    )
+    def test_builds_of_a_crashed_worker_are_counted(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker dies right after building AS 1's topology for shard
+        (1, 0): that build still counts, once the re-dispatched shard
+        builds it again."""
+        built = tmp_path / "builds"
+        marker = tmp_path / "crashed"
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def build(*args, **kwargs):
+                with built.open("a") as fh:
+                    fh.write(f"{name}\n")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, build)
+
+        spy(scale, "build_shard_context")
+        spy(scale, "build_measurement_network")
+        real_probe = scale.probe_shard
+
+        def probe(runner, context, shard, *args, **kwargs):
+            if shard.key == (1, 0) and not marker.exists():
+                marker.touch()
+                os._exit(137)
+            return real_probe(runner, context, shard, *args, **kwargs)
+
+        monkeypatch.setattr(scale, "probe_shard", probe)
+        campaign = _campaign(n_ases=3)
+        report = campaign.run(tmp_path / "run", jobs=2, vps_per_shard=1)
+        assert marker.exists() and set(report.completed) == {1, 2, 3}
+        builds = len(built.read_text().splitlines())
+        assert builds >= 4  # one per AS, and AS 1's again after the crash
+        assert campaign.stats["topology_builds"] == builds
         assert campaign.stats["worker_rss_peak_bytes"] > 0
 
     def test_shed_cache_rebuilds_to_identical_bytes(self, tmp_path):

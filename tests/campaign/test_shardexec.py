@@ -56,6 +56,22 @@ def _always_crash(payload, ctl):
     os._exit(137)
 
 
+def _report_then_crash_unless_marked(payload, ctl):
+    """Report a fact, then die on the first attempt; answer on the next."""
+    marker, value = payload
+    first = not Path(marker).exists()
+    ctl.report({"first": first})
+    if first:
+        Path(marker).touch()
+        os._exit(137)
+    return value
+
+
+def _report_then_crash(payload, ctl):
+    ctl.report({"built": 1})
+    os._exit(137)
+
+
 def _silent_unless_marked(payload, ctl):
     """Go silent past any lease on the first attempt; then answer."""
     marker, value = payload
@@ -180,6 +196,21 @@ class TestPool:
         assert executor.stats["shards_quarantined"] == 0
         # every crashed worker was replaced by a fresh spawn
         assert executor.stats["workers_spawned"] >= 4
+
+    def test_facts_of_a_dead_worker_reach_the_outcome(self, tmp_path):
+        executor = LeaseExecutor(_report_then_crash_unless_marked, jobs=2)
+        result = executor.run([("t", (str(tmp_path / "marker"), "done"))])
+        outcome = result.outcomes["t"]
+        assert outcome.status is TaskStatus.OK and outcome.value == "done"
+        assert outcome.attempts == 2
+        # the crashed attempt's fact first, then the answering one's
+        assert outcome.facts == [{"first": True}, {"first": False}]
+
+    def test_quarantined_task_keeps_every_attempts_facts(self):
+        executor = LeaseExecutor(_report_then_crash, jobs=2, max_redispatch=1)
+        outcome = executor.run([("poison", None)]).outcomes["poison"]
+        assert outcome.status is TaskStatus.CRASH
+        assert outcome.facts == [{"built": 1}, {"built": 1}]
 
     def test_poison_shard_quarantined_past_budget(self, tmp_path):
         executor = LeaseExecutor(_always_crash, jobs=2, max_redispatch=1)
@@ -404,3 +435,15 @@ class TestWorkerControl:
         assert not ctl.recycle_requested
         ctl.request_recycle()
         assert ctl.recycle_requested
+
+    def test_reported_facts_reach_inprocess_outcomes(self):
+        def work(payload, ctl):
+            ctl.report({"payload": payload})
+            if payload:
+                raise ValueError("boom")
+            return payload
+
+        result = LeaseExecutor(work, jobs=1).run([(0, 0), (1, 1)])
+        assert result.outcomes[0].facts == [{"payload": 0}]
+        assert result.outcomes[1].status is TaskStatus.ERROR
+        assert result.outcomes[1].facts == [{"payload": 1}]

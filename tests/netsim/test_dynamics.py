@@ -18,6 +18,7 @@ from repro.netsim.sr import SegmentRoutingDomain, SrConfigError
 from repro.netsim.topology import Network, RouterRole
 from repro.netsim.tunnels import TunnelController, TunnelPolicy
 from repro.probing.tnt import TntProber
+from repro.probing.traceroute import derive_flow_id
 
 from tests.conftest import ChainNetwork, TARGET_ASN, VP_ASN
 
@@ -344,39 +345,13 @@ class TestStaleWalkGuard:
         engine = ForwardingEngine(net, igp, controller)
         return net, controller, engine, vp, a, b, c, prefix.address_at(7)
 
-    def test_post_invalidation_probe_never_reuses_recording(self):
-        net, controller, engine, vp, a, b, c, target = self._diamond()
-        walk = engine.record_walk(vp.router_id, target, flow_id=0)
-        assert walk.ok
-        before = engine.forward_probe_cached(walk, 2)
-        assert before is not None
-        assert before.truth_router_id == b.router_id
-        assert engine.stats.probes_synthesized >= 1
-
-        # the preferred path loses its middle link; caches invalidate
-        net.set_link_down(a.router_id, b.router_id)
-        controller.invalidate()
-        engine.invalidate_caches()
-
-        after = engine.forward_probe_cached(walk, 2)
-        assert engine.stats.stale_walk_fallbacks == 1
-        assert after is not None
-        # the reply reflects the post-change world (detour via c), not
-        # the recording's pre-change responder
-        assert after.truth_router_id == c.router_id
-        live = engine.forward_probe(vp.router_id, target, 2)
-        assert live is not None
-        assert after.source_ip == live.source_ip
-
-    def test_walk_for_rerecords_after_mutation(self):
-        """End-to-end: a trace spanning a mid-flight mutation carries a
-        widened epoch span and its tail reflects the new topology."""
-        net, controller, engine, vp, a, b, c, target = self._diamond()
+    @staticmethod
+    def _flap_once(net, controller, engine, a, b, after: int):
+        """Scripted scheduler: ``a``-``b`` goes down at clock tick
+        ``after``."""
 
         class _FlapOnce:
-            """Scripted scheduler: one mutation after N clock ticks."""
-
-            def __init__(self, after: int) -> None:
+            def __init__(self) -> None:
                 self.remaining = after
 
             def on_probe(self) -> None:
@@ -395,7 +370,37 @@ class TestStaleWalkGuard:
             def microloops(self, node: int) -> bool:
                 return False
 
-        engine.dynamics = _FlapOnce(after=2)
+        return _FlapOnce()
+
+    def test_post_invalidation_probe_never_reuses_recording(self):
+        net, controller, engine, vp, a, b, c, target = self._diamond()
+        flow = derive_flow_id(vp.router_id, target)
+        recording = engine.record_walk(vp.router_id, target, flow)
+        assert recording.ok
+        # before the change, the recording answers TTL 2 from b
+        assert recording.expiry_by_ttl[2].node == b.router_id
+
+        # the preferred path loses its middle link at the TTL-2 probe's
+        # clock tick, after the trace recorded its walk
+        engine.dynamics = self._flap_once(net, controller, engine, a, b, 2)
+        trace = TntProber(engine, seed=5).trace(vp.router_id, target, "vp")
+        assert engine.stats.probes_synthesized >= 1  # TTL 1, pre-change
+        assert engine.stats.stale_walk_fallbacks == 1
+        after = next(h for h in trace.hops if h.probe_ttl == 2)
+        assert after.address is not None
+        # the reply reflects the post-change world (detour via c), not
+        # the recording's pre-change responder
+        assert after.truth_router_id == c.router_id
+        engine.dynamics = None
+        live = engine.forward_probe(vp.router_id, target, 2, flow)
+        assert live is not None
+        assert after.address == live.source_ip
+
+    def test_walk_for_rerecords_after_mutation(self):
+        """End-to-end: a trace spanning a mid-flight mutation carries a
+        widened epoch span and its tail reflects the new topology."""
+        net, controller, engine, vp, a, b, c, target = self._diamond()
+        engine.dynamics = self._flap_once(net, controller, engine, a, b, 2)
         prober = TntProber(engine, seed=5)
         trace = prober.trace(vp.router_id, target, vp_name="vp")
         assert trace.epoch_span is not None
