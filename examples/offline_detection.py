@@ -3,8 +3,10 @@
 
 AReST is "a TNT post-processing tool" -- this example shows exactly
 that workflow, decoupled from any live probing: generate (or receive) a
-JSONL trace dataset, reload it, and run detection + area classification
-on the stored traces alone.
+JSONL trace dataset, reload it, sanitize it, and run detection + area
+classification on the stored traces alone.  Sanitizing first is what
+``arest detect`` and every other analysis path do: a duplicated or
+corrupted hop record must not turn into SR evidence.
 
 Run:  python examples/offline_detection.py [dataset.jsonl]
 """
@@ -17,6 +19,7 @@ from pathlib import Path
 from repro.campaign import CampaignRunner, TraceDataset
 from repro.core.classification import HopArea, classify_hops
 from repro.core.detector import ArestDetector
+from repro.probing.sanitize import TraceSanitizer
 
 
 def obtain_dataset(argv: list[str]) -> Path:
@@ -41,11 +44,17 @@ def main() -> None:
         f"VPs: {', '.join(dataset.vantage_points())})"
     )
 
+    sanitizer = TraceSanitizer()
     detector = ArestDetector()
     flag_counts: Counter = Counter()
     area_counts: Counter = Counter()
     distinct = set()
-    for trace in dataset:
+    quarantined = 0
+    for stored in dataset:
+        trace = sanitizer.sanitize(stored).trace
+        if trace is None:
+            quarantined += 1  # unrepairable: withheld, but counted
+            continue
         segments = detector.detect(trace, {})  # no fingerprints: offline
         for segment in segments:
             if segment.key() not in distinct:
@@ -54,6 +63,7 @@ def main() -> None:
         for area in classify_hops(trace, segments):
             area_counts[area] += 1
 
+    print(f"quarantined by the sanitizer: {quarantined}")
     print("\ndistinct segments per flag (fingerprint-free run):")
     for flag, count in flag_counts.most_common():
         print(f"  {flag.name:<4} {count}")

@@ -189,7 +189,6 @@ class ReDetectionSnapshot:
 def re_detect_adoption(
     archives_by_year: Mapping[int, Iterable],
     fingerprints: Mapping | None = None,
-    detector=None,
     chunk: int = 4096,
 ) -> list[ReDetectionSnapshot]:
     """Adoption curve from *archived* JSONL datasets -- no re-probing.
@@ -197,12 +196,14 @@ def re_detect_adoption(
     The longitudinal question the tracker answers by re-running
     campaigns can also be asked of data already on disk: given each
     year's ``dump_jsonl`` archives, which target ASes show strong SR
-    evidence?  This streams every archive through the sanitizer into
-    bounded columnar chunks and runs
+    evidence?  This streams every archive as sanitized columnar chunks
+    (:meth:`~repro.core.columnar.TraceBatch.iter_jsonl`, the stream
+    ``arest detect`` reads) and runs
     :meth:`~repro.core.columnar.ColumnarDetector.detect_batch` with the
     archive header's ``target_asn`` ownership mask -- the fast
     re-detection path (see OPERATIONS.md), so decade-scale archives
-    re-analyze in one sitting.
+    re-analyze in one sitting.  ``traces`` counts the traces that
+    reached detection (quarantined ones excluded).
 
     ``fingerprints`` is an optional address->fingerprint mapping applied
     to every archive (a merged fingerprint DB); without it detection
@@ -210,14 +211,10 @@ def re_detect_adoption(
     degrades gracefully rather than collapsing.
     """
     from repro.campaign.dataset import TraceDataset
-    from repro.core.columnar import ColumnarDetector
+    from repro.core.columnar import ColumnarDetector, TraceBatch
     from repro.core.flags import STRONG_FLAGS
-    from repro.probing.sanitize import TraceSanitizer
 
-    if detector is None:
-        detector = ColumnarDetector()
-    fingerprints = fingerprints or {}
-    sanitizer = TraceSanitizer()
+    detector = ColumnarDetector()
     snapshots = []
     for year in sorted(archives_by_year):
         datasets = traces = 0
@@ -227,27 +224,14 @@ def re_detect_adoption(
             datasets += 1
             asn = TraceDataset.read_header(path).target_asn
             ases_analyzed.add(asn)
-
-            def sanitized():
-                for raw in TraceDataset.iter_jsonl(path):
-                    cleaned = sanitizer.sanitize(raw)
-                    if cleaned.trace is not None:
-                        yield cleaned.trace
-
-            pending: list = []
-            for trace in sanitized():
-                traces += 1
-                pending.append(trace)
-                if len(pending) >= chunk:
-                    if asn not in ases_with and _chunk_has_strong(
-                        detector, pending, fingerprints, asn, STRONG_FLAGS
-                    ):
-                        ases_with.add(asn)
-                    pending = []
-            if pending and asn not in ases_with and _chunk_has_strong(
-                detector, pending, fingerprints, asn, STRONG_FLAGS
-            ):
-                ases_with.add(asn)
+            for batch in TraceBatch.iter_jsonl(path, fingerprints, chunk):
+                traces += len(batch)
+                if asn not in ases_with and any(
+                    segment.flag in STRONG_FLAGS
+                    for segments in detector.detect_batch(batch, asn=asn)
+                    for segment in segments
+                ):
+                    ases_with.add(asn)
         snapshots.append(
             ReDetectionSnapshot(
                 year=year,
@@ -258,14 +242,3 @@ def re_detect_adoption(
             )
         )
     return snapshots
-
-
-def _chunk_has_strong(detector, traces, fingerprints, asn, strong) -> bool:
-    from repro.core.columnar import TraceBatch
-
-    batch = TraceBatch.from_traces(traces, fingerprints)
-    return any(
-        segment.flag in strong
-        for segments in detector.detect_batch(batch, asn=asn)
-        for segment in segments
-    )

@@ -85,7 +85,6 @@ def segment_length_rows(
 
 def batch_segment_length_rows(
     results: Mapping[int, AsCampaignResult],
-    detector=None,
 ) -> list[SegmentLengthRow]:
     """Columnar variant of :func:`segment_length_rows`.
 
@@ -99,8 +98,7 @@ def batch_segment_length_rows(
     """
     from repro.core.columnar import ColumnarDetector, TraceBatch
 
-    if detector is None:
-        detector = ColumnarDetector()
+    detector = ColumnarDetector()
     rows = []
     for as_id in sorted(results):
         result = results[as_id]

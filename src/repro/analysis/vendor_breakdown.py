@@ -153,20 +153,15 @@ class VendorBreakdownAccumulator:
         }
 
 
-def vendor_breakdown(
-    pairs: Iterable[tuple],
-    detector: ColumnarDetector | None = None,
-) -> dict:
+def vendor_breakdown(pairs: Iterable[tuple]) -> dict:
     """One-shot breakdown over (trace, fingerprints) pairs.
 
     Convenience wrapper: builds the batch, runs the batch detector, and
     returns :meth:`VendorBreakdownAccumulator.as_doc`.
     """
-    if detector is None:
-        detector = ColumnarDetector()
     batch = TraceBatch.from_pairs(pairs)
     accumulator = VendorBreakdownAccumulator()
-    accumulator.feed_batch(batch, detector.detect_batch(batch))
+    accumulator.feed_batch(batch, ColumnarDetector().detect_batch(batch))
     return accumulator.as_doc()
 
 

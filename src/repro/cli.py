@@ -719,7 +719,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.columnar import ColumnarDetector, TraceBatch
 
     # Streaming end to end: the header read is constant-cost and the
-    # body flows through bounded columnar chunks, so paper-scale spill
+    # body flows through bounded columnar chunks of sanitized traces
+    # (the sanitizer every analysis path runs), so paper-scale spill
     # files analyze in bounded memory.
     header = TraceDataset.read_header(args.dataset)
     if args.segments_json:
@@ -747,17 +748,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         return 0
     counts: Counter = Counter()
     seen = set()
-    total = 0
+    total = quarantined = 0
     detector = ColumnarDetector()
     for batch in TraceBatch.iter_jsonl(args.dataset):
-        total += len(batch)
+        total += len(batch) + batch.quarantined
+        quarantined += batch.quarantined
         for segments in detector.detect_batch(batch):
             for segment in segments:
                 if segment.key() not in seen:
                     seen.add(segment.key())
                     counts[segment.flag] += 1
+    withheld = f" ({quarantined} quarantined)" if quarantined else ""
     print(
-        f"{total} traces toward AS{header.target_asn}, "
+        f"{total} traces toward AS{header.target_asn}{withheld}, "
         f"{len(seen)} distinct segments"
     )
     for flag, count in counts.most_common():

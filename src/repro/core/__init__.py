@@ -8,10 +8,12 @@ traceroute paths plus vendor fingerprints into flagged SR-MPLS segments.
 - :mod:`repro.core.vendor_ranges` -- Table 1 as AReST consumes it.
 - :mod:`repro.core.labels` -- label sequence / suffix matching.
 - :mod:`repro.core.segments` -- detected-segment records.
-- :mod:`repro.core.detector` -- the flag-raising engine (object path).
-- :mod:`repro.core.columnar` -- columnar batch representation and the
-  vectorized batch detector (byte-identical output, campaign-scale
-  throughput).
+- :mod:`repro.core.detector` -- the flag-raising engine as the
+  paper-spec oracle (object path; its run rule is selectable for the
+  ablation benches).
+- :mod:`repro.core.columnar` -- the production detector at the paper's
+  rule: one-trace and whole-batch entry points over a columnar batch
+  representation (output byte-identical to the oracle's).
 - :mod:`repro.core.classification` -- per-hop SR / MPLS / IP areas.
 - :mod:`repro.core.interworking` -- full-SR vs. SR-LDP interworking
   tunnels, modes, and cloud sizes (Sec. 7.2).

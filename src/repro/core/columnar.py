@@ -8,8 +8,8 @@ walk for a *columnar* batch representation plus array passes:
 
 :class:`TraceBatch`
     Flat per-hop columns for a whole campaign, built **once** from
-    :class:`~repro.probing.records.Trace` objects or streamed straight
-    from :meth:`~repro.campaign.dataset.TraceDataset.iter_jsonl`:
+    :class:`~repro.probing.records.Trace` objects or streamed, sanitized,
+    from a ``dump_jsonl`` dataset (:meth:`TraceBatch.iter_jsonl`):
     effective top labels, effective stack depths, base eligibility,
     vendor-range membership, adjacent-label match bits, interned
     fingerprint-vendor ids and hop->trace offsets.  Everything the flag
@@ -17,21 +17,22 @@ walk for a *columnar* batch representation plus array passes:
     over a built batch touches only the columns.
 
 :class:`ColumnarDetector`
-    The batch flag evaluator.  Eligibility masking, maximal-run
-    discovery, suffix matching and CVR/CO/LSVR/LVR/LSO classification
-    run as whole-batch array passes: per-hop bits are combined with
-    arbitrary-precision integer bitwise ops (one machine op per 30
-    bytes of hops, via ``int.from_bytes``), maximal label runs fall out
-    of a single C-level regex scan over the match bytes, and per-run
-    evidence checks are ``bytearray.find`` range probes.  The only
-    per-segment Python executed is the construction of the
+    The production flag evaluator, at the paper's run rule (runs of
+    >= 2 hops, footnote 4's suffix matching on).  Eligibility masking,
+    maximal-run discovery, suffix matching and CVR/CO/LSVR/LVR/LSO
+    classification run as whole-batch array passes: per-hop bits are
+    combined with arbitrary-precision integer bitwise ops (one machine
+    op per 30 bytes of hops, via ``int.from_bytes``), maximal label runs
+    fall out of a single C-level regex scan over the match bytes, and
+    per-run evidence checks are ``bytearray.find`` range probes.  The
+    only per-segment Python executed is the construction of the
     :class:`~repro.core.segments.DetectedSegment` results themselves.
 
-The output contract is byte-identical to the object path -- same flags,
-same hop indices, same ``suffix_based`` bits, same ordering -- enforced
-by the Hypothesis differential suite in
-``tests/core/test_columnar_differential.py`` (the fast ≡ reference
-idiom PR 5 established for the probing fast path).
+The output is byte-identical to the paper-spec oracle
+(:class:`~repro.core.detector.ArestDetector` at its default rule) --
+same flags, same hop indices, same ``suffix_based`` bits, same
+ordering -- enforced by the Hypothesis differential suite in
+``tests/core/test_columnar_differential.py``.
 
 No new dependencies: columns live in :mod:`array`/``bytearray``
 storage, the bitwise passes are stdlib big-int arithmetic, and the run
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.core.detector import FingerprintLookup, _lookup_from_mapping
 from repro.core.flags import Flag
@@ -52,7 +53,8 @@ from repro.core.vendor_ranges import ranges_for_fingerprint
 from repro.fingerprint.records import Fingerprint, FingerprintMethod
 from repro.netsim.addressing import IPv4Address
 from repro.netsim.mpls import ReservedLabel
-from repro.probing.records import Trace, TraceHop
+from repro.probing.records import Trace
+from repro.probing.sanitize import TraceSanitizer
 
 _ELI = int(ReservedLabel.ENTROPY_LABEL_INDICATOR)
 _FIRST_UNRESERVED = 16
@@ -60,6 +62,10 @@ _SUFFIX_MODULUS = 10**SUFFIX_DIGITS
 
 #: default chunk size for streamed (JSONL) batch construction
 DEFAULT_CHUNK = 4096
+
+#: a maximal stretch of k set match bytes covers k+1 hops: every
+#: stretch is a run of >= 2 hops
+_RUN_RE = re.compile(b"\x01+")
 
 
 class RowView:
@@ -86,10 +92,10 @@ class TraceBatch:
     """Flat, append-only columnar storage for a batch of traces.
 
     Build through the classmethods (:meth:`from_traces`,
-    :meth:`from_pairs`, :meth:`from_jsonl`, :meth:`iter_jsonl`); the
-    builder seals the batch (:meth:`_seal`) by caching the big-int
-    projections of the bit columns, after which detection never touches
-    Python-level per-hop state again.
+    :meth:`from_pairs`, :meth:`iter_jsonl`), each of which seals the
+    batch (:meth:`_seal`) by caching the big-int projections of the bit
+    columns, after which detection never touches Python-level per-hop
+    state again.
     """
 
     __slots__ = (
@@ -106,6 +112,7 @@ class TraceBatch:
         "single",
         "vendor_id",
         "vendor_names",
+        "quarantined",
         "_elig_int",
         "_eq_int",
         "_sfx_int",
@@ -140,6 +147,9 @@ class TraceBatch:
         self.vendor_id = bytearray()
         #: id -> vendor token ("" at 0, "Cisco", "Cisco|Huawei", ...)
         self.vendor_names: list[str] = [""]
+        #: traces the sanitizer withheld while :meth:`iter_jsonl`
+        #: streamed this batch (not among :attr:`traces`)
+        self.quarantined = 0
         self._elig_int = 0
         self._eq_int = 0
         self._sfx_int = 0
@@ -186,19 +196,6 @@ class TraceBatch:
         return batch
 
     @classmethod
-    def from_jsonl(
-        cls,
-        path,
-        fingerprints: Mapping[IPv4Address, Fingerprint]
-        | FingerprintLookup
-        | None = None,
-    ) -> "TraceBatch":
-        """Build one batch straight from a ``dump_jsonl`` dataset file."""
-        from repro.campaign.dataset import TraceDataset
-
-        return cls.from_traces(TraceDataset.iter_jsonl(path), fingerprints)
-
-    @classmethod
     def iter_jsonl(
         cls,
         path,
@@ -207,7 +204,14 @@ class TraceBatch:
         | None = None,
         chunk: int = DEFAULT_CHUNK,
     ) -> Iterator["TraceBatch"]:
-        """Stream a dataset as bounded-size batches.
+        """Stream a dataset as bounded-size batches of sanitized traces.
+
+        Every stored trace passes the same :class:`TraceSanitizer` the
+        pipeline runs before detection: repaired traces enter the batch
+        in their repaired form, and quarantined ones are counted in the
+        :attr:`quarantined` of the batch they were read into (a last,
+        trace-less batch carries the tail's), so ``len(batch) +
+        batch.quarantined`` summed over the stream is every trace read.
 
         Constant memory in the dataset size: each yielded batch holds at
         most ``chunk`` traces, so paper-scale archives re-detect without
@@ -218,14 +222,19 @@ class TraceBatch:
         if chunk < 1:
             raise ValueError("chunk must be positive")
         lookup = _as_lookup(fingerprints)
+        sanitize = TraceSanitizer().sanitize
         batch = cls()
-        for trace in TraceDataset.iter_jsonl(path):
+        for raw in TraceDataset.iter_jsonl(path):
+            trace = sanitize(raw).trace
+            if trace is None:
+                batch.quarantined += 1
+                continue
             batch._append(trace, lookup)
             if len(batch.traces) >= chunk:
                 batch._seal()
                 yield batch
                 batch = cls()
-        if batch.traces:
+        if batch.traces or batch.quarantined:
             batch._seal()
             yield batch
 
@@ -353,9 +362,6 @@ class TraceBatch:
             in_range=[bool(b) for b in self.in_range[lo:hi]],
         )
 
-    def iter_traces(self) -> Iterator[Trace]:
-        return iter(self.traces)
-
     def asn_mask(self, asn: int) -> int:
         """Big-int eligibility mask selecting hops owned by ``asn``.
 
@@ -372,10 +378,6 @@ class TraceBatch:
             self._asn_masks[asn] = mask
         return mask
 
-    def global_index(self, k: int, hop_index: int) -> int:
-        """Map a (trace, trace-relative hop) pair to its column index."""
-        return self.offsets[k] + hop_index
-
 
 def _as_lookup(
     fingerprints: Mapping[IPv4Address, Fingerprint]
@@ -390,29 +392,14 @@ def _as_lookup(
 
 
 class ColumnarDetector:
-    """Batch flag evaluation over :class:`TraceBatch` columns.
+    """Flag evaluation at the paper's rule, one trace or a whole batch.
 
-    Drop-in for :class:`~repro.core.detector.ArestDetector`: the
-    :meth:`detect` method has the identical signature and byte-identical
-    output, implemented as a one-row batch.  The throughput win comes
-    from :meth:`detect_batch`, which amortizes every pass over a whole
-    campaign.
+    Two entry points with output byte-identical to
+    :meth:`ArestDetector.detect <repro.core.detector.ArestDetector.detect>`
+    at its default rule: :meth:`detect` for one trace (what the pipeline
+    and the service call per trace) and :meth:`detect_batch`, which
+    amortizes every pass over the columns of a whole campaign.
     """
-
-    def __init__(
-        self,
-        min_run_length: int = 2,
-        suffix_matching: bool = True,
-    ) -> None:
-        if min_run_length < 2:
-            raise ValueError("consecutive flags need runs of >= 2 hops")
-        self._min_run = min_run_length
-        self._suffix_matching = suffix_matching
-        # a maximal stretch of k match bits covers k+1 hops, so a
-        # >=min_run-hop run is >=min_run-1 consecutive set bytes
-        self._run_re = re.compile(
-            b"\x01{%d,}" % (min_run_length - 1)
-        )
 
     # -- object-API bridge ---------------------------------------------------
 
@@ -420,7 +407,6 @@ class ColumnarDetector:
         self,
         trace: Trace,
         fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
-        hop_filter: Callable[[TraceHop], bool] | None = None,
         hop_mask: frozenset[int] | set[int] | None = None,
     ) -> list[DetectedSegment]:
         """Detect SR-MPLS segments in one trace (one-row column view).
@@ -472,12 +458,7 @@ class ColumnarDetector:
                 and address is not None
                 and not hop.tnt_revealed
             )
-            if ok:
-                if hop_mask is not None:
-                    ok = idx in hop_mask
-                elif hop_filter is not None:
-                    ok = bool(hop_filter(hop))
-            if ok:
+            if ok and (hop_mask is None or idx in hop_mask):
                 labels_seq[idx] = hop_top
                 fp = lookup(address)
                 if fp.method is not none_method:
@@ -487,8 +468,6 @@ class ColumnarDetector:
                             break
         # maximal run discovery: a chain extends while adjacent eligible
         # tops sequence-match, exactly the pair-match bits of the batch
-        suffix = self._suffix_matching
-        min_run = self._min_run
         runs: list[tuple[int, int]] = []  # (start, last) inclusive
         run_start = 0
         prev_label = -1
@@ -498,20 +477,16 @@ class ColumnarDetector:
                 and prev_label >= 0
                 and (
                     label == prev_label
-                    or (
-                        suffix
-                        and label % _SUFFIX_MODULUS
-                        == prev_label % _SUFFIX_MODULUS
-                    )
+                    or label % _SUFFIX_MODULUS == prev_label % _SUFFIX_MODULUS
                 )
             ):
                 prev_label = label
                 continue
-            if prev_label >= 0 and idx - run_start >= min_run:
+            if prev_label >= 0 and idx - run_start >= 2:
                 runs.append((run_start, idx - 1))
             run_start = idx
             prev_label = label
-        if prev_label >= 0 and n - run_start >= min_run:
+        if prev_label >= 0 and n - run_start >= 2:
             runs.append((run_start, n - 1))
         # emission walks the hops once, so output order (runs and
         # singles interleaved by first hop) matches the object path
@@ -581,8 +556,7 @@ class ColumnarDetector:
         is that AS (the columnar analogue of the pipeline's in-AS
         ``hop_mask``); ``hop_masks`` gives one explicit trace-relative
         index set per trace (None entries leave that trace unmasked).
-        When both are given the explicit masks win, like the object
-        path's mask-beats-filter rule.
+        When both are given the explicit masks win.
         """
         n_traces = len(batch.traces)
         out: list[list[DetectedSegment]] = [[] for _ in range(n_traces)]
@@ -600,10 +574,7 @@ class ColumnarDetector:
         # pair (i, i+1) continues a run iff both hops are eligible and
         # their top labels sequence-match; eq/sfx bits are already zero
         # across trace boundaries, so runs can never span traces
-        if self._suffix_matching:
-            link = batch._eq_int | batch._sfx_int
-        else:
-            link = batch._eq_int
+        link = batch._eq_int | batch._sfx_int
         match_int = elig_int & (elig_int >> 8) & link
         found: list[tuple[int, int, bool]] = []  # (start, end incl, is_run)
         if match_int:
@@ -614,7 +585,7 @@ class ColumnarDetector:
             else:
                 cand = None
             zeros: bytes | None = None
-            for m in self._run_re.finditer(match):
+            for m in _RUN_RE.finditer(match):
                 start, last = m.start(), m.end()  # hops start..last incl.
                 found.append((start, last, True))
                 if cand is not None:
@@ -686,16 +657,6 @@ class ColumnarDetector:
                 )
             out[k].append(segment)
         return out
-
-    def count_batch(
-        self,
-        batch: TraceBatch,
-        hop_masks: list | None = None,
-        asn: int | None = None,
-    ) -> tuple[int, list[list[DetectedSegment]]]:
-        """Segment occurrences plus the per-trace lists (benchmark aid)."""
-        detections = self.detect_batch(batch, hop_masks=hop_masks, asn=asn)
-        return sum(len(d) for d in detections), detections
 
 
 def _found_start(item: tuple[int, int, bool]) -> int:

@@ -4,6 +4,13 @@ Input: one TNT-augmented trace plus a fingerprint per responding
 address.  Output: the list of detected SR-MPLS segments, each tagged
 with its flag.
 
+:class:`ArestDetector` is the paper-spec oracle: it walks one hop
+object at a time, and the columnar core
+(:mod:`repro.core.columnar`) is tested byte-identical against it.  Its
+run rule is selectable (``min_run_length``, ``suffix_matching``) for
+the ablation benches; production detection runs the columnar core at
+the paper's rule.
+
 Detection order mirrors the paper's flag hierarchy:
 
 1. Scan for maximal runs of >= 2 consecutive labeled hops whose top
@@ -107,18 +114,13 @@ class ArestDetector:
         self,
         trace: Trace,
         fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
-        hop_filter: Callable[[TraceHop], bool] | None = None,
         hop_mask: frozenset[int] | set[int] | None = None,
     ) -> list[DetectedSegment]:
         """Detect SR-MPLS segments in one trace.
 
-        ``hop_filter`` restricts detection to hops of interest (the
-        pipeline passes an is-in-target-AS predicate); hops failing the
-        filter break label runs, like AS boundaries do in the paper.
-        ``hop_mask`` is the precomputed-index-set equivalent -- callers
-        that already know which hops qualify pass the set instead of
-        paying a predicate call per hop; when both are given the mask
-        wins.
+        ``hop_mask`` restricts detection to the hop indices of interest
+        (the pipeline passes the trace's in-target-AS hops); hops
+        outside it break label runs, like AS boundaries do in the paper.
         """
         lookup = (
             fingerprints
@@ -128,7 +130,7 @@ class ArestDetector:
         # One effective-label computation per hop; every later stage
         # (eligibility, run discovery, classification) reads this view.
         views = [effective_labels(hop) for hop in trace.hops]
-        eligible = self._eligibility(trace, views, hop_filter, hop_mask)
+        eligible = self._eligibility(trace, views, hop_mask)
         segments: list[DetectedSegment] = []
         in_run: set[int] = set()
         for run in self._label_runs(trace, views, eligible):
@@ -149,7 +151,6 @@ class ArestDetector:
         self,
         trace: Trace,
         views: list[tuple[int, ...]],
-        hop_filter: Callable[[TraceHop], bool] | None,
         hop_mask: frozenset[int] | set[int] | None,
     ) -> list[bool]:
         flags = []
@@ -161,12 +162,8 @@ class ArestDetector:
                 bool(views[i])
                 and not hop.tnt_revealed
                 and hop.address is not None
+                and (hop_mask is None or i in hop_mask)
             )
-            if ok:
-                if hop_mask is not None:
-                    ok = i in hop_mask
-                elif hop_filter is not None:
-                    ok = hop_filter(hop)
             flags.append(ok)
         return flags
 

@@ -192,7 +192,6 @@ class AsAccumulator:
         fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
         asn_of: AsnLookup | None = None,
         segment_sink: list[tuple[Trace, list[DetectedSegment]]] | None = None,
-        sanitizer: TraceSanitizer | None = None,
         telemetry=None,
     ) -> None:
         self._detector = detector
@@ -200,7 +199,6 @@ class AsAccumulator:
         self._fingerprints = fingerprints
         self._asn_of = asn_of if asn_of is not None else _truth_asn
         self._segment_sink = segment_sink
-        self._sanitizer = sanitizer if sanitizer is not None else TraceSanitizer()
         self._track = telemetry is not None and telemetry.enabled
         self._telemetry = telemetry
         # The hot loop calls these two pre-bound callables with no
@@ -210,7 +208,7 @@ class AsAccumulator:
         # binned once, in :meth:`finish`).  Branch-free dispatch plus
         # batched binning is what holds the <2% instrumentation
         # budget.
-        self._sanitize = self._sanitizer.sanitize
+        self._sanitize = TraceSanitizer().sanitize
         self._detect = self._detector.detect
         self._sanitize_samples: list[float] = []
         self._detect_samples: list[float] = []
@@ -309,7 +307,6 @@ class ArestPipeline:
         fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
         asn_of: AsnLookup | None = None,
         segment_sink: list[tuple[Trace, list[DetectedSegment]]] | None = None,
-        sanitizer: TraceSanitizer | None = None,
         telemetry=None,
     ) -> AsAccumulator:
         """An incremental accumulator for streaming consumers."""
@@ -319,7 +316,6 @@ class ArestPipeline:
             fingerprints,
             asn_of=asn_of,
             segment_sink=segment_sink,
-            sanitizer=sanitizer,
             telemetry=telemetry,
         )
 
@@ -330,7 +326,6 @@ class ArestPipeline:
         fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
         asn_of: AsnLookup | None = None,
         segment_sink: list[tuple[Trace, list[DetectedSegment]]] | None = None,
-        sanitizer: TraceSanitizer | None = None,
         telemetry=None,
     ) -> AsAnalysis:
         """Analyze every trace, keeping only hops inside ``asn``.
@@ -340,11 +335,11 @@ class ArestPipeline:
         perfect annotator.  ``segment_sink``, when given, receives every
         (trace, segments) pair for downstream validation.
 
-        Every trace is sanitized before detection (lenient policy by
-        default; pass a configured :class:`TraceSanitizer` to change
-        it): repairable structural defects are fixed and recorded,
-        unresolvable ones quarantine the trace -- counted, never
-        silently dropped.  Well-formed traces pass through unchanged.
+        Every trace is sanitized before detection
+        (:class:`TraceSanitizer`): repairable structural defects are
+        fixed and recorded, unresolvable ones quarantine the trace --
+        counted, never silently dropped.  Well-formed traces pass
+        through unchanged.
 
         ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`, duck
         typed to avoid the dependency) receives ``sanitize`` and
@@ -355,7 +350,6 @@ class ArestPipeline:
             fingerprints,
             asn_of=asn_of,
             segment_sink=segment_sink,
-            sanitizer=sanitizer,
             telemetry=telemetry,
         )
         for trace in traces:

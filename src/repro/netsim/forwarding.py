@@ -389,6 +389,15 @@ class ForwardingEngine:
             measured=truth is None,
             recorder=recorder,
         )
+        # the injector a measured probe draws blackouts from; None at
+        # blackout_rate 0, where every blacked_out() call is a no-op False
+        blackouts = (
+            self._faults
+            if packet.measured
+            and self._faults is not None
+            and self._faults.plan.blackout_rate > 0.0
+            else None
+        )
         node = src
         prev: int | None = None
         for _ in range(_MAX_WALK):
@@ -408,11 +417,7 @@ class ForwardingEngine:
                 # for the prefix yet: the probe falls into the transient
                 # blackhole.
                 raise PacketDropped(DropReason.BLACKOUT)
-            if (
-                packet.measured
-                and self._faults is not None
-                and self._faults.blacked_out(node)
-            ):
+            if blackouts is not None and blackouts.blacked_out(node):
                 # The router is transiently dark: it neither forwards
                 # nor replies, so the probe dies silently.
                 raise PacketDropped(DropReason.BLACKOUT)

@@ -9,10 +9,8 @@ taxonomy (explicit / implicit / opaque / invisible).
 from repro.probing.records import QuotedLse, Trace, TraceHop
 from repro.probing.sanitize import (
     AnomalyKind,
-    SanitizePolicy,
     SanitizeResult,
     TraceAnomaly,
-    TraceSanitizationError,
     TraceSanitizer,
 )
 from repro.probing.traceroute import ParisTraceroute
@@ -24,10 +22,8 @@ __all__ = [
     "Trace",
     "TraceHop",
     "AnomalyKind",
-    "SanitizePolicy",
     "SanitizeResult",
     "TraceAnomaly",
-    "TraceSanitizationError",
     "TraceSanitizer",
     "ParisTraceroute",
     "TntProber",

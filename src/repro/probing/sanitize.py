@@ -25,12 +25,12 @@ ground truth:
   window spanning the seam can fabricate evidence no single network
   state exhibited.
 
-Under :attr:`SanitizePolicy.LENIENT` (the default) every repairable
-anomaly is fixed in place and recorded as a :class:`TraceAnomaly`;
-traces with unresolvable anomalies -- or more repairs than the budget
-allows -- are *quarantined* (``SanitizeResult.trace is None``) rather
-than silently dropped.  :attr:`SanitizePolicy.STRICT` raises
-:class:`TraceSanitizationError` on the first anomaly instead.
+Every repairable anomaly is fixed in place and recorded as a
+:class:`TraceAnomaly`; traces with unresolvable anomalies -- or more
+than :data:`MAX_REPAIRS_PER_TRACE` repairs -- are *quarantined*
+(``SanitizeResult.trace is None``) rather than silently dropped.  Every
+analysis path (the pipeline, the service, ``arest detect`` and archive
+re-detection) runs this one policy before detection.
 
 A well-formed trace sanitizes to the *same object* with no anomalies,
 so the default-on sanitizer leaves clean campaigns byte-identical
@@ -63,6 +63,9 @@ _MAX_LABEL = 2**20 - 1
 _MAX_TC = 7
 _MAX_TTL = 255
 
+#: repairs one trace may take; a trace needing more is quarantined
+MAX_REPAIRS_PER_TRACE = 8
+
 #: (base, mask) pairs of source ranges no on-path router can own
 _MARTIAN_RANGES = (
     (0x00000000, 0xFF000000),  # 0.0.0.0/8        "this network"
@@ -77,15 +80,6 @@ def is_martian(address: IPv4Address) -> bool:
     return any(
         address.value & mask == base for base, mask in _MARTIAN_RANGES
     )
-
-
-class SanitizePolicy(enum.Enum):
-    """What to do when a trace fails validation."""
-
-    #: raise :class:`TraceSanitizationError` on the first anomaly
-    STRICT = "strict"
-    #: repair what is safely repairable, quarantine the rest
-    LENIENT = "lenient"
 
 
 class AnomalyKind(enum.Enum):
@@ -162,17 +156,6 @@ class TraceAnomaly:
         )
 
 
-class TraceSanitizationError(ValueError):
-    """Strict-policy failure: the offending anomaly rides along."""
-
-    def __init__(self, anomaly: TraceAnomaly) -> None:
-        super().__init__(
-            f"trace {anomaly.vp} -> {anomaly.destination}: "
-            f"{anomaly.kind.value} ({anomaly.detail})"
-        )
-        self.anomaly = anomaly
-
-
 @dataclass(slots=True)
 class SanitizeResult:
     """Outcome of sanitizing one trace."""
@@ -189,21 +172,6 @@ class SanitizeResult:
 
 class TraceSanitizer:
     """Validates, repairs and quarantines traces before detection."""
-
-    def __init__(
-        self,
-        policy: SanitizePolicy = SanitizePolicy.LENIENT,
-        max_repairs_per_trace: int = 8,
-    ) -> None:
-        if max_repairs_per_trace < 1:
-            raise ValueError("max_repairs_per_trace must be >= 1")
-        self._policy = policy
-        self._max_repairs = max_repairs_per_trace
-
-    @property
-    def policy(self) -> SanitizePolicy:
-        """The active strictness policy."""
-        return self._policy
 
     def sanitize(self, trace: Trace) -> SanitizeResult:
         """Validate one trace; identity on well-formed input."""
@@ -288,14 +256,14 @@ class TraceSanitizer:
             return SanitizeResult(trace=trace)
 
         repairs = sum(1 for a in anomalies if a.repaired)
-        if repairs > self._max_repairs:
+        if repairs > MAX_REPAIRS_PER_TRACE:
             self._note(
                 anomalies,
                 trace,
                 AnomalyKind.REPAIR_BUDGET_EXCEEDED,
                 None,
                 f"{repairs} repairs exceed the budget of "
-                f"{self._max_repairs}",
+                f"{MAX_REPAIRS_PER_TRACE}",
                 repaired=False,
             )
             return SanitizeResult(trace=None, anomalies=anomalies)
@@ -518,6 +486,4 @@ class TraceSanitizer:
             detail=detail,
             repaired=repaired,
         )
-        if self._policy is SanitizePolicy.STRICT:
-            raise TraceSanitizationError(anomaly)
         anomalies.append(anomaly)

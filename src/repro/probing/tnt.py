@@ -109,6 +109,8 @@ class TntProber:
         retry = self._retry
         flow_id = derive_flow_id(vp_router_id, destination)
         corrupting = faults is not None and faults.plan.corruption_active
+        # at blackout_rate 0 every blacked_out() call is a no-op False
+        blackouts = faults is not None and faults.plan.blackout_rate > 0.0
         reroute = (
             faults.rerouted_flow(flow_id, destination, prober.max_ttl)
             if corrupting
@@ -148,7 +150,7 @@ class TntProber:
                 )
             ):
                 event = walk.expiry_by_ttl.get(ttl)
-                if faults is not None:
+                if blackouts:
                     # the blackout checks the reference walk makes: one
                     # per router reached, the expiry node included,
                     # stopping at the first dark one

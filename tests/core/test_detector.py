@@ -159,16 +159,14 @@ class TestStackFlags:
 
 
 class TestFiltersAndEdges:
-    def test_hop_filter_breaks_runs(self, detector):
+    def test_hop_mask_breaks_runs(self, detector):
         trace = make_trace(
             [
                 make_hop(1, "10.0.0.1", labels=(17_005,), truth_planes=("sr",)),
                 make_hop(2, "10.0.0.2", labels=(17_005,)),
             ]
         )
-        segments = detector.detect(
-            trace, {}, hop_filter=lambda h: bool(h.truth_planes)
-        )
+        segments = detector.detect(trace, {}, hop_mask={0})
         assert segments == []  # the run split; singleton depth-1 silent
 
     def test_tnt_revealed_hops_excluded(self, detector):

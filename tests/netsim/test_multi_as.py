@@ -102,12 +102,12 @@ class TestTwoAsTraversal:
         net, vp, target, engine = two_as_world
         trace = TntProber(engine, seed=2).trace(vp.router_id, target)
         detector = ArestDetector()
-        as1_segments = detector.detect(
-            trace, {}, hop_filter=lambda h: h.truth_asn == AS1
-        )
-        as2_segments = detector.detect(
-            trace, {}, hop_filter=lambda h: h.truth_asn == AS2
-        )
+
+        def hops_of(asn):
+            return {i for i, h in enumerate(trace.hops) if h.truth_asn == asn}
+
+        as1_segments = detector.detect(trace, {}, hop_mask=hops_of(AS1))
+        as2_segments = detector.detect(trace, {}, hop_mask=hops_of(AS2))
         assert [s.flag for s in as1_segments] == [Flag.CO]
         assert as2_segments == []
 

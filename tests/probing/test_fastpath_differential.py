@@ -323,3 +323,25 @@ def test_campaign_probing_is_byte_identical(plan, retry):
     assert _campaign_probe(plan, retry, True) == _campaign_probe(
         plan, retry, False
     )
+
+
+def test_no_blackout_draws_at_blackout_rate_zero(monkeypatch):
+    """A plan without blackouts leaves ``blacked_out`` uncalled on both
+    legs over lossy, retried traces; one with blackouts draws them."""
+    calls = []
+    original = FaultInjector.blacked_out
+
+    def counting(self, router_id):
+        calls.append(router_id)
+        return original(self, router_id)
+
+    monkeypatch.setattr(FaultInjector, "blacked_out", counting)
+    lossy = FaultPlan(probe_loss=0.3, seed=1)
+    fast, reference = _legs(
+        _PINNED_CHAIN, plan=lossy, retry=SCALE_LOSSY_RETRY, hosts=[10, 11]
+    )
+    _assert_same(fast, reference)
+    assert fast[1]["probes_lost"] > 0 and fast[2]["retries"] > 0
+    assert calls == []
+    _legs(_PINNED_CHAIN, plan=PINNED_BUCKETS_PLAN, hosts=[10])
+    assert calls

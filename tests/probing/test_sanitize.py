@@ -1,13 +1,10 @@
-"""Unit tests for trace sanitization: repair, quarantine, policies."""
-
-import pytest
+"""Unit tests for trace sanitization: repair, quarantine, budget."""
 
 from repro.netsim.addressing import IPv4Address
 from repro.probing.records import QuotedLse, TraceHop
 from repro.probing.sanitize import (
+    MAX_REPAIRS_PER_TRACE,
     AnomalyKind,
-    SanitizePolicy,
-    TraceSanitizationError,
     TraceSanitizer,
     is_martian,
 )
@@ -165,30 +162,27 @@ class TestCrossHopRepairs:
 
 class TestBudgetAndPolicy:
     def test_repair_budget_exceeded_quarantines(self):
-        hops = [
-            make_hop(ttl, "10.0.0.1").with_annotation(reply_ip_ttl=0)
-            for ttl in range(1, 5)
-        ]
-        trace = make_trace(hops, reached=False)
-        result = TraceSanitizer(max_repairs_per_trace=2).sanitize(trace)
+        def trace_with_repairs(n):
+            hops = [
+                make_hop(ttl, "10.0.0.1").with_annotation(reply_ip_ttl=0)
+                for ttl in range(1, n + 1)
+            ]
+            return make_trace(hops, reached=False)
+
+        within = TraceSanitizer().sanitize(
+            trace_with_repairs(MAX_REPAIRS_PER_TRACE)
+        )
+        assert not within.quarantined
+        assert len(within.anomalies) == MAX_REPAIRS_PER_TRACE
+        result = TraceSanitizer().sanitize(
+            trace_with_repairs(MAX_REPAIRS_PER_TRACE + 1)
+        )
         assert result.quarantined
         assert result.anomalies[-1].kind is AnomalyKind.REPAIR_BUDGET_EXCEEDED
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceSanitizer(max_repairs_per_trace=0)
-
-    def test_strict_raises_on_first_anomaly(self):
-        trace = make_trace([make_hop(1, "240.0.0.1")], reached=False)
-        sanitizer = TraceSanitizer(policy=SanitizePolicy.STRICT)
-        with pytest.raises(TraceSanitizationError) as excinfo:
-            sanitizer.sanitize(trace)
-        assert excinfo.value.anomaly.kind is AnomalyKind.MARTIAN_SOURCE
-
-    def test_strict_passes_clean_traces(self):
-        trace = _clean_trace()
-        result = TraceSanitizer(policy=SanitizePolicy.STRICT).sanitize(trace)
-        assert result.trace is trace
+        # a budget of 0 would quarantine every trace that needed a repair
+        assert MAX_REPAIRS_PER_TRACE >= 1
 
 
 class TestEpochAnomalies:
@@ -269,15 +263,6 @@ class TestEpochAnomalies:
         assert trace.epoch_span is None
         result = TraceSanitizer().sanitize(trace)
         assert result.trace is trace
-
-    def test_strict_raises_on_cross_epoch(self):
-        trace = make_trace(
-            [make_hop(1, "10.0.0.1")], reached=False, epoch_span=(0, 1)
-        )
-        sanitizer = TraceSanitizer(policy=SanitizePolicy.STRICT)
-        with pytest.raises(TraceSanitizationError) as excinfo:
-            sanitizer.sanitize(trace)
-        assert excinfo.value.anomaly.kind is AnomalyKind.CROSS_EPOCH
 
 
 class TestAnomalyRecords:

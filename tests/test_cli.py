@@ -105,6 +105,66 @@ class TestDetect:
         assert counts  # AS 28 shows SR evidence: the table is compared
         assert out == "\n".join(expected) + "\n"
 
+    def test_summary_counts_sanitized_traces(self, tmp_path, capsys):
+        """A duplicated labeled hop is deduplicated, not a CO run, and a
+        trace with conflicting answers is quarantined and counted."""
+        from repro.campaign import TraceDataset
+
+        from tests.conftest import make_hop, make_trace
+
+        duplicated = make_trace(
+            [
+                make_hop(1, "10.0.0.1"),
+                make_hop(2, "10.0.0.2", labels=(16_001,)),
+                make_hop(2, "10.0.0.2", labels=(16_001,)),
+                make_hop(3, "203.0.113.1", destination_reply=True),
+            ]
+        )
+        conflicting = make_trace(
+            [
+                make_hop(1, "10.0.0.1", labels=(16_001,)),
+                make_hop(1, "10.0.0.2", labels=(16_001,)),
+            ],
+            reached=False,
+        )
+        path = tmp_path / "dirty.jsonl"
+        TraceDataset(
+            target_asn=65001, traces=[duplicated, conflicting]
+        ).dump_jsonl(path)
+        assert main(["detect", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "2 traces toward AS65001 (1 quarantined), 0 distinct segments\n"
+            "  (no SR-MPLS evidence)\n"
+        )
+
+    def test_summary_matches_segments_json_on_corrupted_data(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.campaign import CampaignRunner
+        from repro.netsim.faults import FaultPlan
+
+        plan = FaultPlan(
+            duplicate_hop_rate=0.05, label_garble_rate=0.02, seed=1
+        )
+        path = tmp_path / "corrupted.jsonl"
+        CampaignRunner(
+            seed=1, vps_per_as=3, targets_per_as=20, fault_plan=plan
+        ).run_as(46).dataset.dump_jsonl(path)
+        assert main(["detect", str(path)]) == 0
+        first, *rows = capsys.readouterr().out.splitlines()
+        assert main(["detect", str(path), "--segments-json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert first.startswith(f"{doc['traces']['collected']} traces ")
+        assert first.endswith(f", {doc['total_distinct']} distinct segments")
+        summary = {name: int(count) for name, count in map(str.split, rows)}
+        assert summary == {
+            flag: entry["distinct"]
+            for flag, entry in doc["flags"].items()
+            if entry["distinct"]
+        }
+
     def test_vendor_breakdown_json(self, tmp_path, capsys):
         import json
 
