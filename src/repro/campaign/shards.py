@@ -236,17 +236,17 @@ def build_shard_context(
 
 @dataclass(slots=True)
 class VpRun:
-    """One vantage point's probing: its own prober and fault injector."""
+    """One vantage point's probing: the live retry tally of its own
+    prober and its own fault injector.
+
+    The prober itself is not kept: its stored walks serve that VP's
+    traces only, and go with it.
+    """
 
     vp_index: int
     vp_id: str
-    prober: TntProber
+    retry_accounting: RetryAccounting
     injector: FaultInjector | None
-
-    @property
-    def retry_accounting(self) -> RetryAccounting:
-        """The live retry tally of this VP's prober."""
-        return self.prober.accounting
 
     @property
     def fault_counters(self) -> FaultCounters:
@@ -329,7 +329,7 @@ def probe_vps(
                 seed=runner.seed,
                 retry=runner.retry,
             )
-            run = VpRun(vp_index, vp.vp_id, prober, injector)
+            run = VpRun(vp_index, vp.vp_id, prober.accounting, injector)
             if runs is not None:
                 runs.append(run)
             vp_router = context.net.vantage_points[vp.vp_id]

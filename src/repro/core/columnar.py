@@ -68,26 +68,6 @@ DEFAULT_CHUNK = 4096
 _RUN_RE = re.compile(b"\x01+")
 
 
-class RowView:
-    """Per-trace view over one batch row (the object-API bridge).
-
-    Everything is trace-relative; ``tops``/``depths`` mirror what
-    :func:`repro.core.detector.effective_labels` would compute hop by
-    hop (top label or ``None``, effective depth), ``eligible`` is the
-    base eligibility the detector starts from.  The differential
-    suite's round-trip property checks these against the object path.
-    """
-
-    __slots__ = ("trace", "tops", "depths", "eligible", "in_range")
-
-    def __init__(self, trace, tops, depths, eligible, in_range):
-        self.trace = trace
-        self.tops = tops
-        self.depths = depths
-        self.eligible = eligible
-        self.in_range = in_range
-
-
 class TraceBatch:
     """Flat, append-only columnar storage for a batch of traces.
 
@@ -347,21 +327,6 @@ class TraceBatch:
         """Total hops across all traces."""
         return len(self.top)
 
-    def trace(self, k: int) -> Trace:
-        """The original trace object behind row ``k``."""
-        return self.traces[k]
-
-    def row(self, k: int) -> RowView:
-        """Trace-relative view of row ``k``'s columns."""
-        lo, hi = self.offsets[k], self.offsets[k + 1]
-        return RowView(
-            trace=self.traces[k],
-            tops=[t if t >= 0 else None for t in self.top[lo:hi]],
-            depths=list(self.depth[lo:hi]),
-            eligible=[bool(b) for b in self.elig[lo:hi]],
-            in_range=[bool(b) for b in self.in_range[lo:hi]],
-        )
-
     def asn_mask(self, asn: int) -> int:
         """Big-int eligibility mask selecting hops owned by ``asn``.
 
@@ -545,18 +510,13 @@ class ColumnarDetector:
     # -- batch passes --------------------------------------------------------
 
     def detect_batch(
-        self,
-        batch: TraceBatch,
-        hop_masks: list[frozenset[int] | set[int] | None] | None = None,
-        asn: int | None = None,
+        self, batch: TraceBatch, asn: int | None = None
     ) -> list[list[DetectedSegment]]:
         """Per-trace detected segments for the whole batch.
 
         ``asn`` restricts eligibility to hops whose ground-truth owner
         is that AS (the columnar analogue of the pipeline's in-AS
-        ``hop_mask``); ``hop_masks`` gives one explicit trace-relative
-        index set per trace (None entries leave that trace unmasked).
-        When both are given the explicit masks win.
+        ``hop_mask``).
         """
         n_traces = len(batch.traces)
         out: list[list[DetectedSegment]] = [[] for _ in range(n_traces)]
@@ -564,11 +524,7 @@ class ColumnarDetector:
         if n_hops == 0:
             return out
         elig_int = batch._elig_int
-        if hop_masks is not None:
-            if len(hop_masks) != n_traces:
-                raise ValueError("one hop mask (or None) per trace")
-            elig_int &= _masks_to_int(batch, hop_masks)
-        elif asn is not None:
+        if asn is not None:
             elig_int &= batch.asn_mask(asn)
 
         # pair (i, i+1) continues a run iff both hops are eligible and
@@ -661,20 +617,3 @@ class ColumnarDetector:
 
 def _found_start(item: tuple[int, int, bool]) -> int:
     return item[0]
-
-
-def _masks_to_int(batch: TraceBatch, hop_masks: list) -> int:
-    """Big-int eligibility mask from per-trace index sets.
-
-    ``None`` entries leave every hop of that trace selected.
-    """
-    member = bytearray(b"\x01" * batch.n_hops)
-    offsets = batch.offsets
-    for k, mask in enumerate(hop_masks):
-        if mask is None:
-            continue
-        lo, hi = offsets[k], offsets[k + 1]
-        for i in range(lo, hi):
-            if (i - lo) not in mask:
-                member[i] = 0
-    return int.from_bytes(member, "little")

@@ -36,8 +36,12 @@ per ``(src, destination, flow)`` -- :meth:`ForwardingEngine.record_walk`
 O(1).  The TNT prober's fused loop answers its probes from that
 recording, replaying the per-probe fault draws in the reference call
 order, and hands any probe the recording cannot answer exactly to
-:meth:`ForwardingEngine.walk_probe`.  See :mod:`repro.netsim.walkcache`
-for the synthesis model and its exactness guarantees.
+:meth:`ForwardingEngine.walk_probe`.  Nor do forwarding decisions read
+the destination beyond its router, or the flow beyond its ECMP choices,
+which the recording logs: so the prober reuses one recording for every
+flow toward the same router that makes the same choices.  See
+:mod:`repro.netsim.walkcache` for the synthesis and reuse model and its
+exactness guarantees.
 """
 
 from __future__ import annotations
@@ -68,11 +72,7 @@ _DEFAULT_INITIAL_TTL = 64
 
 
 def _ecmp_bucket(flow_id: int, node: int, target: int) -> int:
-    """The per-flow ECMP hash bucket.
-
-    Not memoized: its one caller, :meth:`ForwardingEngine._flow_next_hop`,
-    already caches the resolved hop per (node, target, flow).
-    """
+    """The per-flow ECMP hash bucket, drawn at multi-path next hops."""
     digest = hashlib.sha256(f"{flow_id}:{node}:{target}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
 
@@ -178,10 +178,8 @@ class ForwardingEngine:
         self._dynamics = None
         #: monotonic topology epoch; bumped by every cache invalidation
         self._epoch = 0
-        #: fast-path and cache counters (observational only)
+        #: fast-path counters (observational only)
         self.stats = WalkStats()
-        #: (node, target, flow) -> resolved ECMP next hop
-        self._next_hop_cache: dict[tuple[int, int, int], int] = {}
         #: (node, prev, vp) -> reply skeleton, shared by walk recorders
         self._reply_skeletons: dict = {}
 
@@ -194,7 +192,6 @@ class ForwardingEngine:
         recording whose epoch trails the engine's must never answer a
         probe (the TNT prober walks such a probe live and re-records).
         """
-        self._next_hop_cache.clear()
         self._reply_skeletons.clear()
         self._igp.invalidate()
         self._epoch += 1
@@ -405,7 +402,7 @@ class ForwardingEngine:
                 # The sender itself neither decrements nor pushes.
                 if node == final:
                     return self._deliver(node, packet)
-                next_node = self._flow_next_hop(node, final, packet.flow_id)
+                next_node = self._flow_next_hop(node, final, packet)
                 prev, node = node, next_node
                 continue
             if (
@@ -518,7 +515,7 @@ class ForwardingEngine:
                         packet.uniform,
                     )
                 return self._forward_labeled(node, final, packet)
-        return self._flow_next_hop(node, final, packet.flow_id)
+        return self._flow_next_hop(node, final, packet)
 
     def _push_program(
         self, router: Router, packet: _Packet, program: TunnelProgram
@@ -637,7 +634,7 @@ class ForwardingEngine:
     ) -> int:
         index = domain.node_index(target)
         assert index is not None
-        nh = self._flow_next_hop(node, target, packet.flow_id)
+        nh = self._flow_next_hop(node, target, packet)
         if domain.is_enrolled(nh):
             if nh == target and domain.explicit_null:
                 # signal explicit-null: the endpoint still receives an
@@ -666,7 +663,7 @@ class ForwardingEngine:
             # UHP tail: we advertised this binding and we are the egress.
             self._pop(packet)
             return node
-        nh = self._flow_next_hop(node, egress, packet.flow_id)
+        nh = self._flow_next_hop(node, egress, packet)
         nh_router = self._network.router(nh)
         fec = self._tunnels.egress_fec(egress)
         if nh_router.ldp_enabled:
@@ -700,16 +697,16 @@ class ForwardingEngine:
         if domain is not None and router.sr_enabled:
             target = domain.resolve_label(node, label)
             if target is not None and target != node:
-                return self._flow_next_hop(node, target, packet.flow_id)
+                return self._flow_next_hop(node, target, packet)
         if router.ldp_enabled:
             # The pushed label is the *next hop's* binding; find the FEC
             # through the tunnel program's egress instead.
             program = self._tunnels.program_for(node, final)
             if program is not None:
-                return self._flow_next_hop(node, program.egress, packet.flow_id)
+                return self._flow_next_hop(node, program.egress, packet)
         program = self._tunnels.program_for(node, final)
         if program is not None:
-            return self._flow_next_hop(node, program.egress, packet.flow_id)
+            return self._flow_next_hop(node, program.egress, packet)
         raise PacketDropped(DropReason.UNKNOWN_LABEL)  # pragma: no cover
 
     def _after_forwarding_pop(
@@ -772,7 +769,7 @@ class ForwardingEngine:
         # IP TTL was synchronised on each pop.
         if node == final:
             return self._deliver(node, packet)
-        return self._flow_next_hop(node, final, packet.flow_id)
+        return self._flow_next_hop(node, final, packet)
 
     def _splice_policy(self, packet: _Packet, policy) -> None:
         """Replace the active BSID with the policy's segment list; the
@@ -855,19 +852,16 @@ class ForwardingEngine:
 
     # -- helpers ------------------------------------------------------------------------
 
-    def _flow_next_hop(self, node: int, target: int, flow_id: int) -> int:
-        key = (node, target, flow_id)
-        cached = self._next_hop_cache.get(key)
-        if cached is not None:
-            self.stats.next_hop_hits += 1
-            return cached
+    def _flow_next_hop(self, node: int, target: int, packet: _Packet) -> int:
+        """The packet's next hop toward ``target``: its flow's ECMP
+        bucket picks among equal-cost hops, and a recording walk logs
+        every such choice."""
         hops = self._igp.ecmp_next_hops(node, target)
         if len(hops) == 1:
-            nh = hops[0]
-        else:
-            nh = hops[_ecmp_bucket(flow_id, node, target) % len(hops)]
-        self.stats.next_hop_misses += 1
-        self._next_hop_cache[key] = nh
+            return hops[0]
+        nh = hops[_ecmp_bucket(packet.flow_id, node, target) % len(hops)]
+        if packet.recorder is not None:
+            packet.recorder.decisions.append((node, target, hops, nh))
         return nh
 
     def _return_hops(self, responder: int, vp: int) -> int:

@@ -57,11 +57,36 @@ every probe of that flow is walked live
 a probe TTL beyond the recording base, a probe sent after a topology
 mutation made the recording stale, and a probe sent while a churn
 scheduler is mid-reconvergence.
+
+Reuse across destinations
+-------------------------
+
+A recording depends on the destination only through its router
+(``network.owner_of(dest)``), and on the flow only through the
+multi-path ECMP choices the walk made: every other forwarding decision
+reads the vantage point, the destination router and the topology
+epoch.  The recorder logs each multi-path choice in walk order as
+``(node, target, next_hops, chosen)`` (:attr:`RecordedWalk.decisions`).
+A flow whose ECMP bucket picks ``chosen`` at every logged decision
+walks the same path, so its recording shares the stored one's expiry
+events, visits and truth; :meth:`RecordedWalk.reused_for` redoes only
+what reads the destination or the flow: the delivery reply's source
+address (the destination itself) and the per-flow ICMP response-rate
+draw at each router answering below rate 1
+(:attr:`RecordedWalk.rated`).
+
+The TNT prober keeps the walks it recorded, one list per destination
+router, and reuses one before it records a new flow.  The store is per
+prober, that is per vantage point: it is bounded by one VP's
+destination routers, a VP's traces stay a function of that VP's probe
+sequence alone, and it is dropped when the topology epoch moves on.
+Flow ids are 16-bit hashes (``derive_flow_id``), so two destinations
+can share one; nothing here is keyed by flow id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.netsim.addressing import IPv4Address
@@ -116,6 +141,11 @@ _PROBE_TTL_POOL = tuple(SymTtl(value, True) for value in range(256))
 #: checkpoint, squarely on the recording hot path.
 QuoteTemplate = tuple[tuple[int, int, bool, bool, int], ...]
 
+#: One multi-path next-hop choice of a walk: ``(node, target,
+#: next_hops, chosen)``.  A flow whose ECMP bucket picks ``chosen`` among
+#: ``next_hops`` at every logged choice walks the same path.
+EcmpDecision = tuple[int, int, list[int], int]
+
 
 @dataclass(frozen=True, slots=True)
 class WalkEvent:
@@ -143,22 +173,21 @@ class WalkEvent:
 
 @dataclass(slots=True)
 class WalkStats:
-    """Fast-path and cache tallies (observational; telemetry gauges)."""
+    """Fast-path tallies (observational; telemetry gauges)."""
 
-    #: recording walks completed and usable for synthesis
+    #: usable recordings handed to the prober, reused ones included
     walks_recorded: int = 0
     #: recording attempts discarded (equivalence not guaranteed)
     walks_fallback: int = 0
+    #: recordings reused from a stored walk of the same destination
+    #: router rather than walked afresh
+    walks_reused: int = 0
     #: probes answered from a recorded walk in O(1)
     probes_synthesized: int = 0
     #: probes answered by a full reference walk
     probes_walked: int = 0
     #: per-node processing steps executed by reference walks
     nodes_processed: int = 0
-    #: memoized flow-next-hop resolutions served from cache
-    next_hop_hits: int = 0
-    #: flow-next-hop resolutions computed and cached
-    next_hop_misses: int = 0
     #: topology epochs the engine has moved through (cache invalidations)
     epoch_transitions: int = 0
     #: synthesis requests refused because the recording's epoch was stale
@@ -169,11 +198,10 @@ class WalkStats:
         return {
             "walks_recorded": self.walks_recorded,
             "walks_fallback": self.walks_fallback,
+            "walks_reused": self.walks_reused,
             "probes_synthesized": self.probes_synthesized,
             "probes_walked": self.probes_walked,
             "nodes_processed": self.nodes_processed,
-            "next_hop_hits": self.next_hop_hits,
-            "next_hop_misses": self.next_hop_misses,
             "epoch_transitions": self.epoch_transitions,
             "stale_walk_fallbacks": self.stale_walk_fallbacks,
         }
@@ -204,6 +232,51 @@ class RecordedWalk:
     terminal_reply: "ProbeReply | None" = None
     #: ground-truth hops recorded alongside (reused by the TNT prober)
     truth: "list[TruthHop]" = field(default_factory=list)
+    #: the multi-path next-hop choices the walk made, in walk order
+    decisions: list[EcmpDecision] = field(default_factory=list)
+    #: ``(probe TTL, response rate)`` of each checkpoint whose responder
+    #: answers a flow with probability below 1: its ``rate_passed`` is a
+    #: per-(flow, destination) draw
+    rated: list[tuple[int, float]] = field(default_factory=list)
+
+    def reused_for(self, dest: IPv4Address, flow_id: int) -> "RecordedWalk":
+        """This walk as :meth:`ForwardingEngine.record_walk` would
+        record it toward ``dest`` with ``flow_id``.
+
+        The caller guarantees that ``dest`` sits behind this walk's
+        destination router and that ``flow_id`` makes the same choice at
+        every one of its :attr:`decisions`, under the same epoch.  Only
+        the delivery reply's source and the per-flow response-rate draws
+        are redone; events without such a draw, the visits and the truth
+        are shared.
+        """
+        expiry_by_ttl = self.expiry_by_ttl
+        if self.rated:
+            expiry_by_ttl = dict(expiry_by_ttl)
+            key = dest.value
+            for ttl, rate in self.rated:
+                event = expiry_by_ttl[ttl]
+                draw = unit_hash("icmp-drop", event.node, flow_id, key)
+                passed = draw < rate
+                if passed != event.rate_passed:
+                    expiry_by_ttl[ttl] = replace(event, rate_passed=passed)
+        terminal = self.terminal_reply
+        if terminal is not None:
+            # a delivery reply comes from the destination itself
+            terminal = replace(terminal, source_ip=dest)
+        return RecordedWalk(
+            self.src,
+            dest,
+            flow_id,
+            self.ok,
+            self.epoch,
+            expiry_by_ttl,
+            self.visits,
+            terminal,
+            self.truth,
+            self.decisions,
+            self.rated,
+        )
 
 
 class WalkRecorder:
@@ -224,6 +297,9 @@ class WalkRecorder:
         self._visits: list[int] = []
         self._events: list[WalkEvent] = []
         self._expiry_by_ttl: dict[int, WalkEvent] = {}
+        self._rated: list[tuple[int, float]] = []
+        #: the engine appends each multi-path next-hop choice here
+        self.decisions: list[EcmpDecision] = []
         #: engine-wide (node, prev, vp) -> reply-skeleton cache; flows
         #: and destinations share paths, so skeletons recur heavily
         self._skeletons = engine._reply_skeletons
@@ -265,10 +341,13 @@ class WalkRecorder:
             skeleton = self._build_skeleton(node, prev)
             self._skeletons[key] = skeleton
         silent, rate, source, reply_ip_ttl, return_hops = skeleton
-        rate_passed = (
-            rate >= 1.0
-            or unit_hash("icmp-drop", node, self._flow, self._dest.value) < rate
-        )
+        rate_passed = True
+        if rate < 1.0:
+            self._rated.append((expiry_ttl, rate))
+            rate_passed = (
+                unit_hash("icmp-drop", node, self._flow, self._dest.value)
+                < rate
+            )
         template: QuoteTemplate | None = None
         if quoted is not None:
             template = tuple(
@@ -358,4 +437,6 @@ class WalkRecorder:
             visits=tuple(self._visits),
             terminal_reply=None if dropped else terminal_reply,
             truth=truth,
+            decisions=self.decisions,
+            rated=self._rated,
         )

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from hashlib import sha256
 
-from repro.netsim.forwarding import ForwardingEngine, ReplyKind, TruthHop
+from repro.netsim.forwarding import (
+    ForwardingEngine,
+    ReplyKind,
+    TruthHop,
+    _ecmp_bucket,
+)
 from repro.netsim.addressing import IPv4Address
 from repro.netsim.walkcache import RECORD_TTL, RecordedWalk
 from repro.probing.records import Trace, TraceHop
@@ -38,9 +43,13 @@ class TntProber:
     """Paris traceroute + tunnel revelation + ground-truth annotation.
 
     Traces come from one fused loop (:meth:`trace`) that answers each
-    probe from a recorded walk of its flow.  ``fast_path=False`` probes
-    through the plain per-probe walker of :class:`ParisTraceroute`
-    instead: the reference the fused loop is tested against.
+    probe from a recorded walk of its flow.  The prober keeps the walks
+    it recorded, one list per (VP, destination router), and reuses one
+    for a new flow that makes the same ECMP choices under the same
+    topology epoch (see :mod:`repro.netsim.walkcache`).
+    ``fast_path=False`` probes through the plain per-probe walker of
+    :class:`ParisTraceroute` instead: the reference the fused loop is
+    tested against.
     """
 
     def __init__(
@@ -62,6 +71,10 @@ class TntProber:
         self._fast_path = fast_path
         self._reveal_rate = reveal_success_rate
         self._seed = seed
+        #: (VP router, destination router) -> the usable walks recorded
+        #: toward it under ``_walks_epoch``
+        self._walks: dict[tuple[int, int | None], list[RecordedWalk]] = {}
+        self._walks_epoch = engine.epoch
 
     @property
     def accounting(self) -> RetryAccounting:
@@ -93,7 +106,8 @@ class TntProber:
         loss draw, the blackout checks along the visited prefix and
         the ICMP policing at the responder in the reference call
         order, and answers from the recorded walk of the probe's flow
-        (one per flow, re-recorded once a topology mutation made it
+        (:meth:`_walk_for`: reused from a stored walk toward the same
+        router or recorded, and again once a topology mutation made it
         stale).  A probe the recording cannot answer exactly -- sent
         on a stale recording or mid-reconvergence, on an inexact walk,
         or beyond the recording TTL -- is walked live.  Each
@@ -117,12 +131,11 @@ class TntProber:
             else None
         )
         # recording is fault-free and consumes no injector state, so a
-        # flow is recorded when first probed, and again once a topology
-        # mutation made its recording stale; ``primary`` is the trace
-        # flow's latest recording
-        walk = primary = engine.record_walk(
-            vp_router_id, destination, flow_id
-        )
+        # flow gets its walk when first probed, and again once a
+        # topology mutation made it stale; ``primary`` is the trace
+        # flow's latest walk
+        walk_for = self._walk_for
+        walk = primary = walk_for(vp_router_id, destination, flow_id)
         # Epochs are stamped relative to the trace's start (as the
         # reference stamps them); only a churn scheduler moves them.
         epoch_base = engine.epoch if dynamics is not None else 0
@@ -237,13 +250,9 @@ class TntProber:
         for ttl in range(1, prober.max_ttl + 1):
             if reroute is not None and ttl == reroute[0]:
                 # from the pivot on, the trace's probes take a new flow
-                walk = engine.record_walk(
-                    vp_router_id, destination, reroute[1]
-                )
+                walk = walk_for(vp_router_id, destination, reroute[1])
             elif dynamics is not None and walk.epoch != engine.epoch:
-                walk = engine.record_walk(
-                    vp_router_id, destination, walk.flow_id
-                )
+                walk = walk_for(vp_router_id, destination, walk.flow_id)
                 if walk.flow_id == flow_id:
                     primary = walk
             probes += 1
@@ -332,6 +341,36 @@ class TntProber:
             truth = current_truth()
             trace = self._annotate_truth(trace, truth)
         return self._reveal_hidden(trace, truth)
+
+    def _walk_for(
+        self, vp_router_id: int, destination: IPv4Address, flow_id: int
+    ) -> RecordedWalk:
+        """The recorded walk of one flow, as ``engine.record_walk``
+        returns it: a stored walk toward the same destination router
+        whose every multi-path choice the flow makes alike, redone for
+        this destination and flow, or else a fresh recording (stored
+        when usable)."""
+        engine = self._engine
+        if self._walks_epoch != engine.epoch:
+            # a topology mutation made every stored walk stale
+            self._walks.clear()
+            self._walks_epoch = engine.epoch
+        key = (vp_router_id, engine.network.owner_of(destination))
+        stored = self._walks.setdefault(key, [])
+        for walk in stored:
+            for node, target, hops, chosen in walk.decisions:
+                bucket = _ecmp_bucket(flow_id, node, target)
+                if hops[bucket % len(hops)] != chosen:
+                    break
+            else:
+                stats = engine.stats
+                stats.walks_recorded += 1
+                stats.walks_reused += 1
+                return walk.reused_for(destination, flow_id)
+        walk = engine.record_walk(vp_router_id, destination, flow_id)
+        if walk.ok:
+            stored.append(walk)
+        return walk
 
     # -- annotation ------------------------------------------------------------
 

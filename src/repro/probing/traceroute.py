@@ -12,10 +12,10 @@ something to look at without pretending to model queueing.
 probe, and every retry, is forwarded hop by hop through
 :meth:`~repro.netsim.forwarding.ForwardingEngine.forward_probe`.  The
 TNT prober's fused loop (:meth:`repro.probing.tnt.TntProber.trace`)
-synthesizes the same traces from one recorded walk per flow;
-``TntProber(fast_path=False)`` probes through this client instead, as
-the oracle the fused loop is tested against.  The reply-corruption
-helpers here serve both.
+synthesizes the same traces from recorded walks, about one per VP and
+destination router; ``TntProber(fast_path=False)`` probes through this
+client instead, as the oracle the fused loop is tested against.  The
+reply-corruption helpers here serve both.
 """
 
 from __future__ import annotations

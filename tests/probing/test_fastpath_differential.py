@@ -20,6 +20,11 @@ sequence of destinations from one prober and one injector, as
 ``shards.probe_vps`` does per vantage point, so token buckets, blackout
 windows and per-attempt draws carry across traces; the campaign-shaped
 test runs ``probe_vps`` itself.
+
+Legs trace several hosts of one /24, so most of their walks are reused
+across destinations.  The last tests pin each condition of that reuse:
+the flow's ECMP choices, the topology epoch, and the fields a reused
+walk redoes for its destination and flow.
 """
 
 from functools import partial
@@ -31,12 +36,18 @@ import repro.campaign.shards as shards
 from repro.campaign import ScaleCampaign
 from repro.netsim.dynamics import ChurnPlan, NetworkDynamics
 from repro.netsim.faults import FaultInjector, FaultPlan
+from repro.netsim.forwarding import ForwardingEngine
+from repro.netsim.igp import ShortestPaths
+from repro.netsim.ldp import LdpState
+from repro.netsim.topology import Network, RouterRole
+from repro.netsim.tunnels import TunnelController
 from repro.netsim.vendors import Vendor
 from repro.probing.tnt import TntProber
+from repro.probing.traceroute import derive_flow_id
 from repro.topogen.synthetic import SyntheticPortfolio
 from repro.util.retry import RetryPolicy
 
-from tests.conftest import TARGET_ASN, scaled_examples
+from tests.conftest import VP_ASN, TARGET_ASN, ChainNetwork, scaled_examples
 from tests.test_properties import build_chain, chain_configs
 
 churn_plans = st.builds(
@@ -345,3 +356,113 @@ def test_no_blackout_draws_at_blackout_rate_zero(monkeypatch):
     assert calls == []
     _legs(_PINNED_CHAIN, plan=PINNED_BUCKETS_PLAN, hosts=[10])
     assert calls
+
+
+# -- walk reuse across destinations -------------------------------------------
+
+
+def _double_diamond():
+    """VP -> a -> {b1, b2} -> c -> {d1, d2} -> z, every link equal cost:
+    a flow makes two ECMP choices on its way to z's /24."""
+    net = Network()
+    vp = net.add_router("vp", VP_ASN, role=RouterRole.VANTAGE)
+    a, b1, b2, c, d1, d2, z = (
+        net.add_router(name, TARGET_ASN)
+        for name in ("a", "b1", "b2", "c", "d1", "d2", "z")
+    )
+    net.add_link(vp, a)
+    for left, middle, right in (
+        (a, b1, c), (a, b2, c), (c, d1, z), (c, d2, z)
+    ):
+        net.add_link(left, middle)
+        net.add_link(middle, right)
+    prefix = net.announce_prefix(z, 24)
+    igp = ShortestPaths(net)
+    engine = ForwardingEngine(
+        net, igp, TunnelController(net, igp, LdpState(net), {})
+    )
+    return engine, vp.router_id, prefix, (b1, b2, d1, d2)
+
+
+def test_reuse_follows_ecmp_choices():
+    """One VP's flows toward one router split over equal-cost branches:
+    each trace must take its own flow's branches, as the reference
+    does, so several stored walks serve the /24."""
+    hosts = range(1, 41)
+    legs = {}
+    for fast in (False, True):
+        engine, vp, prefix, branches = _double_diamond()
+        prober = TntProber(engine, seed=1, fast_path=fast)
+        traces = [
+            prober.trace(vp, prefix.address_at(host), "vp") for host in hosts
+        ]
+        legs[fast] = (traces, engine.stats)
+    (fast, stats), (reference, _) = legs[True], legs[False]
+    assert fast == reference
+    # every branch router answers some trace: the flows really split
+    seen = {hop.truth_router_id for trace in fast for hop in trace.hops}
+    assert {router.router_id for router in branches} <= seen
+    fresh = stats.walks_recorded - stats.walks_reused
+    assert fresh >= 2 and stats.walks_reused >= 2
+    assert stats.walks_recorded + stats.walks_fallback == len(hosts)
+
+
+def _bypassed_chain():
+    """A five-router SR chain with a costly bypass from its first router
+    to its last, so failing an inner link reroutes the /24."""
+    chain = ChainNetwork()
+    chain.network.add_link(chain.routers[0], chain.routers[-1], cost=90)
+    chain.controller.invalidate()
+    chain.engine.invalidate_caches()
+    return chain
+
+
+def test_topology_mutation_between_traces_forces_a_fresh_recording():
+    """A link fails between two traces toward the same router: the
+    second trace must walk the new path, as the reference does, from a
+    fresh recording instead of the stored pre-failure walk."""
+    legs = {}
+    for fast in (False, True):
+        chain = _bypassed_chain()
+        prober = TntProber(chain.engine, seed=1, fast_path=fast)
+        vp = chain.vp.router_id
+        traces = [prober.trace(vp, chain.prefix.address_at(10), "vp")]
+        inner = chain.routers[1].router_id, chain.routers[2].router_id
+        chain.network.set_link_down(*inner)
+        chain.controller.invalidate()
+        chain.engine.invalidate_caches()
+        chain.controller.converge()
+        traces.append(prober.trace(vp, chain.prefix.address_at(11), "vp"))
+        legs[fast] = (traces, chain.engine.stats)
+    (fast, stats), (reference, _) = legs[True], legs[False]
+    assert fast == reference
+    # the detour skips the chain's middle routers
+    assert len(fast[1].hops) < len(fast[0].hops)
+    assert stats.walks_reused == 0
+    assert stats.walks_recorded == 2
+
+
+def test_reused_walk_equals_a_fresh_recording():
+    """Field by field, a reused walk is what ``record_walk`` records for
+    the new destination and flow: every host of the /24, with a router
+    answering each flow at rate 0.6 on the path."""
+    chain = ChainNetwork()
+    chain.routers[2].icmp_response_rate = 0.6
+    engine = chain.engine
+    prober = TntProber(engine, seed=1)
+    vp = chain.vp.router_id
+    hosts = range(1, 255)
+    passed = set()
+    for host in hosts:
+        dest = chain.prefix.address_at(host)
+        flow_id = derive_flow_id(vp, dest)
+        walk = prober._walk_for(vp, dest, flow_id)
+        fresh = engine.record_walk(vp, dest, flow_id)
+        assert walk.ok and walk == fresh
+        assert walk.terminal_reply.source_ip == dest
+        (ttl, _rate), = walk.rated
+        passed.add(walk.expiry_by_ttl[ttl].rate_passed)
+    # one recording served the whole /24, and the per-flow draw at the
+    # rate-limited router came out both ways
+    assert engine.stats.walks_reused == len(hosts) - 1
+    assert passed == {True, False}
