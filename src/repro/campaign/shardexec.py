@@ -67,17 +67,27 @@ output for any ``jobs`` value, because each task is itself a pure
 function of the campaign config.  ``jobs=1`` runs every task
 in-process with no subprocess, no pickling, no leases and no
 deadlines: exactly a plain loop.
+
+Hand-off: a pooled task's return value travels back whole, pickled
+over its worker's pipe, and the supervisor unpickles it alone, so its
+cost bounds what ``jobs > 1`` can gain.  A classic-plane whole-AS task
+returns its full ``AsCampaignResult``: every trace, hop and detected
+segment.  Those records pickle as one constructor call each (their
+``__reduce__``), and cyclic GC is paused around the transfer on both
+ends (:func:`_gc_paused`).
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import logging
 import multiprocessing
 import os
 import signal
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Any, Callable, Iterable, Sequence
@@ -224,6 +234,24 @@ class WorkerControl:
         self.recycle_requested = True
 
 
+@contextmanager
+def _gc_paused():
+    """Hold off cyclic GC for one pipe transfer, then restore its state.
+
+    Every object a result message pickles or unpickles is live, so a
+    collection mid-transfer finds nothing, yet costs time that grows
+    with the heap -- and unpickling a whole-AS result allocates enough
+    containers to trigger several.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _worker_entry(fn: ShardFn, conn: Connection) -> None:
     """Persistent worker loop: pull a task, run it, report, repeat.
 
@@ -255,7 +283,8 @@ def _worker_entry(fn: ShardFn, conn: Connection) -> None:
                 conn.close()
             finally:
                 os._exit(1)
-        conn.send(("res", value, ctl.recycle_requested))
+        with _gc_paused():
+            conn.send(("res", value, ctl.recycle_requested))
         if ctl.recycle_requested:
             conn.close()
             os._exit(0)
@@ -795,7 +824,8 @@ class LeaseExecutor:
             try:
                 if not worker.conn.poll(0):
                     return
-                message = worker.conn.recv()
+                with _gc_paused():
+                    message = worker.conn.recv()
             except (EOFError, OSError, BrokenPipeError):
                 return  # corpse handling settles it
             assignment.last_beat = now  # every message renews the lease

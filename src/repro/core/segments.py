@@ -83,6 +83,26 @@ class DetectedSegment:
         set_(segment, "suffix_based", suffix_based)
         return segment
 
+    def __reduce__(self):
+        """Pickle as one constructor call over every field, in order.
+
+        Campaign results cross the worker pool by pickle, and the
+        frozen-slots default walks ``dataclasses.fields()`` per object.
+        Unpickling re-validates through ``__post_init__``.  A new field
+        must join this tuple.
+        """
+        return (
+            type(self),
+            (
+                self.flag,
+                self.hop_indices,
+                self.addresses,
+                self.top_labels,
+                self.stack_depths,
+                self.suffix_based,
+            ),
+        )
+
     @property
     def length(self) -> int:
         """Hops in this segment."""

@@ -122,6 +122,41 @@ class IPv4Prefix:
         return f"{self.network}/{self.length}"
 
 
+class PrefixIndex:
+    """Longest-prefix match: one dict per prefix length, longest first.
+
+    ``lookup`` costs one masked dict probe per distinct length held,
+    whatever the number of prefixes.  Among identical prefixes the one
+    added first wins.  Values must not be None.
+    """
+
+    __slots__ = ("_tables",)
+
+    def __init__(self) -> None:
+        #: (length, netmask, {network value: value}), longest first
+        self._tables: list[tuple[int, int, dict[int, object]]] = []
+
+    def add(self, prefix: IPv4Prefix, value: object) -> None:
+        """Index ``value`` under ``prefix`` (a repeat keeps the first)."""
+        for length, _, table in self._tables:
+            if length == prefix.length:
+                table.setdefault(prefix.network.value, value)
+                return
+        self._tables.append(
+            (prefix.length, prefix.netmask(), {prefix.network.value: value})
+        )
+        self._tables.sort(key=lambda entry: -entry[0])
+
+    def lookup(self, address: IPv4Address) -> object | None:
+        """The value of the longest prefix covering ``address``, or None."""
+        value = address.value
+        for _, mask, table in self._tables:
+            hit = table.get(value & mask)
+            if hit is not None:
+                return hit
+        return None
+
+
 class PrefixAllocator:
     """Sequentially allocates disjoint sub-prefixes out of a supernet.
 

@@ -28,7 +28,12 @@ from typing import Iterable, Iterator
 
 import networkx as nx
 
-from repro.netsim.addressing import IPv4Address, IPv4Prefix, PrefixAllocator
+from repro.netsim.addressing import (
+    IPv4Address,
+    IPv4Prefix,
+    PrefixAllocator,
+    PrefixIndex,
+)
 from repro.netsim.vendors import Vendor
 
 
@@ -127,6 +132,8 @@ class Network:
         self._ip_owner: dict[IPv4Address, int] = {}
         #: prefixes announced into BGP by a router (targets live here)
         self._announced: list[tuple[IPv4Prefix, int]] = []
+        #: longest-prefix index over ``_announced``
+        self._announced_index = PrefixIndex()
         #: administratively/operationally failed links, as normalized
         #: ``(min_id, max_id)`` endpoint pairs; the links keep their
         #: numbering and interface addresses so a repair restores the
@@ -199,6 +206,7 @@ class Network:
             raise KeyError(f"unknown router #{rid}")
         prefix = self._allocator.allocate(length)
         self._announced.append((prefix, rid))
+        self._announced_index.add(prefix, rid)
         return prefix
 
     # -- dynamics -----------------------------------------------------------
@@ -276,14 +284,11 @@ class Network:
         return rid
 
     def originating_router(self, address: IPv4Address) -> int | None:
-        """Router announcing the longest prefix covering ``address``."""
-        best: tuple[int, int] | None = None  # (length, router)
-        for prefix, rid in self._announced:
-            if prefix.contains(address) and (
-                best is None or prefix.length > best[0]
-            ):
-                best = (prefix.length, rid)
-        return best[1] if best else None
+        """Router announcing the longest prefix covering ``address``.
+
+        Between identical prefixes the one announced first wins.
+        """
+        return self._announced_index.lookup(address)
 
     def announced_prefixes(self) -> list[tuple[IPv4Prefix, int]]:
         """Every (prefix, originating router) pair."""

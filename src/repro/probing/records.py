@@ -32,6 +32,13 @@ class QuotedLse:
         if not 0 <= self.ttl <= 255:
             raise ValueError(f"LSE-TTL out of range: {self.ttl}")
 
+    def __reduce__(self):
+        # Pickle as a constructor call (see TraceHop.__reduce__).
+        return (
+            type(self),
+            (self.label, self.tc, self.bottom_of_stack, self.ttl),
+        )
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.label},{self.ttl}>"
 
@@ -106,6 +113,30 @@ class TraceHop:
             truth_uniform=get("truth_uniform", self.truth_uniform),
         )
 
+    def __reduce__(self):
+        """Pickle as one constructor call over every field, in order.
+
+        A pool worker ships whole campaign results home by pickle, and
+        the frozen-slots default walks ``dataclasses.fields()`` once
+        per object on both ends.  A new field must join this tuple.
+        """
+        return (
+            type(self),
+            (
+                self.probe_ttl,
+                self.address,
+                self.rtt_ms,
+                self.reply_ip_ttl,
+                self.lses,
+                self.tnt_revealed,
+                self.destination_reply,
+                self.truth_router_id,
+                self.truth_asn,
+                self.truth_planes,
+                self.truth_uniform,
+            ),
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class Trace:
@@ -158,6 +189,21 @@ class Trace:
             hops=hops,
             reached=self.reached,
             epoch_span=self.epoch_span,
+        )
+
+    def __reduce__(self):
+        # Pickle as a constructor call (see TraceHop.__reduce__).
+        return (
+            type(self),
+            (
+                self.vp,
+                self.vp_router_id,
+                self.destination,
+                self.flow_id,
+                self.hops,
+                self.reached,
+                self.epoch_span,
+            ),
         )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

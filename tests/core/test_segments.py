@@ -1,5 +1,8 @@
 """Tests for the DetectedSegment record invariants."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.flags import Flag
@@ -77,3 +80,68 @@ class TestProperties:
         a = seg(Flag.LSO, [1])
         b = seg(Flag.LVR, [1])
         assert a.key() != b.key()
+
+
+class TestPickle:
+    """A segment pickles as a constructor call and loses nothing."""
+
+    def _segment(self):
+        return DetectedSegment(
+            flag=Flag.CVR,
+            hop_indices=(4, 5, 6),
+            addresses=tuple(
+                IPv4Address.from_string(f"10.0.1.{i}") for i in (1, 2, 3)
+            ),
+            top_labels=(16_005, 16_006, 16_007),
+            stack_depths=(2, 1, 3),
+            suffix_based=True,
+        )
+
+    def test_round_trip_equal_hash_and_type(self):
+        segment = self._segment()
+        copy = pickle.loads(pickle.dumps(segment))
+        assert copy == segment
+        assert hash(copy) == hash(segment)
+        assert type(copy) is DetectedSegment
+        assert copy.flag is Flag.CVR
+
+    def test_copy_stays_frozen(self):
+        copy = pickle.loads(pickle.dumps(self._segment()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.suffix_based = False
+
+    def test_shared_addresses_stay_shared(self):
+        address = IPv4Address.from_string("10.0.2.1")
+        segments = [
+            DetectedSegment(
+                flag=Flag.LSO,
+                hop_indices=(i,),
+                addresses=(address,),
+                top_labels=(16_005,),
+                stack_depths=(1,),
+            )
+            for i in (1, 2)
+        ]
+        first, second = pickle.loads(pickle.dumps(segments))
+        assert first.addresses[0] is second.addresses[0]
+
+    def test_reduce_lists_every_field(self):
+        # a field added without joining __reduce__ fails here
+        segment = self._segment()
+        args = segment.__reduce__()[1]
+        assert len(args) == len(dataclasses.fields(DetectedSegment))
+        assert args == tuple(
+            getattr(segment, f.name) for f in dataclasses.fields(segment)
+        )
+
+    def test_trusted_segment_round_trips(self):
+        segment = self._segment()
+        trusted = DetectedSegment.trusted(
+            segment.flag,
+            segment.hop_indices,
+            segment.addresses,
+            segment.top_labels,
+            segment.stack_depths,
+            segment.suffix_based,
+        )
+        assert pickle.loads(pickle.dumps(trusted)) == segment

@@ -1,9 +1,42 @@
 """Unit and property tests for IPv4 addressing primitives."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim.addressing import IPv4Address, IPv4Prefix, PrefixAllocator
+from repro.netsim.addressing import (
+    IPv4Address,
+    IPv4Prefix,
+    PrefixAllocator,
+    PrefixIndex,
+)
+
+
+def scan_longest_match(prefixes, address):
+    """Oracle: the linear scan ``Network.originating_router`` once ran.
+
+    The longest covering prefix wins; among equal lengths the first
+    listed wins; an address outside every prefix gets None.
+    """
+    best = None  # (length, value)
+    for prefix, value in prefixes:
+        if prefix.contains(address) and (
+            best is None or prefix.length > best[0]
+        ):
+            best = (prefix.length, value)
+    return best[1] if best else None
+
+
+def boundary_addresses(prefix):
+    """The first and last address of a prefix and their outer neighbours."""
+    first = prefix.network.value
+    last = first + prefix.num_addresses() - 1
+    return [
+        IPv4Address(v)
+        for v in (first - 1, first, first + 1, last - 1, last, last + 1)
+        if 0 <= v < 2**32
+    ]
 
 
 class TestIPv4Address:
@@ -165,3 +198,66 @@ class TestPrefixAllocator:
             for b in prefixes[i + 1 :]:
                 assert not a.contains(b.network)
                 assert not b.contains(a.network)
+
+
+class TestPrefixIndex:
+    def test_empty_index_matches_nothing(self):
+        assert PrefixIndex().lookup(IPv4Address(0)) is None
+
+    def test_longest_wins_in_any_order(self):
+        index = PrefixIndex()
+        index.add(IPv4Prefix.from_string("10.1.2.0/26"), "fine")
+        index.add(IPv4Prefix.from_string("10.0.0.0/8"), "coarse")
+        index.add(IPv4Prefix.from_string("10.1.0.0/16"), "middle")
+        assert index.lookup(IPv4Address.from_string("10.1.2.63")) == "fine"
+        assert index.lookup(IPv4Address.from_string("10.1.2.64")) == "middle"
+        assert index.lookup(IPv4Address.from_string("10.9.0.1")) == "coarse"
+        assert index.lookup(IPv4Address.from_string("11.0.0.0")) is None
+
+    def test_first_of_identical_prefixes_wins(self):
+        index = PrefixIndex()
+        prefix = IPv4Prefix.from_string("192.0.2.0/24")
+        index.add(prefix, 0)
+        index.add(prefix, 1)
+        assert index.lookup(IPv4Address.from_string("192.0.2.9")) == 0
+
+    def test_default_route_covers_everything(self):
+        index = PrefixIndex()
+        index.add(IPv4Prefix.from_string("0.0.0.0/0"), 7)
+        index.add(IPv4Prefix.from_string("255.255.255.255/32"), 8)
+        assert index.lookup(IPv4Address(2**32 - 2)) == 7
+        assert index.lookup(IPv4Address(2**32 - 1)) == 8
+
+    def test_matches_linear_scan(self):
+        """Differential: random overlapping prefixes of mixed lengths,
+        repeats included, probed at every boundary, inside and outside."""
+        rng = random.Random(20241019)
+        window = IPv4Prefix.from_string("10.1.0.0/16")
+        for _ in range(300):
+            prefixes = []
+            for value in range(rng.randint(1, 24)):
+                if prefixes and rng.random() < 0.15:
+                    prefixes.append((rng.choice(prefixes)[0], value))
+                    continue
+                length = rng.choice(
+                    (8, 12, 16, 18, 20, 22, 24, 24, 26, 28, 30, 31, 32)
+                )
+                base = window.network.value + rng.randrange(2**16)
+                mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+                prefix = IPv4Prefix(IPv4Address(base & mask), length)
+                prefixes.append((prefix, value))
+            index = PrefixIndex()
+            for prefix, value in prefixes:
+                index.add(prefix, value)
+            probes = [
+                a for prefix, _ in prefixes for a in boundary_addresses(prefix)
+            ]
+            probes += [
+                IPv4Address(window.network.value + rng.randrange(2**16))
+                for _ in range(40)
+            ]
+            probes += [IPv4Address(rng.randrange(2**32)) for _ in range(10)]
+            for address in probes:
+                assert index.lookup(address) == scan_longest_match(
+                    prefixes, address
+                ), (address, prefixes)

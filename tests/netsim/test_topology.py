@@ -1,10 +1,14 @@
 """Tests for the router/link/network model."""
 
+import random
+
 import pytest
 
-from repro.netsim.addressing import IPv4Prefix
+from repro.netsim.addressing import IPv4Address, IPv4Prefix
 from repro.netsim.topology import Network, RouterRole
 from repro.netsim.vendors import Vendor
+
+from tests.netsim.test_addressing import boundary_addresses, scan_longest_match
 
 
 @pytest.fixture
@@ -127,6 +131,34 @@ class TestAnnouncedPrefixes:
     def test_announce_unknown_router_rejected(self, net):
         with pytest.raises(KeyError):
             net.announce_prefix(42, 24)
+
+    def test_owner_of_matches_linear_scan(self):
+        """Differential: the prefix index against the old scan over
+        every announced prefix, at prefix boundaries, in the gaps that
+        aligning mixed lengths leaves, on interfaces and far outside."""
+        rng = random.Random(7)
+        net = Network("10.0.0.0/16")
+        routers = [net.add_router(f"r{i}", asn=1) for i in range(6)]
+        for a, b in zip(routers, routers[1:]):
+            net.add_link(a, b)
+        for _ in range(40):
+            length = rng.choice((22, 24, 26, 28, 32))
+            net.announce_prefix(rng.choice(routers), length)
+        announced = net.announced_prefixes()
+        interfaces = net.interface_addresses()
+        probes = [
+            a for prefix, _ in announced for a in boundary_addresses(prefix)
+        ]
+        probes += list(interfaces)
+        probes += [IPv4Address(rng.randrange(2**32)) for _ in range(200)]
+        probes += [
+            IPv4Address((10 << 24) + rng.randrange(2**16)) for _ in range(500)
+        ]
+        for address in probes:
+            expected = scan_longest_match(announced, address)
+            assert net.originating_router(address) == expected, address
+            owner = interfaces.get(address, expected)
+            assert net.owner_of(address) == owner, address
 
 
 class TestGraphExport:

@@ -1,5 +1,8 @@
 """Tests for measurement-side record types."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.netsim.addressing import IPv4Address
@@ -124,3 +127,81 @@ class TestTruthTransport:
             ]
         )
         assert not truth_transport_is_sr(trace, 1)
+
+
+def _every_field_set() -> Trace:
+    """A two-hop trace with every record field off its default.
+
+    The two hops share one address object and one quoted LSE object.
+    """
+    shared_address = IPv4Address.from_string("10.0.0.7")
+    shared_lse = QuotedLse(label=16_007, tc=5, bottom_of_stack=True, ttl=3)
+    first = TraceHop(
+        probe_ttl=4,
+        address=shared_address,
+        rtt_ms=12.5,
+        reply_ip_ttl=249,
+        lses=(
+            QuotedLse(label=24_001, tc=1, bottom_of_stack=False, ttl=2),
+            shared_lse,
+        ),
+        tnt_revealed=True,
+        destination_reply=True,
+        truth_router_id=17,
+        truth_asn=293,
+        truth_planes=("sr", "service"),
+        truth_uniform=False,
+    )
+    second = first.with_annotation(probe_ttl=5, lses=(shared_lse,))
+    return Trace(
+        vp="vp-7",
+        vp_router_id=3,
+        destination=IPv4Address.from_string("203.0.113.9"),
+        flow_id=4_242,
+        hops=(first, second),
+        reached=False,
+        epoch_span=(2, 5),
+    )
+
+
+class TestPickle:
+    """Records pickle as constructor calls and lose nothing on the way."""
+
+    def _records(self):
+        trace = _every_field_set()
+        return [trace, trace.hops[0], trace.hops[0].lses[0]]
+
+    def test_round_trip_equal_hash_and_type(self):
+        for record in self._records():
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record
+            assert hash(copy) == hash(record)
+            assert type(copy) is type(record)
+
+    def test_copy_stays_frozen(self):
+        for record in self._records():
+            copy = pickle.loads(pickle.dumps(record))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(copy, dataclasses.fields(copy)[0].name, None)
+
+    def test_shared_objects_stay_shared(self):
+        copy = pickle.loads(pickle.dumps(_every_field_set()))
+        first, second = copy.hops
+        assert first.address is second.address
+        assert first.lses[1] is second.lses[0]
+
+    def test_reduce_lists_every_field(self):
+        # a field added without joining __reduce__ fails here
+        for record in self._records():
+            args = record.__reduce__()[1]
+            assert len(args) == len(dataclasses.fields(type(record)))
+            assert args == tuple(
+                getattr(record, f.name) for f in dataclasses.fields(record)
+            )
+
+    def test_unpickle_validates(self):
+        # the constructor runs on unpickle, so a bad record is refused
+        lse = QuotedLse(label=1, tc=0, bottom_of_stack=True, ttl=1)
+        object.__setattr__(lse, "label", 2**20)
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(lse))
