@@ -25,9 +25,9 @@ paper-scale archives break down in bounded memory.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from repro.core.columnar import ColumnarDetector, TraceBatch
+from repro.core.columnar import TraceBatch
 from repro.core.flags import Flag
 from repro.core.segments import DetectedSegment
 from repro.core.vendor_ranges import TABLE1_RANGES
@@ -151,18 +151,6 @@ class VendorBreakdownAccumulator:
             "distinct_segments": len(self._seen),
             "vendors": vendors,
         }
-
-
-def vendor_breakdown(pairs: Iterable[tuple]) -> dict:
-    """One-shot breakdown over (trace, fingerprints) pairs.
-
-    Convenience wrapper: builds the batch, runs the batch detector, and
-    returns :meth:`VendorBreakdownAccumulator.as_doc`.
-    """
-    batch = TraceBatch.from_pairs(pairs)
-    accumulator = VendorBreakdownAccumulator()
-    accumulator.feed_batch(batch, ColumnarDetector().detect_batch(batch))
-    return accumulator.as_doc()
 
 
 def campaign_vendor_breakdown(results: Mapping[int, object]) -> dict:

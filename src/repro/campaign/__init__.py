@@ -11,9 +11,10 @@
   and graceful shutdown.
 - :mod:`repro.campaign.shards` / :mod:`repro.campaign.scale` --
   deterministic ``(as_id, vp_bucket)`` shards and the per-VP probe loop
-  both drivers run, and the one campaign lease loop both drivers run
-  on: a whole-AS task per one-bucket AS, probe shards plus an analysis
-  per split AS, with spill-file streaming.
+  both drivers run, and the one campaign driver body both drivers call:
+  one lease loop (a whole-AS task per one-bucket AS, probe shards plus
+  an analysis per split AS, with spill-file streaming) and one
+  :class:`~repro.campaign.runner.CampaignReport`.
 - :mod:`repro.campaign.checkpoint` -- the run directory both drivers
   checkpoint into (format v4: ``checkpoint.jsonl`` plus ``spills/``).
 """
@@ -30,7 +31,7 @@ from repro.campaign.runner import (
     CampaignRunner,
 )
 from repro.campaign.checkpoint import ShardCheckpoint
-from repro.campaign.scale import ScaleCampaign, ScaleReport
+from repro.campaign.scale import ScaleCampaign
 from repro.campaign.shardexec import (
     ExecutionResult,
     GracefulShutdown,
@@ -64,7 +65,6 @@ __all__ = [
     "LeaseExecutor",
     "WorkerControl",
     "ScaleCampaign",
-    "ScaleReport",
     "ShardCheckpoint",
     "ShardProbeRecord",
     "ShardSpec",

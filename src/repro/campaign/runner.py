@@ -27,7 +27,7 @@ into a run directory (:mod:`repro.campaign.checkpoint`, the sharded
 plane's format) so interrupted runs resume where they left off.
 
 It also survives an imperfect *execution* plane: ``run_portfolio``
-runs on the one campaign lease loop (:mod:`repro.campaign.scale`),
+calls the one campaign driver body (:mod:`repro.campaign.scale`),
 each AS a whole-AS task that calls :meth:`CampaignRunner.run_as` in a
 fresh runner (``jobs=N`` persistent workers, per-AS wall-clock
 deadlines, hung / SIGKILLed workers re-dispatched once then
@@ -42,9 +42,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign.checkpoint import ShardCheckpoint
 from repro.campaign.dataset import TraceDataset
 from repro.campaign.shards import (
+    MAX_TTL,
     ShardContext,
     VpProbe,
     VpRun,
@@ -76,6 +76,9 @@ from repro.util.determinism import DeterministicRng
 from repro.util.retry import RetryAccounting, RetryPolicy
 
 logger = logging.getLogger(__name__)
+
+#: share of true alias pairs the MIDAR/APPLE-style resolver confirms
+ALIAS_SUCCESS_RATE = 0.9
 
 
 @dataclass(slots=True)
@@ -232,97 +235,114 @@ class AsQuarantine:
         )
 
 
-#: what one AS of a portfolio run comes to
-AsOutcome = AsCampaignResult | AsFailure | AsQuarantine
-
-
+@dataclass(eq=False)
 class CampaignReport(Mapping):
-    """Portfolio outcome: per-AS results, failures, fault/retry tallies.
+    """One campaign's outcome, whichever driver ran it.
 
-    Behaves as a ``Mapping[int, AsCampaignResult]`` over the *successful*
-    ASes, so every consumer of the former plain-dict return value (flag
-    tables, headline detection, benchmarks) keeps working unchanged.
+    ``completed`` holds each analyzed AS's canonical summary
+    (:func:`result_summary`); ``failures`` and ``quarantined`` hold the
+    incident records keyed as the checkpoint banks them: a failure per
+    AS, a quarantine per ``(as_id, bucket)`` shard (a whole AS's under
+    bucket 0).  All three are in the campaign's ``as_ids`` order.
+    Every total is computed from the summaries plus the partial tallies
+    each failed AS sank before failing, so partial work is accounted
+    for rather than silently dropped.
+
+    The report is a ``Mapping[int, AsCampaignResult]`` over the results
+    the driver kept: :meth:`CampaignRunner.run_portfolio` keeps every
+    completed AS's, :meth:`ScaleCampaign.run
+    <repro.campaign.scale.ScaleCampaign.run>` none.
     """
 
-    def __init__(self) -> None:
-        self._results: dict[int, AsCampaignResult] = {}
-        #: AS id -> recorded failure
-        self.failures: dict[int, AsFailure] = {}
-        #: AS id -> poison-task quarantine (deadline/crash circuit breaker)
-        self.quarantined: dict[int, AsQuarantine] = {}
-        #: True when a shutdown request (SIGINT/SIGTERM) cut the run short
-        self.interrupted = False
-        #: aggregated fault tallies across all completed ASes
-        self.fault_counters = FaultCounters()
-        #: aggregated retry cost across all completed ASes
-        self.retry_accounting = RetryAccounting()
-        #: ASes restored from a checkpoint instead of re-measured
-        self.resumed_as_ids: list[int] = []
-        #: traces the sanitizer quarantined across all completed ASes
-        self.traces_quarantined = 0
-        #: sanitizer anomaly tallies by kind across all completed ASes
-        self.anomaly_counts: dict[str, int] = {}
+    #: AS id -> canonical analysis summary
+    completed: dict[int, dict] = field(default_factory=dict)
+    #: AS id -> failure (the stage reached and the tallies sunk)
+    failures: dict[int, AsFailure] = field(default_factory=dict)
+    #: (AS id, bucket) -> circuit-broken shard (deadline, crash, disk)
+    quarantined: dict[tuple[int, int], AsQuarantine] = field(
+        default_factory=dict
+    )
+    #: True when a shutdown request cut the run short, or an AS was
+    #: left without an outcome; a resume completes it
+    interrupted: bool = False
+    #: completed ASes whose analysis the checkpoint had already banked
+    resumed_as_ids: list[int] = field(default_factory=list)
+    #: AS id -> kept result (empty unless the driver keeps results)
+    results: dict[int, AsCampaignResult] = field(default_factory=dict)
 
-    # -- Mapping protocol over the successful results --------------------------
+    # -- Mapping protocol over the kept results ---------------------------------
 
     def __getitem__(self, as_id: int) -> AsCampaignResult:
-        return self._results[as_id]
+        return self.results[as_id]
 
     def __iter__(self):
-        return iter(self._results)
+        return iter(self.results)
 
     def __len__(self) -> int:
-        return len(self._results)
+        return len(self.results)
 
-    # -- assembly ---------------------------------------------------------------
+    # -- totals -----------------------------------------------------------------
 
-    def add(self, entry: AsOutcome, resumed: bool = False) -> None:
-        """Record one AS's outcome and fold in its tallies.
+    @property
+    def fault_counters(self) -> FaultCounters:
+        """Faults injected, over completed and failed ASes."""
+        total = FaultCounters()
+        for summary in self.completed.values():
+            total.merge(FaultCounters.from_dict(summary["fault_counters"]))
+        for failure in self.failures.values():
+            total.merge(failure.fault_counters)
+        return total
 
-        ``entry`` is a result, a failure or a quarantine.  A failed AS
-        folds in the fault/retry cost it sank *before* failing, so
-        partial work is accounted for rather than silently dropped.
-        ``resumed`` marks a result restored from a checkpoint.
-        """
-        if isinstance(entry, AsQuarantine):
-            self.quarantined[entry.as_id] = entry
-            return
-        self.fault_counters.merge(entry.fault_counters)
-        self.retry_accounting.merge(entry.retry_accounting)
-        if isinstance(entry, AsFailure):
-            self.failures[entry.as_id] = entry
-            return
-        self._results[entry.as_id] = entry
-        self.traces_quarantined += entry.analysis.traces_quarantined
-        for kind, count in entry.analysis.anomaly_counts().items():
-            self.anomaly_counts[kind] = (
-                self.anomaly_counts.get(kind, 0) + count
+    @property
+    def retry_accounting(self) -> RetryAccounting:
+        """Retry cost, over completed and failed ASes."""
+        total = RetryAccounting()
+        for summary in self.completed.values():
+            total.merge(
+                RetryAccounting.from_dict(summary["retry_accounting"])
             )
-        if resumed:
-            self.resumed_as_ids.append(entry.as_id)
+        for failure in self.failures.values():
+            total.merge(failure.retry_accounting)
+        return total
+
+    def traces_total(self) -> int:
+        """Traces collected by the completed ASes."""
+        return sum(s["traces_total"] for s in self.completed.values())
+
+    @property
+    def traces_quarantined(self) -> int:
+        """Traces the sanitizer withheld, over completed ASes."""
+        return sum(s["traces_quarantined"] for s in self.completed.values())
+
+    @property
+    def anomaly_counts(self) -> dict[str, int]:
+        """Sanitizer anomaly tallies by kind, over completed ASes."""
+        total: dict[str, int] = {}
+        for summary in self.completed.values():
+            for kind, count in summary["anomaly_counts"].items():
+                total[kind] = total.get(kind, 0) + count
+        return dict(sorted(total.items()))
 
     # -- views ------------------------------------------------------------------
 
-    @property
-    def results(self) -> dict[int, AsCampaignResult]:
-        """The successful per-AS results (insertion-ordered)."""
-        return dict(self._results)
-
     def summary(self) -> str:
-        """One-line human summary of the portfolio outcome."""
-        parts = [f"{len(self._results)} AS(es) completed"]
+        """One-line human summary of the campaign outcome."""
+        parts = [
+            f"{len(self.completed)} AS(es) completed",
+            f"{self.traces_total()} traces",
+        ]
         if self.resumed_as_ids:
             parts.append(f"{len(self.resumed_as_ids)} from checkpoint")
         if self.failures:
             parts.append(f"{len(self.failures)} failed")
         if self.quarantined:
             parts.append(f"{len(self.quarantined)} quarantined")
-        if self.fault_counters.total_faults():
-            parts.append(
-                f"{self.fault_counters.total_faults()} faults injected"
-            )
-        if self.retry_accounting.retries:
-            parts.append(f"{self.retry_accounting.retries} retries")
+        faults = self.fault_counters.total_faults()
+        if faults:
+            parts.append(f"{faults} faults injected")
+        retries = self.retry_accounting.retries
+        if retries:
+            parts.append(f"{retries} retries")
         if self.traces_quarantined:
             parts.append(
                 f"{self.traces_quarantined} trace(s) quarantined"
@@ -335,46 +355,43 @@ class CampaignReport(Mapping):
         return ", ".join(parts)
 
     def as_dict(self) -> dict:
-        """Canonical JSON-able view of the whole portfolio outcome.
+        """Canonical JSON view: the run directory's ``report.json``.
 
         This is the determinism contract: two runs of the same
-        campaign -- serial or parallel, fresh or resumed -- must
-        produce byte-identical ``json.dumps(report.as_dict())``.
-        Execution provenance (``resumed_as_ids``) is deliberately
-        excluded: whether an AS was re-measured or restored from a
-        checkpoint must not change the canonical result.
+        campaign -- either driver, any worker count or shard layout,
+        fresh or resumed -- produce byte-identical
+        ``json.dumps(report.as_dict())``.  Execution provenance (the
+        kept results, ``resumed_as_ids``) is deliberately excluded.
         """
         return {
             "completed": {
-                str(as_id): {
-                    key: value
-                    for key, value in result_summary(result).items()
-                    if key != "anomaly_counts"
-                }
-                for as_id, result in self._results.items()
+                str(as_id): summary
+                for as_id, summary in self.completed.items()
             },
             "failures": {
                 str(as_id): failure.as_dict()
                 for as_id, failure in self.failures.items()
             },
-            "quarantined": {
-                str(as_id): quarantine.as_dict()
-                for as_id, quarantine in self.quarantined.items()
-            },
+            "quarantined": dict(
+                sorted(
+                    (f"{as_id}:{bucket}", quarantine.as_dict())
+                    for (as_id, bucket), quarantine
+                    in self.quarantined.items()
+                )
+            ),
             "interrupted": self.interrupted,
+            "traces_total": self.traces_total(),
             "fault_counters": self.fault_counters.as_dict(),
             "retry_accounting": self.retry_accounting.as_dict(),
-            "traces_quarantined": self.traces_quarantined,
-            "anomaly_counts": dict(sorted(self.anomaly_counts.items())),
+            "anomaly_counts": self.anomaly_counts,
         }
 
 
 def result_summary(result: AsCampaignResult) -> dict:
     """One AS's canonical JSON summary (the banked analysis record).
 
-    Both planes bank it per analyzed AS, and :meth:`CampaignReport.as_dict`
-    reports it per completed AS (less ``anomaly_counts``, which the
-    portfolio report totals instead).
+    Both drivers bank it per analyzed AS, and
+    :meth:`CampaignReport.as_dict` reports it whole per completed AS.
     """
     analysis = result.analysis
     return {
@@ -475,8 +492,6 @@ class CampaignRunner:
         reveal_success_rate: float = 0.85,
         snmp_coverage: float = 0.9,
         bdrmap_error_rate: float = 0.0,
-        alias_success_rate: float = 0.9,
-        max_ttl: int = 40,
         fault_plan: FaultPlan | None = None,
         churn_plan: ChurnPlan | None = None,
         retry: RetryPolicy | None = None,
@@ -500,8 +515,6 @@ class CampaignRunner:
         self.reveal_success_rate = reveal_success_rate
         self.snmp_coverage = snmp_coverage
         self.bdrmap_error_rate = bdrmap_error_rate
-        self.alias_success_rate = alias_success_rate
-        self.max_ttl = max_ttl
         self.fault_plan = fault_plan or FaultPlan.none()
         self.churn_plan = churn_plan or ChurnPlan.none()
         self.retry = retry or RetryPolicy.none()
@@ -627,7 +640,6 @@ class CampaignRunner:
     def run_portfolio(
         self,
         as_ids: list[int] | None = None,
-        analyzed_only: bool = True,
         checkpoint: str | Path | None = None,
         resume: bool = False,
         jobs: int = 1,
@@ -637,9 +649,10 @@ class CampaignRunner:
     ) -> CampaignReport:
         """Run every requested AS (default: the 41 analyzed ones).
 
-        Execution is the one campaign lease loop
-        (:func:`repro.campaign.scale.run_lease_loop`), each AS a
-        whole-AS task that calls :meth:`run_as` in a fresh runner:
+        Runs the one campaign driver
+        (:func:`repro.campaign.scale.run_campaign`) keeping each AS's
+        :class:`AsCampaignResult`; each AS is a whole-AS task that
+        calls :meth:`run_as` in a fresh runner:
 
         - ``jobs=1`` (default) runs in-process, exactly the sequential
           loop it always was; ``jobs>1`` dispatches the tasks to a
@@ -681,105 +694,20 @@ class CampaignRunner:
         directory.  Telemetry is purely observational -- the report
         and the checkpoint are byte-identical with it on or off.
         """
-        from repro.campaign.scale import open_campaign_dir, run_lease_loop
+        from repro.campaign.scale import run_campaign
 
-        if resume and checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint path")
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if as_ids is None:
-            specs = (
-                self.portfolio.analyzed()
-                if analyzed_only
-                else list(self.portfolio)
-            )
-            as_ids = [s.as_id for s in specs]
-        session: TelemetrySession | None = None
-        if telemetry_dir is not None:
-            session = TelemetrySession(
-                telemetry_dir,
-                config=self._config_signature(),
-                seed=self.seed,
-                command="run_portfolio",
-                jobs=jobs,
-                as_ids=list(as_ids),
-            )
-        try:
-            store = (
-                open_campaign_dir(self, checkpoint, None, resume)
-                if checkpoint is not None
-                else None
-            )
-            restored = self._restore_verbatim(store, as_ids, session)
-            settled, resumed, interrupted = run_lease_loop(
-                self,
-                as_ids,
-                store,
-                session,
-                jobs=jobs,
-                timeout=timeout_per_as,
-                lease_timeout=heartbeat_timeout,
-                max_redispatch=1,
-                max_rss_bytes=None,
-                keep_results=True,
-                stats={},
-            )
-            # Assemble strictly in as_ids order so the report is
-            # identical whatever order tasks actually completed in.
-            report = CampaignReport()
-            report.interrupted = interrupted
-            for as_id in as_ids:
-                if as_id in restored:
-                    report.add(restored[as_id])
-                elif as_id in settled:
-                    report.add(settled[as_id], resumed=as_id in resumed)
-                # else: interrupted before this AS was dispatched
-            if store is not None and not interrupted and not store.complete:
-                # Canonical order makes a resumed checkpoint's bytes
-                # match an uninterrupted run's.
-                store.compact_canonical(list(as_ids))
-        except BaseException:
-            if session is not None:
-                session.finalize("error")
-            raise
-        if session is not None:
-            session.finalize(
-                "interrupted" if report.interrupted else "ok"
-            )
-        return report
-
-    @staticmethod
-    def _restore_verbatim(
-        store: ShardCheckpoint | None,
-        as_ids: list[int],
-        session: TelemetrySession | None,
-    ) -> dict[int, AsOutcome]:
-        """The banked failures and quarantines of ``as_ids``, as banked.
-
-        The lease loop leaves these ASes alone; each restores with its
-        telemetry counter, so a resumed run's totals match.
-        """
-        if store is None:
-            return {}
-        failures = store.failures
-        quarantines: dict[int, dict] = {}
-        for (as_id, _bucket), detail in sorted(store.quarantines.items()):
-            quarantines.setdefault(as_id, detail)
-        restored: dict[int, AsOutcome] = {}
-        for as_id in as_ids:
-            if as_id in failures:
-                restored[as_id] = AsFailure.from_dict(as_id, failures[as_id])
-                counter = "as_failed"
-            elif as_id in quarantines:
-                restored[as_id] = AsQuarantine.from_dict(
-                    as_id, quarantines[as_id]
-                )
-                counter = "as_quarantined"
-            else:
-                continue
-            if session is not None:
-                session.record_scope(as_id, counters={counter: 1})
-        return restored
+        return run_campaign(
+            self,
+            "run_portfolio",
+            checkpoint,
+            as_ids,
+            jobs=jobs,
+            resume=resume,
+            keep_results=True,
+            timeout=timeout_per_as,
+            lease_timeout=heartbeat_timeout,
+            telemetry_dir=telemetry_dir,
+        )
 
     def _spawn_config(self) -> dict:
         """Constructor kwargs reproducing this runner in a worker process.
@@ -797,8 +725,6 @@ class CampaignRunner:
             reveal_success_rate=self.reveal_success_rate,
             snmp_coverage=self.snmp_coverage,
             bdrmap_error_rate=self.bdrmap_error_rate,
-            alias_success_rate=self.alias_success_rate,
-            max_ttl=self.max_ttl,
             fault_plan=self.fault_plan,
             churn_plan=self.churn_plan,
             retry=self.retry,
@@ -998,7 +924,7 @@ class CampaignRunner:
         truth = self._ground_truth(spec, dataset)
         resolver = AliasResolver(
             net.network,
-            success_rate=self.alias_success_rate,
+            success_rate=ALIAS_SUCCESS_RATE,
             seed=self.seed,
         )
         alias_sets = resolver.resolve(dataset.distinct_addresses())
@@ -1040,8 +966,8 @@ class CampaignRunner:
             "reveal_success_rate": self.reveal_success_rate,
             "snmp_coverage": self.snmp_coverage,
             "bdrmap_error_rate": self.bdrmap_error_rate,
-            "alias_success_rate": self.alias_success_rate,
-            "max_ttl": self.max_ttl,
+            "alias_success_rate": ALIAS_SUCCESS_RATE,
+            "max_ttl": MAX_TTL,
             "fault_plan": self.fault_plan.as_dict(),
             "retry": self.retry.as_dict(),
             # Only an *active* plan shapes results; keeping the key out

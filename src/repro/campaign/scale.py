@@ -1,14 +1,16 @@
-"""The campaign lease loop: sharded, leased, resumable.
+"""The campaign driver: sharded, leased, resumable.
 
-Both campaign drivers run on one loop, :func:`run_lease_loop`: one
-:class:`~repro.campaign.shardexec.LeaseExecutor` run per campaign.
-:class:`ScaleCampaign` banks summaries into a run directory and holds
-no traces, which is what the paper's 7.7M-traceroute scale needs;
-:meth:`~repro.campaign.runner.CampaignRunner.run_portfolio` keeps each
-AS's :class:`~repro.campaign.runner.AsCampaignResult` as well.  The
-campaign splits into deterministic ``(as_id, vp_bucket)`` shards
-(:func:`~repro.campaign.shards.shard_plan`), and the layout picks each
-AS's kind of task.
+Both public entries call one driver body, :func:`run_campaign`, which
+runs one loop, :func:`run_lease_loop` (one
+:class:`~repro.campaign.shardexec.LeaseExecutor` run per campaign), and
+returns one :class:`~repro.campaign.runner.CampaignReport`.
+:meth:`ScaleCampaign.run` banks summaries into a run directory and
+holds no traces, which is what the paper's 7.7M-traceroute scale
+needs; :meth:`~repro.campaign.runner.CampaignRunner.run_portfolio`
+keeps each AS's :class:`~repro.campaign.runner.AsCampaignResult` as
+well.  The campaign splits into deterministic ``(as_id, vp_bucket)``
+shards (:func:`~repro.campaign.shards.shard_plan`), and the layout
+picks each AS's kind of task.
 
 **Whole-AS tasks.**  A *one-bucket AS* -- one shard holds all its VPs,
 as for every ``run_portfolio`` AS and at ``ScaleCampaign``'s default
@@ -47,8 +49,9 @@ Every final outcome settles (:func:`_settle`) into a summary
 tallies sunk) or an :class:`~repro.campaign.runner.AsQuarantine` (the
 circuit breaker's reason and post-mortem), is banked by one function
 (:func:`_bank`) and reaches the telemetry session by one path
-(:func:`_record_telemetry`).  ``ScaleCampaign`` assembles its report
-from the banked records in ``as_ids`` order.
+(:func:`_record_telemetry`).  The report takes each AS's outcome in
+``as_ids`` order: what this run settled, else what the checkpoint
+banked (:func:`_campaign_report`).
 
 Memory is governed end to end: the supervisor holds no traces unless
 the caller keeps results, a worker holds at most the ASes in its
@@ -89,8 +92,8 @@ from repro.campaign.checkpoint import (
 from repro.campaign.runner import (
     AsCampaignResult,
     AsFailure,
-    AsOutcome,
     AsQuarantine,
+    CampaignReport,
     CampaignRunner,
     banked_spills,
     result_counters,
@@ -129,91 +132,6 @@ from repro.util.rss import RssWatchdog, peak_rss_bytes
 logger = logging.getLogger(__name__)
 
 _token_counter = itertools.count()
-
-
-class ScaleReport:
-    """Outcome of one paper-scale campaign (summaries, not datasets)."""
-
-    def __init__(self) -> None:
-        #: as_id -> canonical analysis summary, in ``as_ids`` order
-        self.completed: dict[int, dict] = {}
-        #: as_id -> banked failure (:meth:`AsFailure.as_dict`)
-        self.failures: dict[int, dict] = {}
-        #: "as:bucket" -> banked quarantine (:meth:`AsQuarantine.as_dict`)
-        #: of a circuit-broken shard or AS (an AS's under bucket 0)
-        self.quarantined: dict[str, dict] = {}
-        #: True when a shutdown request (or unfinished probing) cut
-        #: the run short; resume completes it
-        self.interrupted = False
-
-    def aggregate_fault_counters(self) -> FaultCounters:
-        total = FaultCounters()
-        for summary in self.completed.values():
-            total.merge(
-                FaultCounters.from_dict(summary.get("fault_counters", {}))
-            )
-        return total
-
-    def aggregate_retry_accounting(self) -> RetryAccounting:
-        total = RetryAccounting()
-        for summary in self.completed.values():
-            total.merge(
-                RetryAccounting.from_dict(
-                    summary.get("retry_accounting", {})
-                )
-            )
-        return total
-
-    def traces_total(self) -> int:
-        return sum(
-            summary.get("traces_total", 0)
-            for summary in self.completed.values()
-        )
-
-    def summary(self) -> str:
-        """One-line human summary of the campaign outcome."""
-        parts = [
-            f"{len(self.completed)} AS(es) analyzed",
-            f"{self.traces_total()} traces",
-        ]
-        if self.failures:
-            parts.append(f"{len(self.failures)} failed")
-        if self.quarantined:
-            parts.append(f"{len(self.quarantined)} shard(s) quarantined")
-        if self.interrupted:
-            parts.append("INTERRUPTED")
-        return ", ".join(parts)
-
-    def as_dict(self) -> dict:
-        """Canonical JSON view; the jobs/shards determinism contract.
-
-        Two runs of the same campaign -- any worker count, any shard
-        layout, fresh or resumed -- must produce byte-identical
-        ``json.dumps(report.as_dict())``.
-        """
-        anomaly_counts: dict[str, int] = {}
-        for summary in self.completed.values():
-            for kind, count in summary.get("anomaly_counts", {}).items():
-                anomaly_counts[kind] = anomaly_counts.get(kind, 0) + count
-        return {
-            "completed": {
-                str(as_id): summary
-                for as_id, summary in self.completed.items()
-            },
-            "failures": {
-                str(as_id): dict(stub)
-                for as_id, stub in self.failures.items()
-            },
-            "quarantined": {
-                key: dict(detail)
-                for key, detail in sorted(self.quarantined.items())
-            },
-            "interrupted": self.interrupted,
-            "traces_total": self.traces_total(),
-            "fault_counters": self.aggregate_fault_counters().as_dict(),
-            "retry_accounting": self.aggregate_retry_accounting().as_dict(),
-            "anomaly_counts": dict(sorted(anomaly_counts.items())),
-        }
 
 
 # -- worker-side machinery (persistent-process caches) --------------------------
@@ -575,6 +493,12 @@ def _as_of(key: int | tuple[int, int]) -> int:
     return key if isinstance(key, int) else key[0]
 
 
+def _shard_of(key: int | tuple[int, int]) -> tuple[int, int]:
+    """The shard a task's quarantine is keyed by: its own, or for an
+    analysis task its AS's bucket 0."""
+    return key if isinstance(key, tuple) else (key, 0)
+
+
 # -- supervisor: settle, bank, record ------------------------------------------
 
 
@@ -649,10 +573,7 @@ def _bank(
         if isinstance(entry, AsFailure):
             store.record_failure(as_id, entry.as_dict())
         elif isinstance(entry, AsQuarantine):
-            store.record_quarantine(
-                key if isinstance(key, tuple) else (key, 0),
-                entry.as_dict(),
-            )
+            store.record_quarantine(_shard_of(key), entry.as_dict())
         else:
             if entry.get("record") is not None:
                 store.record_probe(entry["record"])
@@ -789,21 +710,20 @@ def run_lease_loop(
     jobs: int,
     timeout: float | None,
     lease_timeout: float | None,
-    max_redispatch: int,
     max_rss_bytes: int | None,
     keep_results: bool,
     stats: dict,
-) -> tuple[dict[int, AsOutcome], set[int], bool]:
+) -> tuple[CampaignReport, set[int], bool]:
     """Run what the campaign still needs in one executor run.
 
-    Returns the settled outcome of each AS that ran (a result, failure
-    or quarantine; kept only with ``keep_results``), the ASes whose
-    banked analysis was only re-derived, and whether the run was
-    interrupted.  ``stats`` gets the execution tallies.
+    Returns what this run settled, as a report of the ASes that ran (in
+    completion order; results only with ``keep_results``), the ASes
+    whose banked analysis was skipped or only re-derived, and whether
+    the run was interrupted.  ``stats`` gets the execution tallies.
 
     Tasks queue in plan order, one kind per AS (see the module
     docstring).  ASes with a banked failure or quarantine get no task:
-    their callers restore them as banked.  A banked analysis is
+    the report keeps them as banked.  A banked analysis is
     skipped, or, with ``keep_results``, re-derived by an analysis task
     that banks nothing.  A split AS's analysis is the follow-up of its
     last banked shard, or queues up front when a resume finds them all
@@ -838,9 +758,9 @@ def run_lease_loop(
     records: dict[int, dict[int, ShardProbeRecord]] = {}
     #: ASes whose analysis cannot run (a shard failed or quarantined)
     blocked: set[int] = set()
-    #: ASes whose banked analysis is re-derived, not re-banked
+    #: ASes whose banked analysis is skipped or re-derived, not re-banked
     resumed: set[int] = set()
-    settled: dict[int, AsOutcome] = {}
+    settled = CampaignReport()
     tasks: list[tuple] = []
 
     def analysis_task(as_id: int, spills: list, vps) -> tuple:
@@ -909,8 +829,11 @@ def run_lease_loop(
         )
 
     for as_id, shards in by_as.items():
-        if as_id in closed or (as_id in analyses and not keep_results):
-            continue  # restored as banked
+        if as_id in closed:
+            continue  # reported as banked
+        if as_id in analyses and not keep_results:
+            resumed.add(as_id)
+            continue
         records[as_id] = {}
         live = any(shard.key in probed for shard in shards)
         if not live and as_id in canonical:
@@ -997,18 +920,24 @@ def run_lease_loop(
             return follow_up(as_id)
         if shard_task:
             blocked.add(as_id)
-        if keep_results:
-            settled[as_id] = (
-                entry["result"] if isinstance(entry, dict) else entry
-            )
+        if isinstance(entry, AsFailure):
+            settled.failures[as_id] = entry
+        elif isinstance(entry, AsQuarantine):
+            settled.quarantined[_shard_of(key)] = entry
+        else:
+            settled.completed[as_id] = entry["summary"]
+            if keep_results:
+                settled.results[as_id] = entry["result"]
         return []
 
+    # one re-dispatch after a crash, deadline or lease loss, then the
+    # circuit breaker quarantines
     executor = LeaseExecutor(
         _scale_task,
         jobs=jobs,
         lease_timeout=lease_timeout,
         timeout=timeout,
-        max_redispatch=max_redispatch,
+        max_redispatch=1,
     )
     with GracefulShutdown() as shutdown:
         result = executor.run(
@@ -1018,7 +947,167 @@ def run_lease_loop(
     return settled, resumed, result.interrupted
 
 
-# -- the sharded driver ----------------------------------------------------------
+# -- the driver ------------------------------------------------------------------
+
+
+def run_campaign(
+    runner: CampaignRunner,
+    command: str,
+    out_dir: str | Path | None,
+    as_ids: list[int] | None,
+    *,
+    jobs: int,
+    resume: bool,
+    keep_results: bool,
+    vps_per_shard: int | None = None,
+    timeout: float | None = None,
+    lease_timeout: float | None = None,
+    max_rss_bytes: int | None = None,
+    stats: dict | None = None,
+    telemetry_dir: str | Path | None = None,
+) -> CampaignReport:
+    """The one campaign driver body; both public entries call it.
+
+    In order: open the telemetry session (``command`` names it) and
+    the run directory ``out_dir`` (None: nothing is spilled or
+    banked); run :func:`run_lease_loop` over ``as_ids`` (default: the
+    portfolio's analyzed ASes); build the one report
+    (:func:`_campaign_report`); compact the checkpoint canonically
+    once the campaign is finished; fill ``stats`` with the run's
+    execution tallies and record them in the session as gauges (when
+    given); finalize the session.  ``keep_results`` keeps each
+    completed AS's :class:`~repro.campaign.runner.AsCampaignResult` in
+    the report, re-deriving banked ones from their spills.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if resume and out_dir is None:
+        raise ValueError("resume=True requires a checkpoint run directory")
+    started = time.monotonic()
+    if as_ids is None:
+        as_ids = [s.as_id for s in runner.portfolio.analyzed()]
+    session = (
+        TelemetrySession(
+            telemetry_dir,
+            config=runner._config_signature(),
+            seed=runner.seed,
+            command=command,
+            jobs=jobs,
+            as_ids=list(as_ids),
+        )
+        if telemetry_dir is not None
+        else None
+    )
+    try:
+        store = (
+            open_campaign_dir(runner, out_dir, vps_per_shard, resume)
+            if out_dir is not None
+            else None
+        )
+        settled, resumed, interrupted = run_lease_loop(
+            runner,
+            as_ids,
+            store,
+            session,
+            jobs=jobs,
+            timeout=timeout,
+            lease_timeout=lease_timeout,
+            max_rss_bytes=max_rss_bytes,
+            keep_results=keep_results,
+            stats={} if stats is None else stats,
+        )
+        report = _campaign_report(
+            as_ids, settled, store, resumed, interrupted, session
+        )
+        if store is not None and not report.interrupted and not store.complete:
+            # Canonical order makes a resumed checkpoint's bytes
+            # match an uninterrupted run's.
+            store.compact_canonical(as_ids)
+        if stats is not None:
+            stats.update(
+                jobs=jobs,
+                vps_per_shard=(
+                    store.vps_per_shard if store else runner.vps_per_as
+                ),
+                ases_total=len(as_ids),
+                ases_analyzed=len(report.completed),
+                traces_total=report.traces_total(),
+                shards_quarantined=len(report.quarantined),
+                wall_seconds=round(time.monotonic() - started, 3),
+                rss_peak_bytes=peak_rss_bytes(),
+            )
+            if session is not None:
+                session.record_scope(
+                    PORTFOLIO_SCOPE,
+                    gauges={
+                        name: float(value)
+                        for name, value in sorted(stats.items())
+                    },
+                )
+    except BaseException:
+        if session is not None:
+            session.finalize("error")
+        raise
+    if session is not None:
+        session.finalize("interrupted" if report.interrupted else "ok")
+    return report
+
+
+def _campaign_report(
+    as_ids: list[int],
+    settled: CampaignReport,
+    store: ShardCheckpoint | None,
+    resumed: set[int],
+    interrupted: bool,
+    session: TelemetrySession | None,
+) -> CampaignReport:
+    """The campaign's one report, strictly in ``as_ids`` order.
+
+    An AS that settled in this run reports that outcome; any other AS
+    reports what the checkpoint banked for it, and each banked failure
+    or quarantine counts once in the session, as it did in the run
+    that banked it.  An AS left with no outcome at all (the run was
+    cut short, or the disk refused a shard's record) marks the report
+    interrupted: a resume completes it.
+    """
+    banked = CampaignReport()
+    if store is not None:
+        banked.completed = store.analyses
+        banked.failures = {
+            as_id: AsFailure.from_dict(as_id, record)
+            for as_id, record in store.failures.items()
+        }
+        banked.quarantined = {
+            key: AsQuarantine.from_dict(key[0], detail)
+            for key, detail in store.quarantines.items()
+        }
+    ran = {
+        *settled.completed,
+        *settled.failures,
+        *(as_id for as_id, _ in settled.quarantined),
+    }
+    report = CampaignReport(interrupted=interrupted)
+    for as_id in as_ids:
+        source = settled if as_id in ran else banked
+        if as_id in source.completed:
+            report.completed[as_id] = source.completed[as_id]
+            if as_id in source.results:
+                report.results[as_id] = source.results[as_id]
+            if as_id in resumed:
+                report.resumed_as_ids.append(as_id)
+        incidents: list = []
+        if as_id in source.failures:
+            report.failures[as_id] = source.failures[as_id]
+            incidents.append("as_failed")
+        for key in sorted(k for k in source.quarantined if k[0] == as_id):
+            report.quarantined[key] = source.quarantined[key]
+            incidents.append("as_quarantined")
+        if source is banked and session is not None:
+            for counter in incidents:
+                session.record_scope(as_id, counters={counter: 1})
+        if as_id not in report.completed and not incidents:
+            report.interrupted = True
+    return report
 
 
 class ScaleCampaign(CampaignRunner):
@@ -1035,8 +1124,6 @@ class ScaleCampaign(CampaignRunner):
         #: observational execution tallies of the most recent run()
         self.stats: dict[str, int | float] = {}
 
-    # -- the run --------------------------------------------------------------
-
     def run(
         self,
         out_dir: str | Path,
@@ -1046,20 +1133,22 @@ class ScaleCampaign(CampaignRunner):
         resume: bool = False,
         lease_timeout: float | None = 60.0,
         max_rss_bytes: int | None = None,
-        max_redispatch: int = 1,
         telemetry_dir: str | Path | None = None,
-    ) -> ScaleReport:
+    ) -> CampaignReport:
         """Run (or resume) the campaign into ``out_dir``.
 
-        ``out_dir`` holds everything durable: ``checkpoint.jsonl`` (the
-        shard checkpoint) and ``spills/`` (per-shard trace files).
-        ``vps_per_shard`` sets the shard granularity (default: one
-        shard per AS, each AS a whole-AS task); a resumed run adopts
-        the banked layout, so re-sharding mid-campaign is safe.
-        ``jobs`` sizes the worker pool -- any value yields
-        byte-identical results.  Under an active churn plan a
-        ``vps_per_shard`` below ``vps_per_as`` raises ``ValueError``
-        before any task runs.
+        Runs the one campaign driver (:func:`run_campaign`) holding
+        summaries only, and records its execution tallies in
+        :attr:`stats`.  ``out_dir`` holds everything durable:
+        ``checkpoint.jsonl`` (the shard checkpoint) and ``spills/``
+        (per-shard trace files).  ``vps_per_shard`` sets the shard
+        granularity (default: one shard per AS, each AS a whole-AS
+        task); a resumed run adopts the banked layout, so re-sharding
+        mid-campaign is safe.  ``jobs`` sizes the worker pool -- any
+        value yields byte-identical results.  Under an active churn
+        plan a ``vps_per_shard`` below ``vps_per_as`` raises
+        ``ValueError`` before any task runs.  ``max_rss_bytes`` is each
+        worker's resident-set budget (see the module docstring).
 
         ``telemetry_dir`` turns on distributed tracing: a
         :class:`~repro.obs.session.TelemetrySession` mints one
@@ -1069,98 +1158,18 @@ class ScaleCampaign(CampaignRunner):
         observational: report JSON and checkpoint bytes are identical
         with it on or off.
         """
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        started = time.monotonic()
-        if as_ids is None:
-            as_ids = [s.as_id for s in self.portfolio.analyzed()]
-        session = (
-            TelemetrySession(
-                telemetry_dir,
-                config=self._config_signature(),
-                seed=self.seed,
-                command="scale-campaign",
-                jobs=jobs,
-                as_ids=list(as_ids),
-            )
-            if telemetry_dir is not None
-            else None
+        self.stats = {}
+        return run_campaign(
+            self,
+            "scale-campaign",
+            out_dir,
+            as_ids,
+            jobs=jobs,
+            resume=resume,
+            keep_results=False,
+            vps_per_shard=vps_per_shard,
+            lease_timeout=lease_timeout,
+            max_rss_bytes=max_rss_bytes,
+            stats=self.stats,
+            telemetry_dir=telemetry_dir,
         )
-        try:
-            store = open_campaign_dir(self, out_dir, vps_per_shard, resume)
-            self.stats = {
-                "jobs": jobs,
-                "vps_per_shard": store.vps_per_shard,
-                "ases_total": len(as_ids),
-            }
-            _, _, interrupted = run_lease_loop(
-                self,
-                as_ids,
-                store,
-                session,
-                jobs=jobs,
-                timeout=None,
-                lease_timeout=lease_timeout,
-                max_redispatch=max_redispatch,
-                max_rss_bytes=max_rss_bytes,
-                keep_results=False,
-                stats=self.stats,
-            )
-            report = self._assemble(store, as_ids)
-            if interrupted:
-                report.interrupted = True
-            if not report.interrupted and not store.complete:
-                store.compact_canonical(as_ids)
-            self.stats["ases_analyzed"] = len(report.completed)
-            self.stats["traces_total"] = report.traces_total()
-            self.stats["shards_quarantined"] = len(report.quarantined)
-            self.stats["wall_seconds"] = round(time.monotonic() - started, 3)
-            self.stats["rss_peak_bytes"] = peak_rss_bytes()
-            if session is not None:
-                session.record_scope(
-                    PORTFOLIO_SCOPE,
-                    gauges={
-                        name: float(value)
-                        for name, value in sorted(self.stats.items())
-                    },
-                )
-                session.finalize(
-                    "interrupted" if report.interrupted else "ok"
-                )
-        except BaseException:
-            if session is not None:
-                session.finalize("error")
-            raise
-        return report
-
-    # -- assembly -------------------------------------------------------------
-
-    def _assemble(
-        self, store: ShardCheckpoint, as_ids: list[int]
-    ) -> ScaleReport:
-        """Build the report from banked records, strictly in as_ids order."""
-        report = ScaleReport()
-        analyses = store.analyses
-        failures = store.failures
-        for as_id in as_ids:
-            if as_id in analyses:
-                report.completed[as_id] = analyses[as_id]
-            elif as_id in failures:
-                report.failures[as_id] = failures[as_id]
-        for (as_id, bucket), detail in sorted(store.quarantines.items()):
-            if as_id in as_ids:
-                report.quarantined[f"{as_id}:{bucket}"] = detail
-        # ASes with neither analysis, failure nor quarantine were never
-        # finished: the run is incomplete (interrupted or degraded).
-        unfinished = [
-            as_id
-            for as_id in as_ids
-            if as_id not in report.completed
-            and as_id not in report.failures
-            and not any(
-                key.startswith(f"{as_id}:") for key in report.quarantined
-            )
-        ]
-        if unfinished:
-            report.interrupted = True
-        return report

@@ -769,7 +769,9 @@ class LeaseExecutor:
                                     facts=facts_of(assignment),
                                 )
                             )
-                            self._retire(worker)  # worker exited itself
+                            # a raising task's worker exits itself; one
+                            # whose answer did not decode is stopped
+                            self._retire(worker)
                             pool[slot] = None
                         continue
                     stage = assignment.last_stage or "unknown"
@@ -816,7 +818,13 @@ class LeaseExecutor:
             self._drain(busy[conn], now)
 
     def _drain(self, worker: _Worker, now: float) -> None:
-        """Read everything currently in one worker's pipe."""
+        """Read everything currently in one worker's pipe.
+
+        A message that arrives whole but fails to unpickle (a result
+        whose ``__reduce__`` raises, a record breaking a constructor
+        invariant) settles its task as an error: decoding is
+        deterministic, so a re-dispatch would fail the same way.
+        """
         assignment = worker.assignment
         if assignment is None:
             return
@@ -828,6 +836,12 @@ class LeaseExecutor:
                     message = worker.conn.recv()
             except (EOFError, OSError, BrokenPipeError):
                 return  # corpse handling settles it
+            except Exception as exc:  # noqa: BLE001 -- one task's answer
+                assignment.message = (
+                    "exc",
+                    f"undecodable answer: {type(exc).__name__}: {exc}",
+                )
+                return
             assignment.last_beat = now  # every message renews the lease
             if message[0] == "hb":
                 self.stats["leases_renewed"] += 1

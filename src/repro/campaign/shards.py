@@ -66,6 +66,9 @@ from repro.util.retry import RetryAccounting
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.campaign.runner import CampaignRunner
 
+#: TNT's probe TTL ceiling, for every VP of every campaign
+MAX_TTL = 40
+
 
 @dataclass(slots=True, frozen=True)
 class ShardSpec:
@@ -324,7 +327,7 @@ def probe_vps(
             engine.faults = injector
             prober = TntProber(
                 engine,
-                max_ttl=runner.max_ttl,
+                max_ttl=MAX_TTL,
                 reveal_success_rate=runner.reveal_success_rate,
                 seed=runner.seed,
                 retry=runner.retry,

@@ -353,16 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     scale.add_argument(
-        "--max-redispatch",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "re-dispatches per shard after crash/lease loss before "
-            "the shard is quarantined"
-        ),
-    )
-    scale.add_argument(
         "--max-rss",
         type=_positive_int,
         default=None,
@@ -628,19 +618,9 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         timeout_per_as=args.timeout_per_as,
         telemetry_dir=args.telemetry_dir,
     )
-    if not len(report):
-        for failure in report.failures.values():
-            print(
-                f"FAILED AS#{failure.as_id} during {failure.stage}: "
-                f"{failure.error}"
-            )
-        for quarantine in report.quarantined.values():
-            print(
-                f"QUARANTINED AS#{quarantine.as_id} ({quarantine.reason}, "
-                f"{quarantine.attempts} attempts): {quarantine.detail}"
-            )
-        print(report.summary())
-        return 130 if report.interrupted else 1
+    resumable = args.checkpoint is not None
+    if not report.completed:
+        return _campaign_incidents(report, resumable)
     print(render_flag_proportions(report))
     headline = headline_detection(report)
     print(
@@ -664,19 +644,29 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
             f"{report.retry_accounting.retries} retries "
             f"({report.retry_accounting.backoff_ms:.0f}ms backoff)"
         )
-    for failure in report.failures.values():
+    return _campaign_incidents(report, resumable)
+
+
+def _campaign_incidents(report, resumable: bool) -> int:
+    """Print a campaign report's FAILED, QUARANTINED and interrupted
+    lines (a split AS's quarantined shard names its bucket past the
+    first); the exit status: 130 when interrupted, 1 when an incident
+    left nothing completed, else 0.  ``resumable``: the run banked
+    into a run directory, so the interrupted line says how to finish."""
+    for as_id, failure in report.failures.items():
+        print(f"FAILED AS#{as_id} during {failure.stage}: {failure.error}")
+    for (as_id, bucket), quarantine in report.quarantined.items():
+        shard = f" bucket {bucket}" if bucket else ""
         print(
-            f"FAILED AS#{failure.as_id} during {failure.stage}: "
-            f"{failure.error}"
-        )
-    for quarantine in report.quarantined.values():
-        print(
-            f"QUARANTINED AS#{quarantine.as_id} ({quarantine.reason}, "
+            f"QUARANTINED AS#{as_id}{shard} ({quarantine.reason}, "
             f"{quarantine.attempts} attempts): {quarantine.detail}"
         )
     if report.interrupted:
-        print(f"interrupted: {report.summary()}")
+        hint = " (rerun with --resume to complete it)" if resumable else ""
+        print(f"interrupted: {report.summary()}{hint}")
         return 130
+    if not report.completed and (report.failures or report.quarantined):
+        return 1
     return 0
 
 
@@ -819,7 +809,6 @@ def _cmd_scale_campaign(args: argparse.Namespace) -> int:
         max_rss_bytes=(
             args.max_rss * 1024 * 1024 if args.max_rss else None
         ),
-        max_redispatch=args.max_redispatch,
         telemetry_dir=args.telemetry_dir,
     )
     out = Path(args.out)
@@ -852,23 +841,7 @@ def _cmd_scale_campaign(args: argparse.Namespace) -> int:
         f"wall {stats.get('wall_seconds', 0.0):.1f}s; "
         f"artifacts in {out}"
     )
-    for as_id, failure in report.failures.items():
-        print(
-            f"FAILED AS#{as_id} during {failure.get('stage', '?')}: "
-            f"{failure.get('error', '')}"
-        )
-    for key, detail in report.quarantined.items():
-        print(
-            f"QUARANTINED shard {key} ({detail.get('reason', '?')}, "
-            f"{detail.get('attempts', '?')} attempts): "
-            f"{detail.get('detail', '')}"
-        )
-    if report.interrupted:
-        print(f"interrupted: resume with --resume --out {out}")
-        return 130
-    if not report.completed and (report.failures or report.quarantined):
-        return 1
-    return 0
+    return _campaign_incidents(report, resumable=True)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -4,10 +4,10 @@ import pytest
 
 from repro.analysis.segment_stats import (
     SegmentLengthRow,
-    batch_segment_length_rows,
     portfolio_expected_false_positives,
     segment_length_rows,
 )
+from repro.core.flags import SEQUENCE_FLAGS
 
 
 def row(counts):
@@ -53,14 +53,20 @@ class TestFromCampaign:
         esnet = next(r for r in rows if r.as_id == 46)
         assert esnet.mean_length() >= 2.5
 
+    def test_rows_count_each_distinct_run_once(
+        self, small_portfolio_results
+    ):
+        """The rows read the segments each AS's analysis already
+        deduplicated: one count per distinct CVR/CO run."""
+        for r in segment_length_rows(small_portfolio_results):
+            analysis = small_portfolio_results[r.as_id].analysis
+            assert r.total() == sum(
+                len(analysis.distinct_segments.get(flag, ()))
+                for flag in SEQUENCE_FLAGS
+            )
+
     def test_portfolio_fp_budget_negligible(self, small_portfolio_results):
         rows = segment_length_rows(small_portfolio_results)
         # with the ~1e6 Cisco pool the whole campaign's coincidence
         # budget is far below one segment -- Sec. 4.1's argument, priced
         assert portfolio_expected_false_positives(rows) < 1e-3
-
-    def test_batch_rows_match_object_rows(self, small_portfolio_results):
-        """Columnar re-detection reproduces the stored-segment rows."""
-        assert batch_segment_length_rows(
-            small_portfolio_results
-        ) == segment_length_rows(small_portfolio_results)

@@ -5,7 +5,6 @@ from repro.analysis.vendor_breakdown import (
     UNATTRIBUTED,
     VendorBreakdownAccumulator,
     campaign_vendor_breakdown,
-    vendor_breakdown,
 )
 from repro.core.columnar import ColumnarDetector, TraceBatch
 from repro.fingerprint.records import Fingerprint
@@ -13,6 +12,15 @@ from repro.netsim.addressing import IPv4Address
 from repro.netsim.vendors import Vendor
 
 from tests.conftest import make_hop, make_trace
+
+
+def breakdown(pairs):
+    """The accumulator's document over (trace, fingerprints) pairs,
+    detected in one batch."""
+    batch = TraceBatch.from_pairs(pairs)
+    accumulator = VendorBreakdownAccumulator()
+    accumulator.feed_batch(batch, ColumnarDetector().detect_batch(batch))
+    return accumulator.as_doc()
 
 
 def fingerprinted(mapping):
@@ -34,7 +42,7 @@ class TestAttributionLadder:
         fps = fingerprinted(
             {"10.0.0.2": Fingerprint.from_snmp(Vendor.CISCO)}
         )
-        doc = vendor_breakdown([(trace, fps)])
+        doc = breakdown([(trace, fps)])
         assert list(doc["vendors"]) == [Vendor.CISCO.value]
         assert doc["vendors"]["Cisco"]["flags"] == {"CVR": 1}
 
@@ -51,7 +59,7 @@ class TestAttributionLadder:
         fps = fingerprinted(
             {"10.0.0.1": Fingerprint.from_snmp(Vendor.JUNIPER)}
         )
-        doc = vendor_breakdown([(trace, fps)])
+        doc = breakdown([(trace, fps)])
         assert list(doc["vendors"]) == [Vendor.JUNIPER.value]
         assert doc["vendors"]["Juniper"]["flags"] == {"CO": 1}
 
@@ -63,7 +71,7 @@ class TestAttributionLadder:
                 make_hop(2, "10.0.0.2", labels=(16005,)),
             ]
         )
-        doc = vendor_breakdown([(trace, {})])
+        doc = breakdown([(trace, {})])
         (vendor,) = doc["vendors"]
         assert vendor.startswith(RANGE_PREFIX)
         assert "Cisco" in vendor and "Huawei" in vendor
@@ -73,7 +81,7 @@ class TestAttributionLadder:
         trace = make_trace(
             [make_hop(1, "10.0.0.1", labels=(500_000, 500_001))]
         )
-        doc = vendor_breakdown([(trace, {})])
+        doc = breakdown([(trace, {})])
         assert list(doc["vendors"]) == [UNATTRIBUTED]
         assert doc["vendors"][UNATTRIBUTED]["flags"] == {"LSO": 1}
 
@@ -114,7 +122,7 @@ class TestAccumulator:
 
     def test_distinct_vs_occurrences(self):
         pairs = self.make_pairs()
-        doc = vendor_breakdown(pairs)
+        doc = breakdown(pairs)
         # 10 occurrences (one run per trace) but only 2 distinct label
         # values x disjoint addresses -> every segment key is distinct
         assert doc["segment_occurrences"] == 10

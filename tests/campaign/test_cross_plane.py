@@ -10,7 +10,9 @@ is fingerprinted on the fault-free engine, and both drivers bank into
 the same run directory (``checkpoint.jsonl`` plus ``spills/``), which
 either can resume whatever layout wrote it.  These tests hold the two
 drivers to each other under a lossy fault plan with retries, where a
-second measurement rule would show, and under churn.
+second measurement rule would show, and under churn; and they hold the
+two drivers' reports to one outcome, a failed AS's partial spend
+included.
 """
 
 import json
@@ -26,6 +28,8 @@ from repro.campaign.shards import as_spills
 from repro.netsim.dynamics import ChurnPlan
 from repro.netsim.faults import FaultPlan
 from repro.util.retry import RetryPolicy
+
+from tests.campaign.test_resilience import MidCampaignFaultRunner
 
 AS_IDS = [46, 27, 31]
 LOSSY = dict(
@@ -75,6 +79,10 @@ def _assert_spills_hold_banked_traces(run_dir) -> None:
         assert lines == banked, as_id
 
 
+class MidCampaignFaultScale(MidCampaignFaultRunner, ScaleCampaign):
+    """The sharded driver's AS#46 dies in its fingerprint stage."""
+
+
 class TestOneMeasurementRule:
     def test_report_entries_equal_scale_summaries(self, tmp_path):
         portfolio = CampaignRunner(**LOSSY).run_portfolio(as_ids=AS_IDS)
@@ -84,14 +92,38 @@ class TestOneMeasurementRule:
         assert portfolio.fault_counters.probes_lost > 0
         assert portfolio.fault_counters.snmp_timeouts > 0
         assert portfolio.retry_accounting.retries > 0
-        assert portfolio.as_dict()["completed"] == {
-            str(as_id): {
-                key: value
-                for key, value in summary.items()
-                if key != "anomaly_counts"
-            }
-            for as_id, summary in sharded.completed.items()
-        }
+        assert _report_json(portfolio) == _report_json(sharded)
+
+
+class TestOneOutcome:
+    """A failed AS's partial spend counts in both drivers' totals."""
+
+    def test_failed_as_tallies_count_on_both_drivers(self, tmp_path):
+        portfolio = MidCampaignFaultRunner(**LOSSY).run_portfolio(
+            as_ids=AS_IDS
+        )
+        sharded = MidCampaignFaultScale(**LOSSY).run(
+            tmp_path / "scale", as_ids=AS_IDS
+        )
+        failure = portfolio.failures[46]
+        assert failure.stage == "fingerprint"
+        assert failure.fault_counters.probes_lost > 0
+        assert failure.retry_accounting.probes > 0
+        for report in (portfolio, sharded):
+            assert list(report.failures) == [46]
+            assert list(report.completed) == [27, 31]
+            completed = report.completed.values()
+            assert report.fault_counters.probes_lost == (
+                failure.fault_counters.probes_lost
+                + sum(s["fault_counters"]["probes_lost"] for s in completed)
+            )
+            assert report.retry_accounting.probes == (
+                failure.retry_accounting.probes
+                + sum(s["retry_accounting"]["probes"] for s in completed)
+            )
+        assert sharded.fault_counters == portfolio.fault_counters
+        assert sharded.retry_accounting == portfolio.retry_accounting
+        assert _report_json(portfolio) == _report_json(sharded)
 
 
 class TestOneCheckpointFormat:

@@ -266,8 +266,8 @@ class TestSigkilledWorker:
         )
         victim = AS_IDS[1]
         assert sorted(report) == sorted(a for a in AS_IDS if a != victim)
-        assert victim in report.quarantined
-        quarantine = report.quarantined[victim]
+        assert (victim, 0) in report.quarantined
+        quarantine = report.quarantined[victim, 0]
         assert quarantine.reason == "crash"
         assert quarantine.attempts == 2  # one re-dispatch before the breaker
         assert victim not in report.failures
@@ -277,7 +277,7 @@ class TestSigkilledWorker:
         resumed = KillsWorkerOnce(**KNOBS).run_portfolio(
             as_ids=AS_IDS, checkpoint=path, resume=True, jobs=2
         )
-        assert victim in resumed.quarantined
+        assert (victim, 0) in resumed.quarantined
         assert sorted(resumed.resumed_as_ids) == sorted(
             a for a in AS_IDS if a != victim
         )
@@ -293,7 +293,7 @@ class TestWorkerDeadlines:
             **KNOBS, victim=victim, chatty=True
         ).run_portfolio(as_ids=AS_IDS[:3], jobs=2, timeout_per_as=2)
         assert sorted(report) == sorted(a for a in AS_IDS[:3] if a != victim)
-        quarantine = report.quarantined[victim]
+        quarantine = report.quarantined[victim, 0]
         assert quarantine.reason == "timeout"
         assert quarantine.attempts == 2
         assert quarantine.last_stage == "probe"
@@ -307,7 +307,7 @@ class TestWorkerDeadlines:
             heartbeat_timeout=1.5,
         )
         assert sorted(report) == sorted(a for a in AS_IDS[:3] if a != victim)
-        quarantine = report.quarantined[victim]
+        quarantine = report.quarantined[victim, 0]
         assert quarantine.reason == "hung"
         assert quarantine.attempts == 2
         assert quarantine.last_stage == "probe"

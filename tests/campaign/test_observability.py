@@ -181,13 +181,13 @@ class TestQuarantinePostMortem:
             timeout_per_as=60,
             telemetry_dir=telemetry_dir,
         )
-        quarantine = report.quarantined[27]
+        quarantine = report.quarantined[27, 0]
         assert quarantine.last_stage == "probe"
         assert "probe" in quarantine.stage_seconds
         assert all(s >= 0 for s in quarantine.stage_seconds.values())
 
         # report JSON carries the post-mortem
-        entry = report.as_dict()["quarantined"]["27"]
+        entry = report.as_dict()["quarantined"]["27:0"]
         assert entry["last_stage"] == quarantine.last_stage
 
         # markdown names the stage
@@ -204,7 +204,7 @@ class TestQuarantinePostMortem:
         resumed = KillsWorkerAlways(**KNOBS).run_portfolio(
             as_ids=AS_IDS, checkpoint=ckpt, resume=True
         )
-        restored = resumed.quarantined[27]
+        restored = resumed.quarantined[27, 0]
         assert restored.last_stage == quarantine.last_stage
         # the checkpoint stores stage timings rounded to milliseconds
         assert restored.stage_seconds == pytest.approx(

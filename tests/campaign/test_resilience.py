@@ -356,7 +356,7 @@ class TestDiskFull:
         path = tmp_path / "run"
         report = _runner().run_portfolio(as_ids=[46, 27], checkpoint=path)
         assert sorted(report) == [46]
-        assert report.quarantined[27].reason == "disk-full"
+        assert report.quarantined[27, 0].reason == "disk-full"
         assert not report.interrupted  # degraded, not interrupted
         monkeypatch.undo()
         # the circuit breaker stays open across resume

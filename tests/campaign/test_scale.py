@@ -242,14 +242,14 @@ class TestDegradation:
         monkeypatch.setattr(scale, "_probe_shard_worker", worker)
         report = _campaign().run(tmp_path, vps_per_shard=1)
         assert set(report.completed) == {1}
-        assert report.quarantined["2:0"]["reason"] == "disk-full"
+        assert report.quarantined[2, 0].reason == "disk-full"
         assert not report.interrupted  # degraded, not interrupted
         monkeypatch.undo()
         # the circuit breaker stays open across resume: the shard is
         # not re-dispatched, the quarantine is surfaced again
         resumed = _campaign()
         again = resumed.run(tmp_path, resume=True)
-        assert again.quarantined["2:0"]["reason"] == "disk-full"
+        assert again.quarantined[2, 0].reason == "disk-full"
         assert resumed.stats.get("shards_probed", 0) == 0
 
     def test_deterministic_probe_error_fails_the_as(
@@ -266,8 +266,8 @@ class TestDegradation:
         monkeypatch.setattr(scale, "_probe_shard_worker", worker)
         report = _campaign().run(tmp_path, vps_per_shard=1)
         assert set(report.completed) == {2}
-        assert report.failures[1]["stage"] == "probe"
-        assert "synthetic probe bug" in report.failures[1]["error"]
+        assert report.failures[1].stage == "probe"
+        assert "synthetic probe bug" in report.failures[1].error
         assert not report.interrupted
 
     def test_interrupted_probe_phase_resumes_to_identical_bytes(
@@ -310,21 +310,21 @@ class TestWholeAsDegradation:
     def test_disk_full_quarantines_the_as(self, tmp_path):
         report = _faulty(2, "disk-full").run(tmp_path)
         assert set(report.completed) == {1}
-        quarantine = report.quarantined["2:0"]
-        assert quarantine["reason"] == "disk-full"
-        assert "No space left" in quarantine["detail"]
+        quarantine = report.quarantined[2, 0]
+        assert quarantine.reason == "disk-full"
+        assert "No space left" in quarantine.detail
         assert not report.interrupted
         resumed = _campaign()
         again = resumed.run(tmp_path, resume=True)
-        assert again.quarantined["2:0"] == quarantine
+        assert again.quarantined[2, 0] == quarantine
         assert resumed.stats["shards_probed"] == 0
 
     def test_probe_error_fails_the_as(self, tmp_path):
         report = _faulty(1, "bug").run(tmp_path)
         assert set(report.completed) == {2}
         failure = report.failures[1]
-        assert failure["stage"] == "probe"
-        assert "synthetic probe bug" in failure["error"]
+        assert failure.stage == "probe"
+        assert "synthetic probe bug" in failure.error
         assert not report.interrupted
 
     def test_ctrl_c_then_resume_gives_identical_bytes(self, tmp_path):
@@ -397,7 +397,7 @@ class TestReport:
     def test_summary_lines(self, tmp_path):
         report = _campaign().run(tmp_path)
         text = report.summary()
-        assert "2 AS(es) analyzed" in text
+        assert "2 AS(es) completed" in text
         assert "INTERRUPTED" not in text
 
     def test_as_dict_shape(self, tmp_path):

@@ -102,6 +102,21 @@ def _pid_after_marker(payload, ctl):
     return os.getpid(), theirs is None or Path(theirs).exists()
 
 
+def _refuse(reason):
+    raise ValueError(reason)
+
+
+class _Undecodable:
+    """Pickles fine in the worker; unpickling it raises."""
+
+    def __reduce__(self):
+        return _refuse, ("this answer does not decode",)
+
+
+def _undecodable_on_one(payload, ctl):
+    return _Undecodable() if payload == 1 else 2 * payload
+
+
 def _by_letter(key):
     """Affinity of the follow-up tests: ``"a0"`` -> ``"a"``."""
     return key[0]
@@ -245,6 +260,17 @@ class TestPool:
         assert "odd payload 3" in odd.error
         assert result.outcomes["even"].value == 2
         assert executor.stats["shards_redispatched"] == 0
+
+    def test_undecodable_answer_fails_only_its_task(self):
+        executor = LeaseExecutor(_undecodable_on_one, jobs=2)
+        result = executor.run([(k, k) for k in range(3)])
+        undecodable = result.outcomes[1]
+        assert undecodable.status is TaskStatus.ERROR
+        assert undecodable.attempts == 1  # decoding is deterministic
+        assert "this answer does not decode" in undecodable.error
+        assert {k: result.outcomes[k].value for k in (0, 2)} == {0: 0, 2: 4}
+        assert executor.stats["shards_redispatched"] == 0
+        assert executor.stats["workers_crashed"] == 0
 
     @pytest.mark.parametrize("bound", ["timeout", "lease_timeout"])
     def test_unread_answer_beats_an_expired_bound(self, bound):

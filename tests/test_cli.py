@@ -270,6 +270,51 @@ class TestPortfolioCommand:
         assert "confirmed ASes detected" in out
 
 
+def _incidents(out: str) -> list[str]:
+    return [
+        line
+        for line in out.splitlines()
+        if line.startswith(("FAILED", "QUARANTINED", "interrupted"))
+    ]
+
+
+class TestCampaignIncidents:
+    """Both campaign commands print incidents through one helper."""
+
+    def test_unknown_as_fails_alike_on_both_commands(self, tmp_path, capsys):
+        expected = [
+            "FAILED AS#9999 during setup: KeyError: 'no AS#9999 in portfolio'"
+        ]
+        assert main(["portfolio", "--as", "9999"]) == 1
+        assert _incidents(capsys.readouterr().out) == expected
+        run_dir = str(tmp_path / "run")
+        assert main(["scale-campaign", "--out", run_dir, "--as", "9999"]) == 1
+        assert _incidents(capsys.readouterr().out) == expected
+
+    def test_quarantined_shards_name_their_as(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.campaign.scale as scale
+
+        def disk_full(payload, ctl):
+            return {"status": "disk-full", "error": "No space left"}
+
+        monkeypatch.setattr(scale, "_probe_shard_worker", disk_full)
+        status = main(
+            [
+                "scale-campaign", "--out", str(tmp_path / "run"),
+                "--ases", "1", "--vps", "2", "--targets", "4",
+                "--shards", "1",
+            ]
+        )
+        assert status == 1
+        assert _incidents(capsys.readouterr().out) == [
+            "QUARANTINED AS#1 (disk-full, 1 attempts): No space left",
+            "QUARANTINED AS#1 bucket 1 (disk-full, 1 attempts): "
+            "No space left",
+        ]
+
+
 class TestLoggingOptions:
     def test_log_flags_are_accepted(self, capsys):
         assert main(

@@ -239,9 +239,11 @@ class TestFullSixtyAsSweep:
         without error -- their footprints are just too small to matter
         (which is why the paper excludes them)."""
         runner = CampaignRunner(seed=3, vps_per_as=2, targets_per_as=6)
-        results = runner.run_portfolio(analyzed_only=False)
-        assert len(results) == 60
         portfolio = default_portfolio()
+        results = runner.run_portfolio(
+            as_ids=[spec.as_id for spec in portfolio]
+        )
+        assert len(results) == 60
         excluded = {s.as_id for s in portfolio.excluded()}
         excluded_footprints = [
             len(results[i].dataset.distinct_addresses()) for i in excluded
