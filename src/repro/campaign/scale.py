@@ -986,6 +986,8 @@ def run_campaign(
     started = time.monotonic()
     if as_ids is None:
         as_ids = [s.as_id for s in runner.portfolio.analyzed()]
+    # a repeated AS id runs once, where it first appears
+    as_ids = list(dict.fromkeys(as_ids))
     session = (
         TelemetrySession(
             telemetry_dir,

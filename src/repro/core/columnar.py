@@ -220,29 +220,32 @@ class TraceBatch:
 
     def _append(self, trace: Trace, lookup: FingerprintLookup) -> None:
         """Project one trace's hops onto the columns (the only per-hop
-        Python in the columnar life cycle -- paid once per batch)."""
+        Python in the columnar life cycle -- paid once per batch).
+
+        The two adjacent-label match columns are built per trace and
+        extended once; the others take one append per hop.
+        """
         top = self.top
         depth = self.depth
         truth_asn = self.truth_asn
         addresses = self.addresses
         elig = self.elig
         in_range = self.in_range
-        eq_next = self.eq_next
-        sfx_next = self.sfx_next
         single = self.single
         vendor_id = self.vendor_id
-        start = len(top)
+        hops = trace.hops
+        eq_next = bytearray(len(hops))
+        sfx_next = bytearray(len(hops))
         prev_top = -1
-        for hop in trace.hops:
+        for k, hop in enumerate(hops):
             hop_top = -1
             hop_depth = 0
             lses = hop.lses
             if lses:
-                labels = [e.label for e in lses]
-                n = len(labels)
+                n = len(lses)
                 i = 0
                 while i < n:
-                    value = labels[i]
+                    value = lses[i].label
                     if value == _ELI:
                         i += 2  # skip the ELI and its entropy value
                         continue
@@ -272,19 +275,17 @@ class TraceBatch:
             elig.append(1 if ok else 0)
             in_range.append(ranged)
             single.append(1 if (hop_depth >= 2 or ranged) else 0)
-            eq_next.append(0)
-            sfx_next.append(0)
             vendor_id.append(vid)
             if prev_top >= 0 and hop_top >= 0:
-                here = len(top) - 1
                 if prev_top == hop_top:
-                    eq_next[here - 1] = 1
+                    eq_next[k - 1] = 1
                 elif prev_top % _SUFFIX_MODULUS == hop_top % _SUFFIX_MODULUS:
-                    sfx_next[here - 1] = 1
+                    sfx_next[k - 1] = 1
             prev_top = hop_top
+        self.eq_next += eq_next
+        self.sfx_next += sfx_next
         self.traces.append(trace)
         self.offsets.append(len(top))
-        assert len(top) - start == len(trace.hops)
 
     def _vendor_token(self, fp: Fingerprint) -> int:
         """Intern the fingerprint's vendor evidence as a small id."""

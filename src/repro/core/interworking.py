@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from repro.core.classification import HopArea
 from repro.core.flags import Flag, STRONG_FLAGS
 from repro.core.labels import sequence_match
+from repro.util.slots import slot_init
 
 
 class InterworkingMode(enum.Enum):
@@ -39,6 +40,7 @@ class InterworkingMode(enum.Enum):
         return self.value
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Cloud:
     """A maximal same-plane run inside one tunnel observation."""
@@ -52,6 +54,7 @@ class Cloud:
         return len(self.hop_indices)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TunnelComposition:
     """One tunnel observation decomposed into clouds."""
@@ -151,6 +154,9 @@ def refine_areas_for_interworking(
             if segment.flag is Flag.LSO:
                 for i in segment.hop_indices:
                     refined[i] = HopArea.SR
+    if HopArea.SR not in refined:
+        # every rule below credits a hop to SR only next to SR evidence
+        return refined
     while True:  # iterate to a fixed point so adjacent fixes propagate
         before = list(refined)
         # Same-label adoption: an unflagged labeled hop whose active

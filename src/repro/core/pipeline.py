@@ -147,17 +147,31 @@ class AsAnalysis:
         return inter / total
 
 
-def _timed(fn, clock, bin_sample):
-    """Wrap ``fn`` so every call's wall seconds land in ``bin_sample``.
+def _timed_sanitize(sanitize, clock, bin_sample):
+    """Wrap ``sanitize`` so every call's wall seconds land in ``bin_sample``.
 
     Closure cells (not attribute lookups) carry the clock and the
-    sample sink, so the per-call cost is two clock reads and one
-    append on top of ``fn`` itself.
+    sample sink, and the wrapper takes exactly the wrapped call's
+    arguments (``*args``/``**kwargs`` forwarding costs about as much
+    as the timing itself), so the per-call cost is two clock reads and
+    one append on top of the call itself.
     """
 
-    def timed(*args, **kwargs):
+    def timed(trace):
         tick = clock()
-        out = fn(*args, **kwargs)
+        out = sanitize(trace)
+        bin_sample(clock() - tick)
+        return out
+
+    return timed
+
+
+def _timed_detect(detect, clock, bin_sample):
+    """:func:`_timed_sanitize` for ``detect(trace, fingerprints, mask)``."""
+
+    def timed(trace, fingerprints, hop_mask):
+        tick = clock()
+        out = detect(trace, fingerprints, hop_mask)
         bin_sample(clock() - tick)
         return out
 
@@ -214,10 +228,10 @@ class AsAccumulator:
         self._detect_samples: list[float] = []
         if self._track:
             clock = telemetry.clock
-            self._sanitize = _timed(
+            self._sanitize = _timed_sanitize(
                 self._sanitize, clock, self._sanitize_samples.append
             )
-            self._detect = _timed(
+            self._detect = _timed_detect(
                 self._detect, clock, self._detect_samples.append
             )
         self.analysis = AsAnalysis(asn=asn if asn is not None else 0)
@@ -253,9 +267,7 @@ class AsAccumulator:
         if not in_as_set:
             return None
         analysis.traces_in_as += 1
-        segments = self._detect(
-            trace, self._fingerprints, hop_mask=in_as_set
-        )
+        segments = self._detect(trace, self._fingerprints, in_as_set)
         if self._segment_sink is not None:
             self._segment_sink.append((trace, segments))
         _accumulate_segments(analysis, trace, segments)

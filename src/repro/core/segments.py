@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 from repro.core.flags import Flag, SIGNAL_STRENGTH
 from repro.netsim.addressing import IPv4Address
+from repro.util.slots import slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DetectedSegment:
     """One flagged SR-MPLS segment inside one trace.
@@ -74,13 +76,12 @@ class DetectedSegment:
         normal constructor.
         """
         segment = object.__new__(cls)
-        set_ = object.__setattr__
-        set_(segment, "flag", flag)
-        set_(segment, "hop_indices", hop_indices)
-        set_(segment, "addresses", addresses)
-        set_(segment, "top_labels", top_labels)
-        set_(segment, "stack_depths", stack_depths)
-        set_(segment, "suffix_based", suffix_based)
+        _set_flag(segment, flag)
+        _set_hop_indices(segment, hop_indices)
+        _set_addresses(segment, addresses)
+        _set_top_labels(segment, top_labels)
+        _set_stack_depths(segment, stack_depths)
+        _set_suffix_based(segment, suffix_based)
         return segment
 
     def __reduce__(self):
@@ -122,3 +123,14 @@ class DetectedSegment:
         """Deduplication key: the same segment observed through several
         traces counts once (the paper reports *distinct* segments)."""
         return (self.flag, self.addresses, self.top_labels)
+
+
+# ``trusted`` stores through each slot's member descriptor, as the
+# generated constructor does (on a slotted class the class attribute
+# is that descriptor)
+_set_flag = DetectedSegment.flag.__set__
+_set_hop_indices = DetectedSegment.hop_indices.__set__
+_set_addresses = DetectedSegment.addresses.__set__
+_set_top_labels = DetectedSegment.top_labels.__set__
+_set_stack_depths = DetectedSegment.stack_depths.__set__
+_set_suffix_based = DetectedSegment.suffix_based.__set__

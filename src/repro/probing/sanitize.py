@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 
 from repro.netsim.addressing import IPv4Address
 from repro.probing.records import QuotedLse, Trace, TraceHop
+from repro.util.slots import slot_init
 
 _MAX_LABEL = 2**20 - 1
 _MAX_TC = 7
@@ -66,20 +67,17 @@ _MAX_TTL = 255
 #: repairs one trace may take; a trace needing more is quarantined
 MAX_REPAIRS_PER_TRACE = 8
 
-#: (base, mask) pairs of source ranges no on-path router can own
-_MARTIAN_RANGES = (
-    (0x00000000, 0xFF000000),  # 0.0.0.0/8        "this network"
-    (0x7F000000, 0xFF000000),  # 127.0.0.0/8      loopback
-    (0xE0000000, 0xF0000000),  # 224.0.0.0/4      multicast
-    (0xF0000000, 0xF0000000),  # 240.0.0.0/4      reserved
-)
-
 
 def is_martian(address: IPv4Address) -> bool:
-    """True when no on-path router could legitimately own ``address``."""
-    return any(
-        address.value & mask == base for base, mask in _MARTIAN_RANGES
-    )
+    """True when no on-path router could legitimately own ``address``.
+
+    The reserved source ranges are 0.0.0.0/8 ("this network"),
+    127.0.0.0/8 (loopback), 224.0.0.0/4 (multicast) and 240.0.0.0/4
+    (reserved): the top octet is 0 or 127, or the address is at least
+    224.0.0.0.
+    """
+    value = address.value
+    return value >= 0xE0000000 or (value >> 24) in (0, 127)
 
 
 class AnomalyKind(enum.Enum):
@@ -114,6 +112,7 @@ class AnomalyKind(enum.Enum):
         return self.value
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TraceAnomaly:
     """One structured record of a defect found (and possibly repaired)."""
@@ -174,42 +173,68 @@ class TraceSanitizer:
     """Validates, repairs and quarantines traces before detection."""
 
     def sanitize(self, trace: Trace) -> SanitizeResult:
-        """Validate one trace; identity on well-formed input."""
+        """Validate one trace; identity on well-formed input.
+
+        Each check is one plain scan over the hops.  A well-formed trace
+        allocates nothing but its result: the hop tuple is copied only
+        when a check repairs it.
+        """
         anomalies: list[TraceAnomaly] = []
-        hops = list(trace.hops)
+        hops: tuple[TraceHop, ...] | list[TraceHop] = trace.hops
         changed = False
 
-        for i, hop in enumerate(hops):
-            fixed = self._sanitize_hop(trace, hop, anomalies)
+        sanitize_hop = self._sanitize_hop
+        for i, hop in enumerate(trace.hops):
+            fixed = sanitize_hop(trace, hop, anomalies)
             if fixed is not hop:
+                if not changed:
+                    hops = list(hops)
+                    changed = True
                 hops[i] = fixed
+
+        # consecutive hops only: a probe TTL may be any integer
+        previous = hops[0].probe_ttl if hops else None
+        for i in range(1, len(hops)):
+            ttl = hops[i].probe_ttl
+            if ttl < previous:
+                self._note(
+                    anomalies,
+                    trace,
+                    AnomalyKind.NON_MONOTONIC_TTL,
+                    None,
+                    "probe TTLs decrease; restored by stable sort",
+                )
+                hops = sorted(hops, key=lambda h: h.probe_ttl)
                 changed = True
+                break
+            previous = ttl
 
-        ttls = [h.probe_ttl for h in hops]
-        if any(b < a for a, b in zip(ttls, ttls[1:])):
-            self._note(
-                anomalies,
-                trace,
-                AnomalyKind.NON_MONOTONIC_TTL,
-                None,
-                "probe TTLs decrease; restored by stable sort",
-            )
-            hops.sort(key=lambda h: h.probe_ttl)
-            changed = True
-
-        deduped, conflict = self._dedupe(trace, hops, anomalies)
-        if conflict:
+        deduped = self._dedupe(trace, hops, anomalies)
+        if deduped is None:
             return SanitizeResult(trace=None, anomalies=anomalies)
-        if len(deduped) != len(hops):
+        if deduped is not hops:
             changed = True
         hops = deduped
 
-        hops, truncated = self._truncate_after_destination(
-            trace, hops, anomalies
-        )
-        changed = changed or truncated
+        first = None
+        for i, hop in enumerate(hops):
+            if hop.destination_reply:
+                first = i
+                break
+        if first is not None and first != len(hops) - 1:
+            self._note(
+                anomalies,
+                trace,
+                AnomalyKind.TRAILING_HOPS,
+                hops[first].probe_ttl,
+                f"{len(hops) - first - 1} hop(s) recorded after the "
+                f"destination reply; truncated",
+            )
+            hops = hops[: first + 1]
+            changed = True
 
-        reached = any(h.destination_reply for h in hops)
+        # the hops kept end at the first destination reply, if any
+        reached = first is not None
         if reached != trace.reached:
             self._note(
                 anomalies,
@@ -253,7 +278,7 @@ class TraceSanitizer:
             return SanitizeResult(trace=None, anomalies=anomalies)
 
         if not anomalies:
-            return SanitizeResult(trace=trace)
+            return SanitizeResult(trace, anomalies)
 
         repairs = sum(1 for a in anomalies if a.repaired)
         if repairs > MAX_REPAIRS_PER_TRACE:
@@ -291,15 +316,14 @@ class TraceSanitizer:
         hop: TraceHop,
         anomalies: list[TraceAnomaly],
     ) -> TraceHop:
-        if hop.reply_ip_ttl is not None and not (
-            1 <= hop.reply_ip_ttl <= _MAX_TTL
-        ):
+        reply_ttl = hop.reply_ip_ttl
+        if reply_ttl is not None and not 1 <= reply_ttl <= _MAX_TTL:
             self._note(
                 anomalies,
                 trace,
                 AnomalyKind.REPLY_TTL_RANGE,
                 hop.probe_ttl,
-                f"reply IP TTL {hop.reply_ip_ttl} impossible; cleared",
+                f"reply IP TTL {reply_ttl} impossible; cleared",
             )
             hop = hop.with_annotation(reply_ip_ttl=None)
         if hop.lses:
@@ -337,8 +361,11 @@ class TraceSanitizer:
         hop: TraceHop,
         anomalies: list[TraceAnomaly],
     ) -> TraceHop:
-        assert hop.lses is not None
-        for entry in hop.lses:
+        lses = hop.lses
+        assert lses is not None
+        last = len(lses) - 1
+        bottoms_ok = True
+        for i, entry in enumerate(lses):
             if not (
                 0 <= entry.label <= _MAX_LABEL
                 and 0 <= entry.tc <= _MAX_TC
@@ -353,81 +380,81 @@ class TraceSanitizer:
                     f"{entry.tc}, {entry.ttl}); stack stripped",
                 )
                 return hop.with_annotation(lses=None)
-        expected = tuple(
-            i == len(hop.lses) - 1 for i in range(len(hop.lses))
+            # RFC 3032: the S-bit is set on the last entry alone
+            if entry.bottom_of_stack != (i == last):
+                bottoms_ok = False
+        if bottoms_ok:
+            return hop
+        self._note(
+            anomalies,
+            trace,
+            AnomalyKind.BAD_BOTTOM_OF_STACK,
+            hop.probe_ttl,
+            "bottom-of-stack bit not set exactly once on the last "
+            "entry; flags rebuilt",
         )
-        actual = tuple(e.bottom_of_stack for e in hop.lses)
-        if actual != expected:
-            self._note(
-                anomalies,
-                trace,
-                AnomalyKind.BAD_BOTTOM_OF_STACK,
-                hop.probe_ttl,
-                "bottom-of-stack bit not set exactly once on the last "
-                "entry; flags rebuilt",
+        return hop.with_annotation(
+            lses=tuple(
+                [
+                    QuotedLse(e.label, e.tc, i == last, e.ttl)
+                    for i, e in enumerate(lses)
+                ]
             )
-            return hop.with_annotation(
-                lses=tuple(
-                    QuotedLse(
-                        label=e.label,
-                        tc=e.tc,
-                        bottom_of_stack=bottom,
-                        ttl=e.ttl,
-                    )
-                    for e, bottom in zip(hop.lses, expected)
-                )
-            )
-        return hop
+        )
 
     # -- cross-hop checks --------------------------------------------------------
 
     def _dedupe(
         self,
         trace: Trace,
-        hops: list[TraceHop],
+        hops: tuple[TraceHop, ...] | list[TraceHop],
         anomalies: list[TraceAnomaly],
-    ) -> tuple[list[TraceHop], bool]:
+    ) -> tuple[TraceHop, ...] | list[TraceHop] | None:
         """Collapse identical duplicate probe TTLs; flag conflicts.
 
         TNT-revealed hops share their anchor's probe TTL by design and
         are exempt.  Two *different* answers for the same probe TTL are
-        unresolvable without ground truth: the trace is quarantined.
+        unresolvable without ground truth: the trace is quarantined
+        (None).  Without duplicates ``hops`` itself comes back; the
+        first one dropped starts a new list.
         """
-        out: list[TraceHop] = []
+        out: list[TraceHop] | None = None
         last_real: TraceHop | None = None
-        for hop in hops:
-            if (
-                not hop.tnt_revealed
-                and last_real is not None
-                and hop.probe_ttl == last_real.probe_ttl
-            ):
-                if hop == last_real:
+        for i, hop in enumerate(hops):
+            if not hop.tnt_revealed:
+                if (
+                    last_real is not None
+                    and hop.probe_ttl == last_real.probe_ttl
+                ):
+                    if hop == last_real:
+                        self._note(
+                            anomalies,
+                            trace,
+                            AnomalyKind.DUPLICATE_HOP,
+                            hop.probe_ttl,
+                            "identical duplicate record dropped",
+                        )
+                        if out is None:
+                            out = list(hops[:i])
+                        continue
                     self._note(
                         anomalies,
                         trace,
-                        AnomalyKind.DUPLICATE_HOP,
+                        AnomalyKind.CONFLICTING_HOPS,
                         hop.probe_ttl,
-                        "identical duplicate record dropped",
+                        "two different answers for one probe TTL; "
+                        "trace quarantined",
+                        repaired=False,
                     )
-                    continue
-                self._note(
-                    anomalies,
-                    trace,
-                    AnomalyKind.CONFLICTING_HOPS,
-                    hop.probe_ttl,
-                    "two different answers for one probe TTL; "
-                    "trace quarantined",
-                    repaired=False,
-                )
-                return out, True
-            out.append(hop)
-            if not hop.tnt_revealed:
+                    return None
                 last_real = hop
-        return out, False
+            if out is not None:
+                out.append(hop)
+        return hops if out is None else out
 
     @staticmethod
     def _vanished_responder(
-        hops: list[TraceHop], reached: bool
+        hops: tuple[TraceHop, ...] | list[TraceHop], reached: bool
     ) -> int | None:
         """Probe TTL of the first trailing star after a responder.
 
@@ -444,27 +471,6 @@ class TraceSanitizer:
         if idx < 0:
             return None
         return hops[idx + 1].probe_ttl
-
-    def _truncate_after_destination(
-        self,
-        trace: Trace,
-        hops: list[TraceHop],
-        anomalies: list[TraceAnomaly],
-    ) -> tuple[list[TraceHop], bool]:
-        first = next(
-            (i for i, h in enumerate(hops) if h.destination_reply), None
-        )
-        if first is None or first == len(hops) - 1:
-            return hops, False
-        self._note(
-            anomalies,
-            trace,
-            AnomalyKind.TRAILING_HOPS,
-            hops[first].probe_ttl,
-            f"{len(hops) - first - 1} hop(s) recorded after the "
-            f"destination reply; truncated",
-        )
-        return hops[: first + 1], True
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.probing.records import Trace, TraceHop
+from repro.util.slots import slot_init
 
 #: quoted LSE-TTL at or above this is taken as "never propagated" (the
 #: ingress wrote 255 and only a handful of hops decremented it)
@@ -41,6 +42,7 @@ class TunnelType(enum.Enum):
         return self.value
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ObservedTunnel:
     """A maximal tunnel observation within one trace.

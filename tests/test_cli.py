@@ -314,6 +314,26 @@ class TestCampaignIncidents:
             "No space left",
         ]
 
+    def test_repeated_as_runs_once_on_both_commands(self, tmp_path, capsys):
+        size = ["--vps", "2", "--targets", "8"]
+        once, twice = ["--as", "46"], ["--as", "46", "--as", "46"]
+        outputs = []
+        for ids in (once, twice):
+            assert main(["portfolio", *ids, *size]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert outputs[1].count("AS#46") == 1
+        runs = []
+        for name, ids in (("once", once), ("twice", twice)):
+            run_dir = tmp_path / name
+            assert main(["scale-campaign", "--out", str(run_dir), *ids, *size]) == 0
+            assert capsys.readouterr().out.startswith("1 AS(es) completed")
+            runs.append(run_dir)
+        for artifact in ("checkpoint.jsonl", "report.json"):
+            assert (runs[1] / artifact).read_bytes() == (
+                runs[0] / artifact
+            ).read_bytes()
+
 
 class TestLoggingOptions:
     def test_log_flags_are_accepted(self, capsys):
