@@ -198,12 +198,12 @@ def re_detect_adoption(
     year's ``dump_jsonl`` archives, which target ASes show strong SR
     evidence?  This streams every archive as sanitized columnar chunks
     (:meth:`~repro.core.columnar.TraceBatch.iter_jsonl`, the stream
-    ``arest detect`` reads) and runs
-    :meth:`~repro.core.columnar.ColumnarDetector.detect_batch` with the
-    archive header's ``target_asn`` ownership mask -- the fast
-    re-detection path (see OPERATIONS.md), so decade-scale archives
-    re-analyze in one sitting.  ``traces`` counts the traces that
-    reached detection (quarantined ones excluded).
+    ``arest detect`` reads, scoped to the archive header's
+    ``target_asn``) and runs
+    :meth:`~repro.core.columnar.ColumnarDetector.detect_batch` on each
+    chunk -- the fast re-detection path (see OPERATIONS.md), so
+    decade-scale archives re-analyze in one sitting.  ``traces`` counts
+    the traces that reached detection (quarantined ones excluded).
 
     ``fingerprints`` is an optional address->fingerprint mapping applied
     to every archive (a merged fingerprint DB); without it detection
@@ -224,11 +224,13 @@ def re_detect_adoption(
             datasets += 1
             asn = TraceDataset.read_header(path).target_asn
             ases_analyzed.add(asn)
-            for batch in TraceBatch.iter_jsonl(path, fingerprints, chunk):
+            for batch in TraceBatch.iter_jsonl(
+                path, fingerprints, chunk, asn=asn
+            ):
                 traces += len(batch)
                 if asn not in ases_with and any(
                     segment.flag in STRONG_FLAGS
-                    for segments in detector.detect_batch(batch, asn=asn)
+                    for segments in detector.detect_batch(batch)
                     for segment in segments
                 ):
                     ases_with.add(asn)

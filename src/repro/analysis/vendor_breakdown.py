@@ -31,12 +31,22 @@ from repro.core.columnar import TraceBatch
 from repro.core.flags import Flag
 from repro.core.segments import DetectedSegment
 from repro.core.vendor_ranges import TABLE1_RANGES
+from repro.fingerprint.records import Fingerprint
 
 #: attribution bucket when no fingerprint or range evidence exists
 UNATTRIBUTED = "unattributed"
 
 #: prefix marking Table 1 label-range inference (no fingerprint backing)
 RANGE_PREFIX = "range:"
+
+
+def _vendor_token(fingerprint: Fingerprint) -> str:
+    """A fingerprint's vendor evidence as one token: the exact vendor,
+    else its sorted vendor class joined by ``|`` ("Cisco|Huawei"), else
+    "" (no vendor evidence)."""
+    if fingerprint.exact_vendor is not None:
+        return fingerprint.exact_vendor.value
+    return "|".join(sorted(v.value for v in fingerprint.vendor_class))
 
 
 def attribute_vendor(
@@ -47,15 +57,16 @@ def attribute_vendor(
     ``base`` is the segment's trace's hop offset into the batch columns
     (``batch.offsets[k]``).
     """
-    vendor_id = batch.vendor_id
-    vendor_names = batch.vendor_names
+    fingerprints = batch.fingerprints
     in_range = batch.in_range
     first_fingerprinted = ""
     for hop_index in segment.hop_indices:
         g = base + hop_index
-        vid = vendor_id[g]
-        if vid:
-            name = vendor_names[vid]
+        fingerprint = fingerprints[g]
+        if fingerprint is None:
+            continue
+        name = _vendor_token(fingerprint)
+        if name:
             if in_range[g]:
                 return name  # the confirming hop
             if not first_fingerprinted:

@@ -416,38 +416,42 @@ def result_summary(result: AsCampaignResult) -> dict:
     }
 
 
-def result_counters(result: AsCampaignResult) -> dict[str, int]:
-    """Typed telemetry counters derived from one completed AS result.
+def summary_counters(summary: dict) -> dict[str, int]:
+    """Typed telemetry counters of one completed AS, from its
+    :func:`result_summary`.
 
-    Derivation from the (deterministic) result object -- rather than
+    Derivation from the (deterministic) banked summary -- rather than
     in-band instrumentation -- is what makes counter totals identical
     for serial, parallel, and resumed executions of the same campaign:
-    results re-derived from spills carry the banked tallies, and
-    addition is order-independent.
+    an AS analyzed in this session and one a resume finds banked count
+    alike, and addition is order-independent.
     """
-    analysis = result.analysis
+    faults = summary["fault_counters"]
+    retry = summary["retry_accounting"]
     counters = {
-        "traces_collected": analysis.traces_total,
-        "traces_analyzed": analysis.traces_analyzed,
-        "traces_quarantined": analysis.traces_quarantined,
-        "probes_attempted": result.retry_accounting.probes,
-        "probe_retries": result.retry_accounting.retries,
-        "probes_exhausted": result.retry_accounting.exhausted,
-        "faults_injected": result.fault_counters.total_faults(),
-        "fingerprints": len(result.fingerprints),
+        "traces_collected": summary["traces_total"],
+        "traces_analyzed": (
+            summary["traces_total"] - summary["traces_quarantined"]
+        ),
+        "traces_quarantined": summary["traces_quarantined"],
+        "probes_attempted": retry["probes"],
+        "probe_retries": retry["retries"],
+        "probes_exhausted": retry["exhausted"],
+        "faults_injected": FaultCounters.from_dict(faults).total_faults(),
+        "fingerprints": summary["fingerprints"],
     }
     # Per-class fault tallies (only observed classes get a key, so
     # fault-free campaigns keep the exact counter set they had).
-    for name, count in result.fault_counters.as_dict().items():
+    for name, count in faults.items():
         if count:
             counters[f"fault_{name}"] = count
-    flag_counts = analysis.flag_counts()
-    counters["flags_total"] = sum(flag_counts.values())
-    for flag, count in flag_counts.items():
-        counters[f"flags_{flag.name.lower()}"] = count
-    anomaly_counts = analysis.anomaly_counts()
-    counters["anomalies_total"] = sum(anomaly_counts.values())
-    for kind, count in anomaly_counts.items():
+    flags = summary["flags"]
+    counters["flags_total"] = sum(flags.values())
+    for name, count in flags.items():
+        counters[f"flags_{name.lower()}"] = count
+    anomalies = summary["anomaly_counts"]
+    counters["anomalies_total"] = sum(anomalies.values())
+    for kind, count in anomalies.items():
         counters[f"anomaly_{kind}"] = count
     return counters
 
@@ -632,7 +636,7 @@ class CampaignRunner:
             raise
         finally:
             self.telemetry = NULL_TELEMETRY
-        merge_counters(tel.counters, result_counters(result))
+        merge_counters(tel.counters, summary_counters(result_summary(result)))
         session.record_export(as_id, tel.export())
         session.finalize("ok")
         return result

@@ -96,8 +96,8 @@ from repro.campaign.runner import (
     CampaignReport,
     CampaignRunner,
     banked_spills,
-    result_counters,
     result_summary,
+    summary_counters,
 )
 from repro.campaign.shardexec import (
     HELD_AFFINITIES,
@@ -294,7 +294,7 @@ def _whole_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
         if keep:
             message["result"] = result
         if tel.enabled:
-            merge_counters(tel.counters, result_counters(result))
+            merge_counters(tel.counters, summary_counters(message["summary"]))
     if tel.enabled:
         message["telemetry"] = tel.export()
     _boundary_check(ctl, max_rss)
@@ -460,7 +460,7 @@ def _analyze_as_worker(payload: tuple, ctl: WorkerControl) -> dict:
         if keep:
             message["result"] = result
         if tel.enabled:
-            merge_counters(tel.counters, result_counters(result))
+            merge_counters(tel.counters, summary_counters(message["summary"]))
     finally:
         runner.telemetry = NULL_TELEMETRY
         runner._stage_hook = None
@@ -1066,11 +1066,12 @@ def _campaign_report(
     """The campaign's one report, strictly in ``as_ids`` order.
 
     An AS that settled in this run reports that outcome; any other AS
-    reports what the checkpoint banked for it, and each banked failure
-    or quarantine counts once in the session, as it did in the run
-    that banked it.  An AS left with no outcome at all (the run was
-    cut short, or the disk refused a shard's record) marks the report
-    interrupted: a resume completes it.
+    reports what the checkpoint banked for it, and each banked
+    completion (its :func:`summary_counters`), failure or quarantine
+    counts once in the session, as it did in the run that banked it.
+    An AS left with no outcome at all (the run was cut short, or the
+    disk refused a shard's record) marks the report interrupted: a
+    resume completes it.
     """
     banked = CampaignReport()
     if store is not None:
@@ -1105,6 +1106,11 @@ def _campaign_report(
             report.quarantined[key] = source.quarantined[key]
             incidents.append("as_quarantined")
         if source is banked and session is not None:
+            if as_id in report.completed:
+                session.record_scope(
+                    as_id,
+                    counters=summary_counters(report.completed[as_id]),
+                )
             for counter in incidents:
                 session.record_scope(as_id, counters={counter: 1})
         if as_id not in report.completed and not incidents:

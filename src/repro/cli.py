@@ -391,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "with --segments-json: restrict hop attribution to this AS "
-            "(default: analyze every hop, like a service without --asn)"
+            "with --segments-json (refused without it): restrict hop "
+            "attribution to this AS (default: analyze every hop, like a "
+            "service without --asn)"
         ),
     )
     detect.add_argument(
@@ -708,6 +709,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.campaign import TraceDataset
     from repro.core.columnar import ColumnarDetector, TraceBatch
 
+    if args.asn is not None and not args.segments_json:
+        # only the segments document scopes hops to an AS: the summary
+        # and the vendor breakdown would silently count every hop
+        print("arest detect: --asn needs --segments-json", file=sys.stderr)
+        return 2
     # Streaming end to end: the header read is constant-cost and the
     # body flows through bounded columnar chunks of sanitized traces
     # (the sanitizer every analysis path runs), so paper-scale spill

@@ -7,26 +7,31 @@ paper-scale 7.7M-trace campaign wants.  This module trades the per-hop
 walk for a *columnar* batch representation plus array passes:
 
 :class:`TraceBatch`
-    Flat per-hop columns for a whole campaign, built **once** from
+    Flat per-hop columns for a batch of traces, built **once** from
     :class:`~repro.probing.records.Trace` objects or streamed, sanitized,
     from a ``dump_jsonl`` dataset (:meth:`TraceBatch.iter_jsonl`):
-    effective top labels, effective stack depths, base eligibility,
-    vendor-range membership, adjacent-label match bits, interned
-    fingerprint-vendor ids and hop->trace offsets.  Everything the flag
-    hierarchy (Sec. 4) consumes is precomputed at build; re-detection
-    over a built batch touches only the columns.
+    effective top labels, effective stack depths, eligibility (which
+    folds in each trace's hop scope), vendor-range membership,
+    adjacent-label match bits, each eligible hop's fingerprint and
+    hop->trace offsets.  Everything the flag hierarchy (Sec. 4) consumes
+    is precomputed at build; re-detection over a built batch touches
+    only the columns.
 
 :class:`ColumnarDetector`
     The production flag evaluator, at the paper's run rule (runs of
-    >= 2 hops, footnote 4's suffix matching on).  Eligibility masking,
-    maximal-run discovery, suffix matching and CVR/CO/LSVR/LVR/LSO
-    classification run as whole-batch array passes: per-hop bits are
-    combined with arbitrary-precision integer bitwise ops (one machine
-    op per 30 bytes of hops, via ``int.from_bytes``), maximal label runs
-    fall out of a single C-level regex scan over the match bytes, and
-    per-run evidence checks are ``bytearray.find`` range probes.  The
-    only per-segment Python executed is the construction of the
-    :class:`~repro.core.segments.DetectedSegment` results themselves.
+    >= 2 hops, footnote 4's suffix matching on).  Its one
+    implementation is :meth:`~ColumnarDetector.detect_batch`:
+    eligibility masking, maximal-run discovery, suffix matching and
+    CVR/CO/LSVR/LVR/LSO classification run as whole-batch array passes:
+    per-hop bits are combined with arbitrary-precision integer bitwise
+    ops (one machine op per 30 bytes of hops, via ``int.from_bytes``),
+    maximal label runs fall out of a single C-level regex scan over the
+    match bytes, and per-run evidence checks are ``bytearray.find``
+    range probes.  The only per-segment Python executed is the
+    construction of the :class:`~repro.core.segments.DetectedSegment`
+    results themselves.  :meth:`~ColumnarDetector.detect_many` (what the
+    pipeline calls once per chunk of traces) and the one-row
+    :meth:`~ColumnarDetector.detect` build a batch and run it.
 
 The output is byte-identical to the paper-spec oracle
 (:class:`~repro.core.detector.ArestDetector` at its default rule) --
@@ -53,7 +58,7 @@ from repro.core.vendor_ranges import ranges_for_fingerprint
 from repro.fingerprint.records import Fingerprint, FingerprintMethod
 from repro.netsim.addressing import IPv4Address
 from repro.netsim.mpls import ReservedLabel
-from repro.probing.records import Trace
+from repro.probing.records import Trace, truth_owner
 from repro.probing.sanitize import TraceSanitizer
 
 _ELI = int(ReservedLabel.ENTROPY_LABEL_INDICATOR)
@@ -72,8 +77,9 @@ class TraceBatch:
     """Flat, append-only columnar storage for a batch of traces.
 
     Build through the classmethods (:meth:`from_traces`,
-    :meth:`from_pairs`, :meth:`iter_jsonl`), each of which seals the
-    batch (:meth:`_seal`) by caching the big-int projections of the bit
+    :meth:`from_pairs`, :meth:`iter_jsonl`) or
+    :meth:`ColumnarDetector.detect_many`, each of which seals the batch
+    (:meth:`_seal`) by caching the big-int projections of the bit
     columns, after which detection never touches Python-level per-hop
     state again.
     """
@@ -83,21 +89,18 @@ class TraceBatch:
         "offsets",
         "top",
         "depth",
-        "truth_asn",
         "addresses",
+        "fingerprints",
         "elig",
         "in_range",
         "eq_next",
         "sfx_next",
         "single",
-        "vendor_id",
-        "vendor_names",
         "quarantined",
         "_elig_int",
         "_eq_int",
         "_sfx_int",
         "_single_int",
-        "_asn_masks",
     )
 
     def __init__(self) -> None:
@@ -109,11 +112,13 @@ class TraceBatch:
         self.top = array("i")
         #: effective stack depth per hop (reserved/ELI pairs stripped)
         self.depth = array("i")
-        #: ground-truth owner AS per hop (-1: unannotated)
-        self.truth_asn = array("i")
         #: responding address per hop (None on ``*`` hops)
         self.addresses: list[IPv4Address | None] = []
-        #: base eligibility: signal present, not TNT-revealed, addressed
+        #: the fingerprint of each eligible fingerprinted hop (None on
+        #: every other hop)
+        self.fingerprints: list[Fingerprint | None] = []
+        #: eligibility: signal present, not TNT-revealed, addressed,
+        #: and inside its trace's hop scope
         self.elig = bytearray()
         #: top label inside the hop fingerprint's SR range
         self.in_range = bytearray()
@@ -123,10 +128,6 @@ class TraceBatch:
         self.sfx_next = bytearray()
         #: single-hop signal: effective depth >= 2 or in-range label
         self.single = bytearray()
-        #: interned fingerprint evidence id per hop (0: unfingerprinted)
-        self.vendor_id = bytearray()
-        #: id -> vendor token ("" at 0, "Cisco", "Cisco|Huawei", ...)
-        self.vendor_names: list[str] = [""]
         #: traces the sanitizer withheld while :meth:`iter_jsonl`
         #: streamed this batch (not among :attr:`traces`)
         self.quarantined = 0
@@ -134,7 +135,6 @@ class TraceBatch:
         self._eq_int = 0
         self._sfx_int = 0
         self._single_int = 0
-        self._asn_masks: dict[int, int] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -150,7 +150,7 @@ class TraceBatch:
         lookup = _as_lookup(fingerprints)
         batch = cls()
         for trace in traces:
-            batch._append(trace, lookup)
+            batch._append(trace, lookup, None)
         batch._seal()
         return batch
 
@@ -171,7 +171,7 @@ class TraceBatch:
             lookup = cache.get(key)
             if lookup is None:
                 lookup = cache[key] = _as_lookup(fingerprints)
-            batch._append(trace, lookup)
+            batch._append(trace, lookup, None)
         batch._seal()
         return batch
 
@@ -183,6 +183,7 @@ class TraceBatch:
         | FingerprintLookup
         | None = None,
         chunk: int = DEFAULT_CHUNK,
+        asn: int | None = None,
     ) -> Iterator["TraceBatch"]:
         """Stream a dataset as bounded-size batches of sanitized traces.
 
@@ -192,6 +193,11 @@ class TraceBatch:
         :attr:`quarantined` of the batch they were read into (a last,
         trace-less batch carries the tail's), so ``len(batch) +
         batch.quarantined`` summed over the stream is every trace read.
+
+        ``asn`` scopes each trace to the hops whose ground-truth owner
+        (:func:`~repro.probing.records.truth_owner`) is that AS: the
+        pipeline's in-AS hop scope under its default annotator.  Other
+        hops stay in the columns but are ineligible.
 
         Constant memory in the dataset size: each yielded batch holds at
         most ``chunk`` traces, so paper-scale archives re-detect without
@@ -204,12 +210,19 @@ class TraceBatch:
         lookup = _as_lookup(fingerprints)
         sanitize = TraceSanitizer().sanitize
         batch = cls()
+        scope = None
         for raw in TraceDataset.iter_jsonl(path):
             trace = sanitize(raw).trace
             if trace is None:
                 batch.quarantined += 1
                 continue
-            batch._append(trace, lookup)
+            if asn is not None:
+                scope = {
+                    i
+                    for i, hop in enumerate(trace.hops)
+                    if truth_owner(hop) == asn
+                }
+            batch._append(trace, lookup, scope)
             if len(batch.traces) >= chunk:
                 batch._seal()
                 yield batch
@@ -218,21 +231,28 @@ class TraceBatch:
             batch._seal()
             yield batch
 
-    def _append(self, trace: Trace, lookup: FingerprintLookup) -> None:
+    def _append(
+        self,
+        trace: Trace,
+        lookup: FingerprintLookup,
+        scope: frozenset[int] | set[int] | None,
+    ) -> None:
         """Project one trace's hops onto the columns (the only per-hop
         Python in the columnar life cycle -- paid once per batch).
 
+        A hop outside ``scope`` (hop indices; None: every hop) is
+        ineligible, so it breaks label runs like an AS boundary does.
         The two adjacent-label match columns are built per trace and
         extended once; the others take one append per hop.
         """
         top = self.top
         depth = self.depth
-        truth_asn = self.truth_asn
         addresses = self.addresses
+        fingerprints = self.fingerprints
         elig = self.elig
         in_range = self.in_range
         single = self.single
-        vendor_id = self.vendor_id
+        none_method = FingerprintMethod.NONE
         hops = trace.hops
         eq_next = bytearray(len(hops))
         sfx_next = bytearray(len(hops))
@@ -257,25 +277,29 @@ class TraceBatch:
                     hop_depth += 1
                     i += 1
             address = hop.address
-            ok = hop_top >= 0 and address is not None and not hop.tnt_revealed
+            ok = (
+                hop_top >= 0
+                and address is not None
+                and not hop.tnt_revealed
+                and (scope is None or k in scope)
+            )
             ranged = 0
-            vid = 0
+            fp = None
             if ok:
                 fp = lookup(address)
-                if fp.method is not FingerprintMethod.NONE:
+                if fp.method is none_method:
+                    fp = None
+                else:
                     ranged = int(
                         any(r.low <= hop_top <= r.high for r in ranges_for_fingerprint(fp))
                     )
-                    vid = self._vendor_token(fp)
             top.append(hop_top)
             depth.append(hop_depth)
-            t_asn = hop.truth_asn
-            truth_asn.append(-1 if t_asn is None else t_asn)
             addresses.append(address)
+            fingerprints.append(fp)
             elig.append(1 if ok else 0)
             in_range.append(ranged)
             single.append(1 if (hop_depth >= 2 or ranged) else 0)
-            vendor_id.append(vid)
             if prev_top >= 0 and hop_top >= 0:
                 if prev_top == hop_top:
                     eq_next[k - 1] = 1
@@ -286,22 +310,6 @@ class TraceBatch:
         self.sfx_next += sfx_next
         self.traces.append(trace)
         self.offsets.append(len(top))
-
-    def _vendor_token(self, fp: Fingerprint) -> int:
-        """Intern the fingerprint's vendor evidence as a small id."""
-        if fp.exact_vendor is not None:
-            token = fp.exact_vendor.value
-        elif fp.vendor_class:
-            token = "|".join(sorted(v.value for v in fp.vendor_class))
-        else:
-            return 0
-        try:
-            return self.vendor_names.index(token)
-        except ValueError:
-            self.vendor_names.append(token)
-            if len(self.vendor_names) > 255:
-                raise ValueError("too many distinct vendor tokens") from None
-            return len(self.vendor_names) - 1
 
     def _seal(self) -> None:
         """Cache the big-int projections of the bit columns.
@@ -316,7 +324,6 @@ class TraceBatch:
         self._eq_int = int.from_bytes(self.eq_next, "little")
         self._sfx_int = int.from_bytes(self.sfx_next, "little")
         self._single_int = int.from_bytes(self.single, "little")
-        self._asn_masks = {}
 
     # -- views ---------------------------------------------------------------
 
@@ -327,22 +334,6 @@ class TraceBatch:
     def n_hops(self) -> int:
         """Total hops across all traces."""
         return len(self.top)
-
-    def asn_mask(self, asn: int) -> int:
-        """Big-int eligibility mask selecting hops owned by ``asn``.
-
-        The columnar equivalent of the pipeline's per-trace
-        in-AS ``hop_mask`` under the default (ground-truth) annotator;
-        computed once per (batch, asn) and cached.
-        """
-        mask = self._asn_masks.get(asn)
-        if mask is None:
-            member = bytes(
-                1 if t == asn else 0 for t in self.truth_asn
-            )
-            mask = int.from_bytes(member, "little")
-            self._asn_masks[asn] = mask
-        return mask
 
 
 def _as_lookup(
@@ -358,16 +349,14 @@ def _as_lookup(
 
 
 class ColumnarDetector:
-    """Flag evaluation at the paper's rule, one trace or a whole batch.
+    """Flag evaluation at the paper's rule over a batch of traces.
 
-    Two entry points with output byte-identical to
+    Output is byte-identical to
     :meth:`ArestDetector.detect <repro.core.detector.ArestDetector.detect>`
-    at its default rule: :meth:`detect` for one trace (what the pipeline
-    and the service call per trace) and :meth:`detect_batch`, which
-    amortizes every pass over the columns of a whole campaign.
+    at its default rule, trace by trace.  :meth:`detect_batch` is the
+    one implementation; :meth:`detect_many` (the pipeline's chunk call)
+    and the one-row :meth:`detect` build a batch and run it.
     """
-
-    # -- object-API bridge ---------------------------------------------------
 
     def detect(
         self,
@@ -375,158 +364,36 @@ class ColumnarDetector:
         fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
         hop_mask: frozenset[int] | set[int] | None = None,
     ) -> list[DetectedSegment]:
-        """Detect SR-MPLS segments in one trace (one-row column view).
+        """Same contract as :meth:`ArestDetector.detect`: a one-row batch."""
+        return self.detect_many((trace,), fingerprints, (hop_mask,))[0]
 
-        Same contract as :meth:`ArestDetector.detect` -- this is what
-        :class:`~repro.core.pipeline.ArestPipeline` and the streaming
-        service call per trace, keeping every object-API consumer
-        working unchanged on the columnar core.  Runs the same passes
-        as :meth:`detect_batch` but over plain per-trace lists: for a
-        single row the batch container's column/bigint bookkeeping
-        costs more than it amortizes, so the one-row view projects and
-        scans in two tight loops instead.  The differential suite pins
-        both entry points to the object path independently.
+    def detect_many(
+        self,
+        traces: Iterable[Trace],
+        fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
+        scopes: Iterable[frozenset[int] | set[int] | None],
+    ) -> list[list[DetectedSegment]]:
+        """Per-trace segments of ``traces``, detected as one batch.
+
+        ``scopes`` pairs each trace with its hop scope (the hop indices
+        detection may use, as :meth:`ArestDetector.detect`'s
+        ``hop_mask``; None: every hop).
         """
         lookup = _as_lookup(fingerprints)
-        hops = trace.hops
-        n = len(hops)
-        tops = [0] * n
-        depths = [0] * n
-        ranged = [0] * n
-        #: eligible top label per hop, -1 where the hop cannot detect
-        labels_seq = [-1] * n
-        none_method = FingerprintMethod.NONE
-        for idx in range(n):
-            hop = hops[idx]
-            hop_top = -1
-            hop_depth = 0
-            lses = hop.lses
-            if lses:
-                skip_next = False
-                for entry in lses:
-                    if skip_next:
-                        skip_next = False
-                        continue
-                    value = entry.label
-                    if value == _ELI:
-                        skip_next = True  # entropy value rides along
-                        continue
-                    if value < _FIRST_UNRESERVED:
-                        continue  # other reserved: signalling only
-                    if hop_top < 0:
-                        hop_top = value
-                    hop_depth += 1
-            tops[idx] = hop_top
-            depths[idx] = hop_depth
-            address = hop.address
-            ok = (
-                hop_top >= 0
-                and address is not None
-                and not hop.tnt_revealed
-            )
-            if ok and (hop_mask is None or idx in hop_mask):
-                labels_seq[idx] = hop_top
-                fp = lookup(address)
-                if fp.method is not none_method:
-                    for r in ranges_for_fingerprint(fp):
-                        if r.low <= hop_top <= r.high:
-                            ranged[idx] = 1
-                            break
-        # maximal run discovery: a chain extends while adjacent eligible
-        # tops sequence-match, exactly the pair-match bits of the batch
-        runs: list[tuple[int, int]] = []  # (start, last) inclusive
-        run_start = 0
-        prev_label = -1
-        for idx, label in enumerate(labels_seq):
-            if (
-                label >= 0
-                and prev_label >= 0
-                and (
-                    label == prev_label
-                    or label % _SUFFIX_MODULUS == prev_label % _SUFFIX_MODULUS
-                )
-            ):
-                prev_label = label
-                continue
-            if prev_label >= 0 and idx - run_start >= 2:
-                runs.append((run_start, idx - 1))
-            run_start = idx
-            prev_label = label
-        if prev_label >= 0 and n - run_start >= 2:
-            runs.append((run_start, n - 1))
-        # emission walks the hops once, so output order (runs and
-        # singles interleaved by first hop) matches the object path
-        segments: list[DetectedSegment] = []
-        trusted = DetectedSegment.trusted
-        ri = 0
-        n_runs = len(runs)
-        idx = 0
-        while idx < n:
-            if ri < n_runs and runs[ri][0] == idx:
-                start, last = runs[ri]
-                ri += 1
-                stop = last + 1
-                run_tops = tops[start:stop]
-                segments.append(
-                    trusted(
-                        Flag.CVR if 1 in ranged[start:stop] else Flag.CO,
-                        tuple(range(start, stop)),
-                        tuple(hops[j].address for j in range(start, stop)),
-                        tuple(run_tops),
-                        tuple(depths[start:stop]),
-                        any(
-                            run_tops[j] != run_tops[j + 1]
-                            for j in range(len(run_tops) - 1)
-                        ),
-                    )
-                )
-                idx = stop
-                continue
-            if labels_seq[idx] >= 0:
-                hop_depth = depths[idx]
-                hop_ranged = ranged[idx]
-                if hop_depth >= 2:
-                    segments.append(
-                        trusted(
-                            Flag.LSVR if hop_ranged else Flag.LSO,
-                            (idx,),
-                            (hops[idx].address,),
-                            (tops[idx],),
-                            (hop_depth,),
-                        )
-                    )
-                elif hop_ranged:
-                    segments.append(
-                        trusted(
-                            Flag.LVR,
-                            (idx,),
-                            (hops[idx].address,),
-                            (tops[idx],),
-                            (hop_depth,),
-                        )
-                    )
-            idx += 1
-        return segments
+        batch = TraceBatch()
+        for trace, scope in zip(traces, scopes, strict=True):
+            batch._append(trace, lookup, scope)
+        batch._seal()
+        return self.detect_batch(batch)
 
-    # -- batch passes --------------------------------------------------------
-
-    def detect_batch(
-        self, batch: TraceBatch, asn: int | None = None
-    ) -> list[list[DetectedSegment]]:
-        """Per-trace detected segments for the whole batch.
-
-        ``asn`` restricts eligibility to hops whose ground-truth owner
-        is that AS (the columnar analogue of the pipeline's in-AS
-        ``hop_mask``).
-        """
+    def detect_batch(self, batch: TraceBatch) -> list[list[DetectedSegment]]:
+        """Per-trace detected segments for the whole batch."""
         n_traces = len(batch.traces)
         out: list[list[DetectedSegment]] = [[] for _ in range(n_traces)]
         n_hops = batch.n_hops
         if n_hops == 0:
             return out
         elig_int = batch._elig_int
-        if asn is not None:
-            elig_int &= batch.asn_mask(asn)
 
         # pair (i, i+1) continues a run iff both hops are eligible and
         # their top labels sequence-match; eq/sfx bits are already zero

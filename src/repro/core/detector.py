@@ -28,7 +28,7 @@ Detection order mirrors the paper's flag hierarchy:
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.core.labels import run_is_suffix_based, sequence_match
 from repro.core.segments import DetectedSegment
@@ -144,6 +144,19 @@ class ArestDetector:
                 segments.append(segment)
         segments.sort(key=lambda s: s.hop_indices[0])
         return segments
+
+    def detect_many(
+        self,
+        traces: Iterable[Trace],
+        fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
+        scopes: Iterable[frozenset[int] | set[int] | None],
+    ) -> list[list[DetectedSegment]]:
+        """:meth:`detect` per trace, each under its own ``hop_mask``
+        from ``scopes`` (the chunk call the pipeline makes)."""
+        return [
+            self.detect(trace, fingerprints, scope)
+            for trace, scope in zip(traces, scopes, strict=True)
+        ]
 
     # -- run discovery -----------------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 from repro.core.classification import HopArea, classify_hops
@@ -24,11 +25,15 @@ from repro.core.interworking import (
 from repro.core.segments import DetectedSegment
 from repro.fingerprint.records import Fingerprint
 from repro.netsim.addressing import IPv4Address
-from repro.probing.records import Trace, TraceHop
+from repro.probing.records import Trace, TraceHop, truth_owner
 from repro.probing.sanitize import TraceAnomaly, TraceSanitizer
 from repro.probing.tunnels import TunnelType, classify_tunnels
 
 AsnLookup = Callable[[TraceHop], int | None]
+
+#: most traces one accumulator call folds: the chunk size of
+#: :meth:`ArestPipeline.analyze_as` and of the service's folds
+MAX_BATCH = 64
 
 
 @dataclass(slots=True)
@@ -166,33 +171,34 @@ def _timed_sanitize(sanitize, clock, bin_sample):
     return timed
 
 
-def _timed_detect(detect, clock, bin_sample):
-    """:func:`_timed_sanitize` for ``detect(trace, fingerprints, mask)``."""
+def _timed_detect_many(detect_many, clock, bin_sample):
+    """:func:`_timed_sanitize` for ``detect_many(traces, fingerprints,
+    scopes)``: each sample is a (seconds, rows) pair."""
 
-    def timed(trace, fingerprints, hop_mask):
+    def timed(traces, fingerprints, scopes):
         tick = clock()
-        out = detect(trace, fingerprints, hop_mask)
-        bin_sample(clock() - tick)
+        out = detect_many(traces, fingerprints, scopes)
+        bin_sample((clock() - tick, len(traces)))
         return out
 
     return timed
 
 
 class AsAccumulator:
-    """Incremental AReST analysis of one AS, one trace at a time.
+    """Incremental AReST analysis of one AS, one chunk of traces at a time.
 
     The batch entry point (:meth:`ArestPipeline.analyze_as`) is a thin
     loop over this class; long-lived consumers -- the streaming
     detection service in :mod:`repro.service` -- construct one via
-    :meth:`ArestPipeline.accumulator` and :meth:`feed` traces as they
-    arrive, reading :attr:`analysis` at any point mid-stream.
+    :meth:`ArestPipeline.accumulator` and :meth:`feed_many` traces as
+    they arrive, reading :attr:`analysis` at any point between calls.
 
-    Feeding order never changes the aggregate facts (counters, distinct
-    segment sets): each trace's contribution depends only on the trace
-    itself, so any permutation of the same trace set accumulates to the
-    same totals (the service's streaming ≡ batch contract builds on
-    this).  Only the observational *lists* (``anomalies``,
-    ``segments``) record arrival order.
+    Feeding order and chunking never change the aggregate facts
+    (counters, distinct segment sets): each trace's contribution
+    depends only on the trace itself, so any permutation or split of
+    the same trace set accumulates to the same totals (the service's
+    streaming ≡ batch contract builds on this).  Only the observational
+    *lists* (``anomalies``, ``segments``) record arrival order.
 
     ``asn=None`` widens the analysis to every hop of every trace (no
     ownership restriction), which is how the service analyzes datasets
@@ -208,31 +214,30 @@ class AsAccumulator:
         segment_sink: list[tuple[Trace, list[DetectedSegment]]] | None = None,
         telemetry=None,
     ) -> None:
-        self._detector = detector
         self._asn = asn
         self._fingerprints = fingerprints
-        self._asn_of = asn_of if asn_of is not None else _truth_asn
+        self._asn_of = asn_of if asn_of is not None else truth_owner
         self._segment_sink = segment_sink
         self._track = telemetry is not None and telemetry.enabled
         self._telemetry = telemetry
-        # The hot loop calls these two pre-bound callables with no
+        # The fold calls these two pre-bound callables with no
         # telemetry branch of its own: untracked they ARE the sanitizer
-        # and detector, tracked each is wrapped in a closure that
-        # drops the call's wall seconds into a plain list (summed and
-        # binned once, in :meth:`finish`).  Branch-free dispatch plus
-        # batched binning is what holds the <2% instrumentation
-        # budget.
+        # and the detector's chunk call, tracked each is wrapped in a
+        # closure that drops the call's wall seconds into a plain list
+        # (summed and binned once, in :meth:`finish`).  Branch-free
+        # dispatch plus batched binning is what holds the <2%
+        # instrumentation budget.
         self._sanitize = TraceSanitizer().sanitize
-        self._detect = self._detector.detect
+        self._detect_many = detector.detect_many
         self._sanitize_samples: list[float] = []
-        self._detect_samples: list[float] = []
+        self._detect_samples: list[tuple[float, int]] = []
         if self._track:
             clock = telemetry.clock
             self._sanitize = _timed_sanitize(
                 self._sanitize, clock, self._sanitize_samples.append
             )
-            self._detect = _timed_detect(
-                self._detect, clock, self._detect_samples.append
+            self._detect_many = _timed_detect_many(
+                self._detect_many, clock, self._detect_samples.append
             )
         self.analysis = AsAnalysis(asn=asn if asn is not None else 0)
         for flag in Flag:
@@ -242,54 +247,73 @@ class AsAccumulator:
         """Predicate: does this hop belong to the AS of interest?"""
         return self._asn is None or self._asn_of(hop) == self._asn
 
-    def feed(self, trace: Trace) -> list[DetectedSegment] | None:
-        """Sanitize and analyze one trace; returns its segments.
+    def feed_many(self, traces: Iterable[Trace]) -> None:
+        """Sanitize, detect and accumulate one chunk of traces.
 
-        Returns ``None`` when the trace was quarantined or touched no
-        in-AS hop; either way every counter (including the
-        ``traces_analyzed + traces_quarantined == traces_total``
-        reconciliation invariant) is already up to date when this
-        returns, so the analysis is continuously consistent mid-stream.
+        Three passes, each in input order: sanitize every trace and
+        scope it to its in-AS hops (a quarantined trace, or one that
+        touches no in-AS hop, stops there), detect every kept trace in
+        one ``detect_many`` call, then accumulate every kept trace.
+        Every counter (including the ``traces_analyzed +
+        traces_quarantined == traces_total`` reconciliation invariant)
+        is up to date when this returns.
         """
         analysis = self.analysis
-        analysis.traces_total += 1
-        sanitized = self._sanitize(trace)
-        analysis.anomalies.extend(sanitized.anomalies)
-        if sanitized.trace is None:
-            analysis.traces_quarantined += 1
-            return None
-        trace = sanitized.trace
-        # AS membership is resolved once per hop; the resulting index
-        # set feeds the detector mask and both accumulators.
-        in_as_set = {
-            i for i, hop in enumerate(trace.hops) if self._in_as(hop)
-        }
-        if not in_as_set:
-            return None
-        analysis.traces_in_as += 1
-        segments = self._detect(trace, self._fingerprints, in_as_set)
-        if self._segment_sink is not None:
-            self._segment_sink.append((trace, segments))
-        _accumulate_segments(analysis, trace, segments)
-        _accumulate_areas(analysis, trace, segments, in_as_set)
-        _accumulate_tunnels(analysis, trace, in_as_set)
-        return segments
+        sanitize = self._sanitize
+        in_as = self._in_as
+        kept: list[Trace] = []
+        scopes: list[set[int]] = []
+        for trace in traces:
+            analysis.traces_total += 1
+            sanitized = sanitize(trace)
+            analysis.anomalies.extend(sanitized.anomalies)
+            trace = sanitized.trace
+            if trace is None:
+                analysis.traces_quarantined += 1
+                continue
+            # AS membership is resolved once per hop; the resulting index
+            # set scopes detection and feeds both accumulators.
+            in_as_set = {i for i, hop in enumerate(trace.hops) if in_as(hop)}
+            if not in_as_set:
+                continue
+            analysis.traces_in_as += 1
+            kept.append(trace)
+            scopes.append(in_as_set)
+        if not kept:
+            return
+        rows = self._detect_many(kept, self._fingerprints, scopes)
+        sink = self._segment_sink
+        for trace, segments, in_as_set in zip(kept, rows, scopes):
+            if sink is not None:
+                sink.append((trace, segments))
+            _accumulate_segments(analysis, trace, segments)
+            _accumulate_areas(analysis, trace, segments, in_as_set)
+            _accumulate_tunnels(analysis, trace, in_as_set)
 
     def finish(self) -> AsAnalysis:
         """Flush accumulated telemetry and return the analysis.
 
         Idempotent with respect to the analysis object; only here do
-        the per-trace samples turn into stage seconds (``sum`` over
-        insertion order is bit-identical to a running ``+=``) and
-        latency-histogram buckets, keeping that work out of the hot
-        loop entirely.
+        the samples turn into stage seconds (``sum`` over insertion
+        order is bit-identical to a running ``+=``) and latency-histogram
+        buckets, keeping that work out of the fold entirely.  The
+        ``detect`` histogram takes one observation per detected trace:
+        its chunk's seconds over the chunk's rows.
         """
         if self._track:
             tel = self._telemetry
             tel.add_seconds("sanitize", sum(self._sanitize_samples))
-            tel.add_seconds("detect", sum(self._detect_samples))
+            tel.add_seconds(
+                "detect", sum(seconds for seconds, _ in self._detect_samples)
+            )
             tel.histogram("sanitize").observe_many(self._sanitize_samples)
-            tel.histogram("detect").observe_many(self._detect_samples)
+            tel.histogram("detect").observe_many(
+                [
+                    seconds / rows
+                    for seconds, rows in self._detect_samples
+                    for _ in range(rows)
+                ]
+            )
             self._track = False
         return self.analysis
 
@@ -298,12 +322,13 @@ class ArestPipeline:
     """Runs AReST over trace batches, one AS of interest at a time.
 
     Detection defaults to the columnar core
-    (:class:`~repro.core.columnar.ColumnarDetector`): each trace is a
-    one-row column batch, so the pipeline's object API -- and every
-    caller built on it, including the streaming service -- rides the
-    same array passes the whole-campaign batch path uses.  Tests pass
-    an explicit :class:`ArestDetector`, the paper-spec oracle, as the
-    reference; the two are byte-identical by the differential contract.
+    (:class:`~repro.core.columnar.ColumnarDetector`): each chunk of up
+    to :data:`MAX_BATCH` traces is one column batch, so the pipeline's
+    object API -- and every caller built on it, including the streaming
+    service -- rides the same array passes ``arest detect`` uses.  Tests
+    and the ablation benches pass an explicit :class:`ArestDetector`,
+    the paper-spec oracle, as the reference; the two are byte-identical
+    by the differential contract.
     """
 
     def __init__(
@@ -345,7 +370,8 @@ class ArestPipeline:
         ``asn_of`` maps a hop to its owner AS (bdrmapIT-style annotation);
         by default the hop's ``truth_asn`` is used, which corresponds to a
         perfect annotator.  ``segment_sink``, when given, receives every
-        (trace, segments) pair for downstream validation.
+        (trace, segments) pair for downstream validation.  Traces fold
+        :data:`MAX_BATCH` at a time (:meth:`AsAccumulator.feed_many`).
 
         Every trace is sanitized before detection
         (:class:`TraceSanitizer`): repairable structural defects are
@@ -364,8 +390,9 @@ class ArestPipeline:
             segment_sink=segment_sink,
             telemetry=telemetry,
         )
-        for trace in traces:
-            accumulator.feed(trace)
+        traces = iter(traces)
+        while chunk := list(islice(traces, MAX_BATCH)):
+            accumulator.feed_many(chunk)
         return accumulator.finish()
 
 # -- accumulation ----------------------------------------------------------
@@ -458,6 +485,3 @@ def _accumulate_tunnels(
         )
     analysis.traces_with_explicit += int(saw_explicit)
 
-
-def _truth_asn(hop: TraceHop) -> int | None:
-    return hop.truth_asn

@@ -60,7 +60,7 @@ from typing import Iterable
 
 from repro.campaign.dataset import TraceDecoder
 from repro.core.flags import Flag, STRONG_FLAGS
-from repro.core.pipeline import ArestPipeline
+from repro.core.pipeline import MAX_BATCH, ArestPipeline
 from repro.probing.records import Trace
 from repro.probing.sanitize import AnomalyKind
 from repro.service.wire import canonical_json
@@ -83,10 +83,6 @@ _VERSION = 1
 
 #: the three hop-area buckets the aggregate tracks
 _AREAS = ("sr", "mpls", "ip")
-
-#: most traces one accumulator folds: the chunk size of
-#: :func:`batch_aggregate` and the most a worker analyzes per call
-MAX_BATCH = 64
 
 
 class StateMismatchError(ValueError):
@@ -423,10 +419,9 @@ class SegmentAggregate:
 def _fold(
     traces: Iterable[Trace], asn: int | None, pipeline: ArestPipeline
 ) -> SegmentAggregate:
-    """Feed ``traces`` through one fresh accumulator; project it once."""
+    """Fold ``traces`` in one call of a fresh accumulator; project it once."""
     accumulator = pipeline.accumulator(asn, {})
-    for trace in traces:
-        accumulator.feed(trace)
+    accumulator.feed_many(traces)
     return SegmentAggregate.from_analysis(accumulator.finish())
 
 
@@ -440,8 +435,10 @@ def analyze_trace(
 
     Pure with respect to shared state: the accumulator is fresh per
     call, so a poisoned or timed-out analysis can be abandoned without
-    ever having touched the service's live aggregate.  Workers fall
-    back to it, one trace at a time, when a whole batch fails.
+    ever having touched the service's live aggregate.  Workers call it
+    for a wake-up that dequeues a lone trace, and fall back to it, one
+    trace at a time, when a whole batch fails; either way the trace is
+    a one-row chunk of :meth:`~repro.core.pipeline.AsAccumulator.feed_many`.
     """
     pipeline = pipeline if pipeline is not None else ArestPipeline()
     return _fold((trace,), asn, pipeline)
@@ -456,13 +453,13 @@ def batch_aggregate(
     """Fold a trace set into one aggregate, :data:`MAX_BATCH` at a time.
 
     Each chunk of up to :data:`MAX_BATCH` traces runs through one
-    accumulator and is projected and merged once, which amortizes those
-    per-call costs over the chunk; a streamed input stays in bounded
-    memory, since the accumulator's segment and anomaly lists live for
-    one chunk only.  Every aggregate field is a per-trace sum or union,
-    so the result is byte-identical to merging :func:`analyze_trace`
-    over the traces one by one (the differential tests hold it to
-    that).
+    accumulator call (one detector call) and is projected and merged
+    once, which amortizes those per-call costs over the chunk; a
+    streamed input stays in bounded memory, since the accumulator's
+    segment and anomaly lists live for one chunk only.  Every aggregate
+    field is a per-trace sum or union, so the result is byte-identical
+    to merging :func:`analyze_trace` over the traces one by one (the
+    differential tests hold it to that).
 
     This one fold is the batch reference ``arest detect
     --segments-json`` prints, the call a service worker makes per

@@ -1,7 +1,7 @@
 """Detection workers: queue consumers with poison containment.
 
 Each worker task loops ``queue.get_batch() → analyze → fold into
-state``.  A wake-up takes up to :data:`~repro.service.state.MAX_BATCH`
+state``.  A wake-up takes up to :data:`~repro.core.pipeline.MAX_BATCH`
 queued traces and analyzes them in **one** call of
 :func:`~repro.service.state.batch_aggregate` -- one accumulator, one
 projection, one merge into the live aggregate and one executor round
@@ -34,9 +34,9 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
+from repro.core.pipeline import MAX_BATCH
 from repro.service.ingest import IngestQueue
 from repro.service.state import (
-    MAX_BATCH,
     SegmentAggregate,
     ServiceState,
     analyze_trace,

@@ -63,6 +63,40 @@ class TestAttributionLadder:
         assert list(doc["vendors"]) == [Vendor.JUNIPER.value]
         assert doc["vendors"]["Juniper"]["flags"] == {"CO": 1}
 
+    def test_vendor_token_format(self):
+        """An exact vendor names itself; a TTL class names its vendors
+        sorted and joined by ``|``, whether it holds two or three."""
+        run = make_trace(
+            [
+                make_hop(1, "10.0.0.1", labels=(16001,)),
+                make_hop(2, "10.0.0.2", labels=(16001,)),
+            ]
+        )
+        cases = (
+            (Fingerprint.from_snmp(Vendor.HUAWEI), "Huawei"),
+            (
+                Fingerprint.from_ttl(frozenset({Vendor.HUAWEI, Vendor.CISCO})),
+                "Cisco|Huawei",
+            ),
+            (
+                Fingerprint.from_ttl(
+                    frozenset({Vendor.NOKIA, Vendor.CISCO, Vendor.JUNIPER})
+                ),
+                "Cisco|Juniper|Nokia",
+            ),
+        )
+        for fingerprint, token in cases:
+            doc = breakdown([(run, fingerprinted({"10.0.0.1": fingerprint}))])
+            assert list(doc["vendors"]) == [token]
+        # in one breakdown, each token stays a bucket of its own
+        doc = breakdown(
+            [
+                (run, fingerprinted({"10.0.0.1": fingerprint}))
+                for fingerprint, _token in cases
+            ]
+        )
+        assert sorted(doc["vendors"]) == sorted(token for _, token in cases)
+
     def test_range_inference_is_marked(self):
         """No fingerprints at all: Table 1 gives a prefixed class."""
         trace = make_trace(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign.dataset import (
     ADDRESS_TABLE_CAP,
@@ -191,23 +191,41 @@ def mutated_record(draw) -> dict:
                      "10.0.0", "10.0.0.256", " 10.0.0.1", "10.0.0.1_0")
                 )
             )
-        elif kind == "odd-label":
+        elif kind in ("odd-label", "lse-width"):
+            # an odd hop value can leave ``lses`` a list of non-lists
+            # (``[1, 2]``); only list entries can be mutated further
             lses = hop.get("lses")
-            if isinstance(lses, list) and lses:
-                entry = draw(st.sampled_from(lses))
+            entries = (
+                [e for e in lses if isinstance(e, list)]
+                if isinstance(lses, list)
+                else []
+            )
+            if not entries:
+                continue
+            entry = draw(st.sampled_from(entries))
+            if kind == "odd-label":
                 entry[0] = draw(
                     st.sampled_from(
                         (16005.0, True, False, -1, 2**20, "16005", None)
                     )
                 )
-        elif kind == "lse-width":
-            lses = hop.get("lses")
-            if isinstance(lses, list) and lses:
-                entry = draw(st.sampled_from(lses))
-                if draw(st.booleans()):
-                    entry.pop()
-                else:
-                    entry.append(0)
+            elif draw(st.booleans()):
+                entry.pop()
+            else:
+                entry.append(0)
+    return record
+
+
+def _record_with_int_lses() -> dict:
+    """A written record whose one hop quotes ``"lses": [1, 2]``."""
+    record = json.loads(
+        json.dumps(
+            trace_to_json(
+                make_trace([make_hop(1, "10.0.0.1", labels=(16005,))])
+            )
+        )
+    )
+    record["hops"][0]["lses"] = [1, 2]
     return record
 
 
@@ -247,6 +265,7 @@ class TestDecoderAgainstOracle:
             max_size=8,
         )
     )
+    @example([_record_with_int_lses()])
     def test_mutated_records(self, records):
         _assert_stream_matches_oracle(records)
 

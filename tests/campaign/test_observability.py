@@ -20,7 +20,8 @@ import pytest
 
 from repro.analysis.markdown_report import render_markdown_report
 from repro.campaign import AsQuarantine, CampaignRunner, ScaleCampaign
-from repro.campaign.runner import result_counters
+from repro.campaign.runner import result_summary, summary_counters
+from repro.netsim.faults import FaultPlan
 from repro.obs import (
     critical_path,
     load_manifest,
@@ -30,6 +31,7 @@ from repro.obs import (
     trace_event_json,
 )
 from repro.topogen.synthetic import SyntheticPortfolio
+from repro.util.retry import RetryPolicy
 
 AS_IDS = [27, 46]
 KNOBS = dict(seed=1, vps_per_as=1, targets_per_as=4)
@@ -93,8 +95,22 @@ class TestCounterTotalsAreExecutionPlanIndependent:
         assert sorted(resumed.resumed_as_ids) == sorted(AS_IDS)
         fresh_totals = summarize_telemetry(fresh_dir).totals
         resumed_totals = summarize_telemetry(resumed_dir).totals
+        # each AS re-derived in a task counts once, not banked + task
         assert fresh_totals == resumed_totals
         assert fresh_totals["traces_collected"] > 0
+
+    def test_resumed_scale_session_counts_banked_ases(self, tmp_path):
+        """An idempotent scale resume runs nothing; its session still
+        counts every banked AS, so its totals equal the full run's."""
+        campaign = ScaleCampaign(**KNOBS)
+        out = tmp_path / "run"
+        campaign.run(out, as_ids=AS_IDS, telemetry_dir=tmp_path / "t1")
+        campaign.run(
+            out, as_ids=AS_IDS, resume=True, telemetry_dir=tmp_path / "t2"
+        )
+        full = summarize_telemetry(tmp_path / "t1").totals
+        assert full["traces_collected"] > 0
+        assert summarize_telemetry(tmp_path / "t2").totals == full
 
     @_fork_required
     def test_serial_vs_parallel_totals(self, tmp_path):
@@ -106,6 +122,60 @@ class TestCounterTotalsAreExecutionPlanIndependent:
             summarize_telemetry(serial_dir).totals
             == summarize_telemetry(parallel_dir).totals
         )
+
+
+def _result_counters_oracle(result) -> dict[str, int]:
+    """The counters as they were derived from the result object before
+    they were derived from its banked summary."""
+    analysis = result.analysis
+    counters = {
+        "traces_collected": analysis.traces_total,
+        "traces_analyzed": analysis.traces_analyzed,
+        "traces_quarantined": analysis.traces_quarantined,
+        "probes_attempted": result.retry_accounting.probes,
+        "probe_retries": result.retry_accounting.retries,
+        "probes_exhausted": result.retry_accounting.exhausted,
+        "faults_injected": result.fault_counters.total_faults(),
+        "fingerprints": len(result.fingerprints),
+    }
+    for name, count in result.fault_counters.as_dict().items():
+        if count:
+            counters[f"fault_{name}"] = count
+    flag_counts = analysis.flag_counts()
+    counters["flags_total"] = sum(flag_counts.values())
+    for flag, count in flag_counts.items():
+        counters[f"flags_{flag.name.lower()}"] = count
+    anomaly_counts = analysis.anomaly_counts()
+    counters["anomalies_total"] = sum(anomaly_counts.values())
+    for kind, count in anomaly_counts.items():
+        counters[f"anomaly_{kind}"] = count
+    return counters
+
+
+def test_summary_counters_match_the_result_oracle():
+    """On a lossy, corrupted campaign the banked summary carries every
+    counter the result object gave."""
+    report = CampaignRunner(
+        seed=1,
+        vps_per_as=2,
+        targets_per_as=8,
+        fault_plan=FaultPlan(
+            probe_loss=0.05,
+            snmp_timeout_rate=0.1,
+            duplicate_hop_rate=0.05,
+            label_garble_rate=0.05,
+            seed=1,
+        ),
+        retry=RetryPolicy(max_attempts=3),
+    ).run_portfolio(as_ids=AS_IDS)
+    for as_id in AS_IDS:
+        result = report[as_id]
+        expected = _result_counters_oracle(result)
+        assert summary_counters(result_summary(result)) == expected
+    totals = [_result_counters_oracle(report[a]) for a in AS_IDS]
+    # the campaign exercised every optional key family
+    assert any(t["faults_injected"] and t["anomalies_total"] for t in totals)
+    assert any(t["probe_retries"] for t in totals)
 
 
 class TestTelemetryArtifacts:
@@ -130,7 +200,7 @@ class TestTelemetryArtifacts:
         report, _, telemetry_dir = _run(tmp_path, "run", telemetry=True)
         summary = summarize_telemetry(telemetry_dir)
         for as_id in AS_IDS:
-            expected = result_counters(report[as_id])
+            expected = summary_counters(result_summary(report[as_id]))
             recorded = summary.counters[as_id]
             assert {k: v for k, v in recorded.items() if k in expected} == (
                 expected

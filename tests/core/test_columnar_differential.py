@@ -1,16 +1,25 @@
 """Differential suite: the columnar core ≡ the object-path detector.
 
 The columnar detector's entire value proposition is *byte-identical
-output, orders-of-magnitude cheaper*.  These properties pin both of its
-entry points -- the one-row :meth:`ColumnarDetector.detect` bridge and
-the whole-campaign :meth:`ColumnarDetector.detect_batch` passes --
+output, orders-of-magnitude cheaper*.  These properties pin its one
+implementation, :meth:`ColumnarDetector.detect_batch`, and every way
+into it -- the one-row :meth:`ColumnarDetector.detect`, the pipeline's
+chunk call :meth:`ColumnarDetector.detect_many` with per-trace hop
+scopes, and the streamed, AS-scoped :meth:`TraceBatch.iter_jsonl` --
 against :class:`ArestDetector` at its default rule over adversarial
 traces: reserved/ELI label stacks, suffix families, address-less
 labeled hops, TNT-revealed hops, every fingerprint grade, and hop
-masks.  The oracle's other run rules (``min_run_length``,
-``suffix_matching``) are covered by ``tests/core/test_detector.py`` and
-the two ablation benches.
+masks.  The pipeline built on either detector must accumulate the same
+analysis, whatever the chunking.  The oracle's other run rules
+(``min_run_length``, ``suffix_matching``) are covered by
+``tests/core/test_detector.py`` and the two ablation benches.
 """
+
+import dataclasses
+import itertools
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,9 +27,12 @@ from repro.campaign.dataset import TraceDataset
 from repro.core.columnar import ColumnarDetector, TraceBatch
 from repro.core.detector import ArestDetector, effective_labels
 from repro.core.pipeline import ArestPipeline
-from repro.fingerprint.records import Fingerprint
+from repro.fingerprint.records import Fingerprint, FingerprintMethod
 from repro.netsim.addressing import IPv4Address
 from repro.netsim.vendors import Vendor
+from repro.obs import Telemetry
+from repro.probing.sanitize import TraceSanitizer
+from repro.service.state import SegmentAggregate
 
 from tests.conftest import make_hop, make_trace, scaled_examples
 
@@ -51,6 +63,8 @@ hop_st = st.tuples(
     st.sampled_from((None, 100, 200)),                    # truth_asn
 )
 trace_st = st.lists(hop_st, max_size=12)
+#: a hop scope as the pipeline passes one: every hop, none, or any subset
+scope_st = st.one_of(st.none(), st.sets(st.integers(0, 11)))
 fingerprints_st = st.builds(
     lambda picks: dict(
         zip(
@@ -103,21 +117,60 @@ class TestDifferential:
         assert columnar.detect(trace, fingerprints, hop_mask=mask) == expected
 
     @settings(max_examples=scaled_examples(75), deadline=None)
-    @given(trace_st, fingerprints_st, st.sampled_from((None, 100, 200)))
-    def test_asn_mask_matches_truth_filter(self, specs, fingerprints, asn):
-        """``detect_batch(asn=...)`` ≡ the pipeline's in-AS hop mask."""
-        trace = build_trace(specs)
-        mask = {
-            i
-            for i, hop in enumerate(trace.hops)
-            if asn is None or hop.truth_asn == asn
-        }
-        expected = ArestDetector().detect(
-            trace, fingerprints, hop_mask=mask
-        )
-        batch = TraceBatch.from_traces([trace], fingerprints)
-        detections = ColumnarDetector().detect_batch(batch, asn=asn)
-        assert detections == [expected]
+    @given(
+        st.lists(st.tuples(trace_st, scope_st), max_size=8), fingerprints_st
+    )
+    def test_detect_many_matches_oracle_per_trace(self, rows, fingerprints):
+        """Both detectors' chunk call ≡ the oracle trace by trace under
+        each trace's own hop scope."""
+        traces = [build_trace(specs) for specs, _ in rows]
+        scopes = [scope for _, scope in rows]
+        reference = ArestDetector()
+        expected = [
+            reference.detect(trace, fingerprints, hop_mask=scope)
+            for trace, scope in zip(traces, scopes)
+        ]
+        for detector in (ColumnarDetector(), ArestDetector()):
+            assert detector.detect_many(traces, fingerprints, scopes) == (
+                expected
+            )
+
+    @settings(max_examples=scaled_examples(75), deadline=None)
+    @given(
+        st.lists(trace_st, min_size=1, max_size=6),
+        fingerprints_st,
+        st.sampled_from((None, 100, 200)),
+    )
+    def test_iter_jsonl_asn_matches_truth_filter(
+        self, specs, fingerprints, asn
+    ):
+        """``iter_jsonl(path, asn=...)`` rows ≡ the oracle over the
+        sanitized traces under the pipeline's in-AS (truth) hop mask."""
+        traces = [build_trace(s) for s in specs]
+        expected = []
+        for trace in traces:
+            trace = TraceSanitizer().sanitize(trace).trace
+            if trace is None:
+                continue
+            mask = {
+                i
+                for i, hop in enumerate(trace.hops)
+                if asn is None or hop.truth_asn == asn
+            }
+            expected.append(
+                ArestDetector().detect(trace, fingerprints, hop_mask=mask)
+            )
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "archive.jsonl"
+            TraceDataset(target_asn=100, traces=traces).dump_jsonl(path)
+            detections = [
+                row
+                for batch in TraceBatch.iter_jsonl(
+                    path, fingerprints, chunk=2, asn=asn
+                )
+                for row in ColumnarDetector().detect_batch(batch)
+            ]
+        assert detections == expected
 
     @settings(max_examples=scaled_examples(75), deadline=None)
     @given(trace_st, fingerprints_st)
@@ -148,6 +201,44 @@ class TestDifferential:
             )
             if in_range[i]:
                 assert eligible[i]  # range bits only on eligible hops
+            # the fingerprint column holds eligible fingerprinted hops'
+            # fingerprints only
+            fingerprint = (
+                fingerprints.get(hop.address) if eligible[i] else None
+            )
+            if (
+                fingerprint is not None
+                and fingerprint.method is FingerprintMethod.NONE
+            ):
+                fingerprint = None
+            assert batch.fingerprints[lo + i] == fingerprint
+
+
+#: a trace the sanitizer quarantines (two answers for one TTL)
+QUARANTINED = make_trace(
+    [
+        make_hop(1, "10.0.0.1", labels=(16001,)),
+        make_hop(1, "10.0.0.2", labels=(16001,)),
+    ]
+)
+
+#: a trace with no hop inside AS 100
+FOREIGN = build_trace(
+    [("10.0.0.1", [16001], False, 200), ("10.0.0.2", [16001], False, 200)]
+)
+
+
+def assert_same_analysis(analysis, reference) -> None:
+    """Every :class:`AsAnalysis` field equal, and equal aggregate bytes."""
+    for name in (f.name for f in dataclasses.fields(analysis)):
+        assert getattr(analysis, name) == getattr(reference, name), name
+    projected, expected = (
+        SegmentAggregate.from_analysis(a) for a in (analysis, reference)
+    )
+    assert projected.segments_json() == expected.segments_json()
+    assert json.dumps(projected.as_state_dict(), sort_keys=True) == (
+        json.dumps(expected.as_state_dict(), sort_keys=True)
+    )
 
 
 class TestPipelineParity:
@@ -156,19 +247,64 @@ class TestPipelineParity:
     def test_columnar_pipeline_matches_object_pipeline(
         self, specs, fingerprints
     ):
-        traces = [build_trace(s) for s in specs]
+        traces = [QUARANTINED, FOREIGN, *(build_trace(s) for s in specs)]
         fast, reference = (
             pipeline.analyze_as(100, traces, fingerprints)
             for pipeline in (ArestPipeline(), ArestPipeline(ArestDetector()))
         )
-        assert fast.flag_counts() == reference.flag_counts()
-        assert fast.segments == reference.segments
-        assert fast.traces_total == reference.traces_total
-        assert fast.traces_in_as == reference.traces_in_as
-        assert fast.traces_quarantined == reference.traces_quarantined
-        assert fast.sr_addresses == reference.sr_addresses
-        assert fast.mpls_addresses == reference.mpls_addresses
-        assert fast.suffix_matched_runs == reference.suffix_matched_runs
+        assert_same_analysis(fast, reference)
+
+    @settings(max_examples=scaled_examples(40), deadline=None)
+    @given(st.lists(trace_st, max_size=8), fingerprints_st, st.data())
+    def test_chunking_never_changes_the_fold(self, specs, fingerprints, data):
+        """The same traces cut at drawn points (chunks of one, chunks of
+        only quarantined or only out-of-AS traces among them) fold to
+        the same analysis, segment sink and anomaly order as one call."""
+        traces = [
+            QUARANTINED,
+            QUARANTINED,
+            FOREIGN,
+            FOREIGN,
+            *(build_trace(s) for s in specs),
+        ]
+        cuts = data.draw(st.sets(st.integers(1, len(traces) - 1)))
+        bounds = sorted({0, 2, 4, *cuts, len(traces)})
+        pipeline = ArestPipeline()
+        folds = []
+        for chunks in (
+            [traces],
+            [traces[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+            [[trace] for trace in traces],
+        ):
+            sink: list = []
+            accumulator = pipeline.accumulator(
+                100, fingerprints, segment_sink=sink
+            )
+            for chunk in chunks:
+                accumulator.feed_many(chunk)
+            folds.append((accumulator.finish(), sink))
+        (whole, whole_sink), *others = folds
+        for analysis, sink in others:
+            assert_same_analysis(analysis, whole)
+            assert sink == whole_sink
+
+    def test_detect_histogram_counts_detected_traces(self):
+        """One ``detect`` observation per trace that reached detection,
+        and the stage seconds are the chunk calls' seconds."""
+        traces = [QUARANTINED, FOREIGN] + [
+            build_trace([("10.0.0.1", [16001], False, 100)])
+        ] * 70
+        # a clock that advances one second per read
+        telemetry = Telemetry(clock=itertools.count(0.0).__next__)
+        analysis = ArestPipeline().analyze_as(
+            100, traces, {}, telemetry=telemetry
+        )
+        assert analysis.traces_in_as == 70
+        histogram = telemetry.export()["histograms"]["detect"]
+        assert histogram["count"] == 70
+        # two chunks of up to 64 traces, one detector call each
+        detect = [s for s in telemetry.spans if s["stage"] == "detect"]
+        assert [s["seconds"] for s in detect] == [2.0]
 
     def test_all_quarantined_batch(self):
         """Conflicting-duplicate traces quarantine on both paths."""

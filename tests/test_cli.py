@@ -165,6 +165,18 @@ class TestDetect:
             if entry["distinct"]
         }
 
+    def test_asn_needs_segments_json(self, tmp_path, capsys):
+        """Only the segments document scopes hops to ``--asn``; the
+        summary and the breakdown refuse it before reading the file."""
+        missing = str(tmp_path / "absent.jsonl")
+        for extra in ([], ["--vendor-breakdown"]):
+            assert main(["detect", missing, "--asn", "999", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "arest detect: --asn needs --segments-json\n"
+            )
+
     def test_vendor_breakdown_json(self, tmp_path, capsys):
         import json
 
