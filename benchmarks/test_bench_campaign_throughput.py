@@ -33,7 +33,10 @@ and the trim rejects the scheduler steal bursts that poison a handful
 of traces per round.  Traces (and, lossy, every VP's fault counters
 and retry accounting) must come out byte-identical; the fast leg must
 win by at least ``MIN_FAST_PATH_SPEEDUP`` fault-free and
-``MIN_LOSSY_SPEEDUP`` lossy.  The run drops ``BENCH_campaign.json``
+``MIN_LOSSY_SPEEDUP`` lossy, and its lossy leg may cost at most
+``MAX_LOSSY_COST_RATIO`` times its fault-free leg per trace.  Both of a
+round's fast legs see one clock, so host drift cancels in that ratio
+too.  The run drops ``BENCH_campaign.json``
 (traces/sec, per-trace latency percentiles, walk-steps saved, the lossy
 leg's throughput and speedup, the fast path's lossy / fault-free cost
 ratio, and where it was measured) for CI to archive and
@@ -68,9 +71,18 @@ _ROOT = Path(__file__).resolve().parent.parent
 MIN_FAST_PATH_SPEEDUP = 3.6
 
 #: CI regression gate on the lossy leg's paired median speedup, derived
-#: the same way: the same 16 runs read 2.26-2.63x, median 2.38x (six
-#: runs without walk reuse: 1.76-1.97x).
-MIN_LOSSY_SPEEDUP = 2.2
+#: the same way from 16 later runs on that host: they read 3.04-3.27x,
+#: median 3.13x, with every fault draw hashing prebuilt key text and
+#: zero-rate fault classes drawing nothing.  Eight runs interleaved with
+#: them on the code before that (each draw's key built by ``unit_hash``)
+#: read 2.49-2.62x, median 2.53x.
+MIN_LOSSY_SPEEDUP = 3.0
+
+#: CI ceiling on the fast path's lossy over fault-free cost per trace
+#: (``lossy_cost_ratio``): the highest of the same 16 runs, rounded up
+#: to one decimal.  They read 1.53-1.69, median 1.61; the eight
+#: interleaved runs of the earlier code read 2.15-2.25, median 2.19.
+MAX_LOSSY_COST_RATIO = 1.7
 
 #: the ``scale-lossy`` e2e workload's fault plan and retry policy
 #: (benchmarks/e2e/workloads.py), at seed 1
@@ -294,4 +306,10 @@ def test_bench_campaign_throughput():
     assert lossy_speedup >= MIN_LOSSY_SPEEDUP, (
         f"lossy fast path speedup {lossy_speedup:.2f}x "
         f"< {MIN_LOSSY_SPEEDUP}x"
+    )
+    # Per-draw fault cost: the fault plan's keyed draws hash prebuilt
+    # key text, and its zero-rate classes draw nothing.
+    assert lossy_cost_ratio <= MAX_LOSSY_COST_RATIO, (
+        f"lossy fast path costs {lossy_cost_ratio:.2f}x fault-free "
+        f"> {MAX_LOSSY_COST_RATIO}x"
     )

@@ -36,11 +36,28 @@ spoofed replies and mid-trace path churn real campaigns see:
 The injector only *decides* corruption faults; applying them to trace
 records is the probing layer's job (netsim must not import probing).
 
-All draws hash stable keys (:func:`repro.util.determinism.unit_hash`),
-so a fixed plan replays the exact same fault schedule, and
-:meth:`FaultPlan.none` -- the default everywhere -- injects nothing at
-all: runners never attach an injector for an inactive plan, keeping seed
-behaviour byte-identical.
+All draws hash stable keys, so a fixed plan replays the exact same
+fault schedule, and :meth:`FaultPlan.none` -- the default everywhere --
+injects nothing at all: runners never attach an injector for an
+inactive plan, keeping seed behaviour byte-identical.
+
+**The key text is the contract.**  Each draw is the
+:func:`repro.util.determinism.unit_hash` (value draws:
+:func:`~repro.util.determinism.int_hash`) of its key parts -- the plan
+seed, the draw kind, the injector's scope, then the draw's own parts,
+e.g. ``(seed, "duplicate", *scope, flow_id, dest, ttl)``; only the loss
+draw puts its probe kind before the scope, ``(seed, "loss", kind,
+*scope, flow_id, dest, ttl, attempt)``.  That is, the first 64 bits of
+the SHA-256 of ``"\\x1f".join(map(str, parts))``.  The injector does not
+call them: per-probe keys never repeat, so it builds each kind's
+constant head (seed, kind, scope) once and a trace's destination text
+once, formats only the varying parts, and hashes that same text with
+:func:`~repro.util.determinism.text_hash`, past the digest LRU.  Each
+draw method's docstring names its parts.  Changing any draw's parts,
+their order or the separator changes every lossy byte -- every fault
+schedule, so every lossy trace, report, checkpoint and spill;
+``tests/netsim/test_fault_keys.py`` holds every draw to its
+``unit_hash`` formula.
 
 The :class:`FaultPlan` is immutable configuration; the
 :class:`FaultInjector` carries the mutable runtime (probe clock, token
@@ -53,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from repro.netsim.mpls import FIRST_UNRESERVED_LABEL, MAX_LABEL
-from repro.util.determinism import int_hash, unit_hash
+from repro.util.determinism import text_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,6 +254,16 @@ class FaultCounters:
         return cls(**{k: int(v) for k, v in record.items() if k in names})
 
 
+#: the draw kinds whose key text runs (seed, kind, *scope, ...); the loss
+#: draw's runs (seed, "loss", kind, *scope, ...) instead
+_KINDS = (
+    "blackout", "reveal-loss", "suppress", "truncate", "garble",
+    "garble-value", "replay", "ttl-perturb", "ttl-delta", "spoof",
+    "spoof-addr", "duplicate", "reorder", "reroute", "reroute-pivot",
+    "reroute-flow", "snmp-timeout",
+)
+
+
 class FaultInjector:
     """Runtime fault state for one campaign scope (typically one AS).
 
@@ -244,6 +271,12 @@ class FaultInjector:
     independent of call order; only the token buckets and the blackout
     windows evolve with the probe clock, which advances once per probe
     sent -- itself a deterministic sequence for a fixed campaign.
+
+    ``corrupting``, ``blackouts``, ``policing`` and ``rerouting`` are
+    the plan's switches, read once here rather than per trace: a probe
+    loop applies corruption only when ``corrupting``, checks blackouts
+    only when ``blackouts``, polices ICMP only when ``policing`` and
+    draws a reroute only when ``rerouting``.
     """
 
     def __init__(self, plan: FaultPlan, *scope: object) -> None:
@@ -253,6 +286,35 @@ class FaultInjector:
         #: router id -> (tokens, clock at last refill)
         self._buckets: dict[int, tuple[float, int]] = {}
         self.counters = FaultCounters()
+        self.corrupting = plan.corruption_active
+        self.blackouts = plan.blackout_rate > 0.0
+        self.policing = plan.icmp_rate_limit is not None
+        self.rerouting = plan.reroute_rate > 0.0
+        #: draw kind -> the constant head of its key text
+        self._heads = {kind: self._head(kind) for kind in _KINDS}
+        #: probe kind -> the head of its loss draws' key text
+        self._loss_heads: dict[str, str] = {}
+        #: the destination last drawn for, and its text (str(None) first)
+        self._dest: object = None
+        self._dest_text = "None"
+
+    def _head(self, *kind: str) -> str:
+        """The key text of ``(seed, *kind, *scope)`` plus a separator:
+        every draw's key text starts so."""
+        parts = (self._plan.seed, *kind, *self._scope, "")
+        return "\x1f".join(map(str, parts))
+
+    def _hop_key(self, flow_id: object, dest: object, last: object) -> str:
+        """The key text of ``(flow_id, dest, last)``, which follows the
+        head in every per-probe and per-hop draw.
+
+        The draws of one trace name one destination object, so its
+        text is kept until a different object comes.
+        """
+        if dest is not self._dest:
+            self._dest = dest
+            self._dest_text = str(dest)
+        return f"{flow_id!s}\x1f{self._dest_text}\x1f{last!s}"
 
     @property
     def plan(self) -> FaultPlan:
@@ -279,28 +341,34 @@ class FaultInjector:
         attempt: int,
         kind: str = "probe",
     ) -> bool:
-        """Stable per-probe loss draw; attempts redraw independently."""
-        if self._plan.probe_loss <= 0.0:
+        """Stable per-probe loss draw; attempts redraw independently.
+
+        Key: ``(seed, "loss", kind, *scope, flow_id, dest, ttl,
+        attempt)``.
+        """
+        rate = self._plan.probe_loss
+        if rate <= 0.0:
             return False
-        draw = unit_hash(
-            self._plan.seed, "loss", kind, *self._scope,
-            flow_id, dest, ttl, attempt,
-        )
-        if draw < self._plan.probe_loss:
+        head = self._loss_heads.get(kind)
+        if head is None:
+            head = self._loss_heads[kind] = self._head("loss", kind)
+        key = self._hop_key(flow_id, dest, ttl)
+        if text_hash(f"{head}{key}\x1f{attempt!s}") / 2**64 < rate:
             self.counters.probes_lost += 1
             return True
         return False
 
     def blacked_out(self, router_id: int) -> bool:
-        """Is the router dark during the current blackout window?"""
+        """Is the router dark during the current blackout window?
+
+        Key: ``(seed, "blackout", *scope, router_id, window)``.
+        """
         rate = self._plan.blackout_rate
         if rate <= 0.0:
             return False
         window = self._clock // self._plan.blackout_window
-        draw = unit_hash(
-            self._plan.seed, "blackout", *self._scope, router_id, window
-        )
-        if draw < rate:
+        head = self._heads["blackout"]
+        if text_hash(f"{head}{router_id!s}\x1f{window!s}") / 2**64 < rate:
             self.counters.blackout_drops += 1
             return True
         return False
@@ -323,40 +391,46 @@ class FaultInjector:
     # -- revelation -------------------------------------------------------------
 
     def reveal_lost(self, flow_id: int, key: object, attempt: int) -> bool:
-        """Loss draw for TNT's extra revelation probes."""
-        if self._plan.probe_loss <= 0.0:
+        """Loss draw for TNT's extra revelation probes.
+
+        Key: ``(seed, "reveal-loss", *scope, flow_id, key, attempt)``.
+        """
+        rate = self._plan.probe_loss
+        if rate <= 0.0:
             return False
-        draw = unit_hash(
-            self._plan.seed, "reveal-loss", *self._scope,
-            flow_id, key, attempt,
-        )
-        if draw < self._plan.probe_loss:
+        head = self._heads["reveal-loss"]
+        text = f"{head}{flow_id!s}\x1f{key!s}\x1f{attempt!s}"
+        if text_hash(text) / 2**64 < rate:
             self.counters.reveal_losses += 1
             return True
         return False
 
     # -- corruption (decisions only; the probing layer applies them) -------------
+    #
+    # Each per-hop draw's key is (seed, <kind>, *scope, flow_id, dest, ttl).
+    # The value draws (garble-value, ttl-delta, spoof-addr) are int_hash
+    # over the same parts.
 
     def stack_suppressed(self, flow_id: int, dest: object, ttl: int) -> bool:
-        """Should this hop's quoted stack be stripped entirely?"""
-        if self._plan.stack_suppress_rate <= 0.0:
+        """Should this hop's quoted stack be stripped entirely?
+        (Kind ``"suppress"``.)"""
+        rate = self._plan.stack_suppress_rate
+        if rate <= 0.0:
             return False
-        draw = unit_hash(
-            self._plan.seed, "suppress", *self._scope, flow_id, dest, ttl
-        )
-        if draw < self._plan.stack_suppress_rate:
+        key = self._hop_key(flow_id, dest, ttl)
+        if text_hash(self._heads["suppress"] + key) / 2**64 < rate:
             self.counters.stacks_suppressed += 1
             return True
         return False
 
     def stack_truncated(self, flow_id: int, dest: object, ttl: int) -> bool:
-        """Should this hop's quoted stack lose its inner entries?"""
-        if self._plan.stack_truncate_rate <= 0.0:
+        """Should this hop's quoted stack lose its inner entries?
+        (Kind ``"truncate"``.)"""
+        rate = self._plan.stack_truncate_rate
+        if rate <= 0.0:
             return False
-        draw = unit_hash(
-            self._plan.seed, "truncate", *self._scope, flow_id, dest, ttl
-        )
-        if draw < self._plan.stack_truncate_rate:
+        key = self._hop_key(flow_id, dest, ttl)
+        if text_hash(self._heads["truncate"] + key) / 2**64 < rate:
             self.counters.stacks_truncated += 1
             return True
         return False
@@ -367,19 +441,18 @@ class FaultInjector:
         """A garbled replacement for the hop's top label, or None.
 
         The replacement is a hash-derived unreserved 20-bit value,
-        guaranteed to differ from the original.
+        guaranteed to differ from the original.  (Kinds ``"garble"``
+        and ``"garble-value"``.)
         """
-        if self._plan.label_garble_rate <= 0.0:
+        rate = self._plan.label_garble_rate
+        if rate <= 0.0:
             return None
-        draw = unit_hash(
-            self._plan.seed, "garble", *self._scope, flow_id, dest, ttl
-        )
-        if draw >= self._plan.label_garble_rate:
+        heads = self._heads
+        key = self._hop_key(flow_id, dest, ttl)
+        if text_hash(heads["garble"] + key) / 2**64 >= rate:
             return None
         span = MAX_LABEL + 1 - FIRST_UNRESERVED_LABEL
-        offset = int_hash(
-            self._plan.seed, "garble-value", *self._scope, flow_id, dest, ttl
-        ) % span
+        offset = text_hash(heads["garble-value"] + key) % span
         garbled = FIRST_UNRESERVED_LABEL + offset
         if garbled == label:
             garbled = FIRST_UNRESERVED_LABEL + (offset + 1) % span
@@ -387,29 +460,28 @@ class FaultInjector:
         return garbled
 
     def stale_replayed(self, flow_id: int, dest: object, ttl: int) -> bool:
-        """Should this hop replay the previous hop's quoted stack?"""
-        if self._plan.stale_replay_rate <= 0.0:
+        """Should this hop replay the previous hop's quoted stack?
+        (Kind ``"replay"``.)"""
+        rate = self._plan.stale_replay_rate
+        if rate <= 0.0:
             return False
-        draw = unit_hash(
-            self._plan.seed, "replay", *self._scope, flow_id, dest, ttl
-        )
-        if draw < self._plan.stale_replay_rate:
+        key = self._hop_key(flow_id, dest, ttl)
+        if text_hash(self._heads["replay"] + key) / 2**64 < rate:
             self.counters.stale_replays += 1
             return True
         return False
 
     def ttl_perturbation(self, flow_id: int, dest: object, ttl: int) -> int:
-        """A signed reply-TTL delta (0 when the hop is unperturbed)."""
-        if self._plan.ttl_perturb_rate <= 0.0:
+        """A signed reply-TTL delta (0 when the hop is unperturbed).
+        (Kinds ``"ttl-perturb"`` and ``"ttl-delta"``.)"""
+        rate = self._plan.ttl_perturb_rate
+        if rate <= 0.0:
             return 0
-        draw = unit_hash(
-            self._plan.seed, "ttl-perturb", *self._scope, flow_id, dest, ttl
-        )
-        if draw >= self._plan.ttl_perturb_rate:
+        heads = self._heads
+        key = self._hop_key(flow_id, dest, ttl)
+        if text_hash(heads["ttl-perturb"] + key) / 2**64 >= rate:
             return 0
-        word = int_hash(
-            self._plan.seed, "ttl-delta", *self._scope, flow_id, dest, ttl
-        )
+        word = text_hash(heads["ttl-delta"] + key)
         magnitude = 1 + word % 64
         self.counters.ttls_perturbed += 1
         return -magnitude if (word >> 8) % 2 else magnitude
@@ -417,40 +489,41 @@ class FaultInjector:
     def spoofed_source(
         self, flow_id: int, dest: object, ttl: int
     ) -> int | None:
-        """A martian (240.0.0.0/4) spoofer address value, or None."""
-        if self._plan.spoof_rate <= 0.0:
+        """A martian (240.0.0.0/4) spoofer address value, or None.
+        (Kinds ``"spoof"`` and ``"spoof-addr"``.)"""
+        rate = self._plan.spoof_rate
+        if rate <= 0.0:
             return None
-        draw = unit_hash(
-            self._plan.seed, "spoof", *self._scope, flow_id, dest, ttl
-        )
-        if draw >= self._plan.spoof_rate:
+        heads = self._heads
+        key = self._hop_key(flow_id, dest, ttl)
+        if text_hash(heads["spoof"] + key) / 2**64 >= rate:
             return None
-        host = int_hash(
-            self._plan.seed, "spoof-addr", *self._scope, flow_id, dest, ttl
-        ) % (1 << 28)
+        host = text_hash(heads["spoof-addr"] + key) % (1 << 28)
         self.counters.replies_spoofed += 1
         return 0xF0000000 | host
 
     def hop_duplicated(self, flow_id: int, dest: object, ttl: int) -> bool:
-        """Should this recorded hop appear twice in the trace?"""
-        if self._plan.duplicate_hop_rate <= 0.0:
+        """Should this recorded hop appear twice in the trace?
+        (Kind ``"duplicate"``.)"""
+        rate = self._plan.duplicate_hop_rate
+        if rate <= 0.0:
             return False
-        draw = unit_hash(
-            self._plan.seed, "duplicate", *self._scope, flow_id, dest, ttl
-        )
-        if draw < self._plan.duplicate_hop_rate:
+        key = self._hop_key(flow_id, dest, ttl)
+        if text_hash(self._heads["duplicate"] + key) / 2**64 < rate:
             self.counters.hops_duplicated += 1
             return True
         return False
 
     def hops_swapped(self, flow_id: int, dest: object, position: int) -> bool:
-        """Should the records at ``position`` and ``position + 1`` swap?"""
-        if self._plan.reorder_rate <= 0.0:
+        """Should the records at ``position`` and ``position + 1`` swap?
+
+        Key: ``(seed, "reorder", *scope, flow_id, dest, position)``.
+        """
+        rate = self._plan.reorder_rate
+        if rate <= 0.0:
             return False
-        draw = unit_hash(
-            self._plan.seed, "reorder", *self._scope, flow_id, dest, position
-        )
-        if draw < self._plan.reorder_rate:
+        key = self._hop_key(flow_id, dest, position)
+        if text_hash(self._heads["reorder"] + key) / 2**64 < rate:
             self.counters.hops_reordered += 1
             return True
         return False
@@ -462,34 +535,36 @@ class FaultInjector:
 
         Probes at or beyond the pivot TTL forward under the new flow
         identifier, modelling path churn Paris pinning cannot suppress.
+        Keys: ``(seed, <kind>, *scope, flow_id, dest)`` for kinds
+        ``"reroute"``, ``"reroute-pivot"`` and ``"reroute-flow"`` (the
+        last two ``int_hash``).
         """
-        if self._plan.reroute_rate <= 0.0:
+        rate = self._plan.reroute_rate
+        if rate <= 0.0:
             return None
-        draw = unit_hash(
-            self._plan.seed, "reroute", *self._scope, flow_id, dest
+        heads = self._heads
+        key = f"{flow_id!s}\x1f{dest!s}"
+        if text_hash(heads["reroute"] + key) / 2**64 >= rate:
+            return None
+        pivot = 2 + text_hash(heads["reroute-pivot"] + key) % max(
+            1, max_ttl - 2
         )
-        if draw >= self._plan.reroute_rate:
-            return None
-        pivot = 2 + int_hash(
-            self._plan.seed, "reroute-pivot", *self._scope, flow_id, dest
-        ) % max(1, max_ttl - 2)
-        shift = 1 + int_hash(
-            self._plan.seed, "reroute-flow", *self._scope, flow_id, dest
-        ) % (2**16 - 1)
+        shift = 1 + text_hash(heads["reroute-flow"] + key) % (2**16 - 1)
         self.counters.traces_rerouted += 1
         return pivot, (flow_id + shift) % 2**16
 
     # -- control plane ----------------------------------------------------------
 
     def snmp_timeout(self, router_id: int) -> bool:
-        """Stable per-router SNMP timeout draw (a frozen dataset gap)."""
+        """Stable per-router SNMP timeout draw (a frozen dataset gap).
+
+        Key: ``(seed, "snmp-timeout", *scope, router_id)``.
+        """
         rate = self._plan.snmp_timeout_rate
         if rate <= 0.0:
             return False
-        draw = unit_hash(
-            self._plan.seed, "snmp-timeout", *self._scope, router_id
-        )
-        if draw < rate:
+        head = self._heads["snmp-timeout"]
+        if text_hash(f"{head}{router_id!s}") / 2**64 < rate:
             self.counters.snmp_timeouts += 1
             return True
         return False

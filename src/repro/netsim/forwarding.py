@@ -392,7 +392,7 @@ class ForwardingEngine:
             self._faults
             if packet.measured
             and self._faults is not None
-            and self._faults.plan.blackout_rate > 0.0
+            and self._faults.blackouts
             else None
         )
         node = src

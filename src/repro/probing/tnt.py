@@ -32,6 +32,8 @@ from repro.probing.traceroute import (
     _MAX_CONSECUTIVE_STARS,
     ParisTraceroute,
     _quote_entries,
+    corrupt_order,
+    corrupt_reply,
     derive_flow_id,
     quote_records,
 )
@@ -122,12 +124,14 @@ class TntProber:
         accounting = prober.accounting
         retry = self._retry
         flow_id = derive_flow_id(vp_router_id, destination)
-        corrupting = faults is not None and faults.plan.corruption_active
-        # at blackout_rate 0 every blacked_out() call is a no-op False
-        blackouts = faults is not None and faults.plan.blackout_rate > 0.0
+        corrupting = faults is not None and faults.corrupting
+        # at blackout_rate 0 every blacked_out() call is a no-op False,
+        # and without a rate limit every allow_icmp() call a no-op True
+        blackouts = faults is not None and faults.blackouts
+        policing = faults is not None and faults.policing
         reroute = (
             faults.rerouted_flow(flow_id, destination, prober.max_ttl)
-            if corrupting
+            if faults is not None and faults.rerouting
             else None
         )
         # recording is fault-free and consumes no injector state, so a
@@ -180,7 +184,7 @@ class TntProber:
                     # fate (delivery, or a silent drop)
                     reply = walk.terminal_reply
                 elif event.silent or not event.rate_passed or (
-                    faults is not None and not faults.allow_icmp(event.node)
+                    policing and not faults.allow_icmp(event.node)
                 ):
                     return None
                 else:
@@ -289,19 +293,10 @@ class TntProber:
                 3,
             )
             if corrupting:
-                corrupted = ParisTraceroute._corrupt_hop(
-                    hop(
-                        ttl, address, rtt, reply_ip_ttl, lses, False,
-                        is_destination, node,
-                    ),
+                address, reply_ip_ttl, lses, node = corrupt_reply(
+                    faults, flow_id, destination, ttl,
+                    address, reply_ip_ttl, lses, node,
                     hops[-1].lses if hops else None,
-                    faults,
-                    flow_id,
-                    destination,
-                )
-                address, reply_ip_ttl, lses, node = (
-                    corrupted.address, corrupted.reply_ip_ttl,
-                    corrupted.lses, corrupted.truth_router_id,
                 )
             info = match(candidates_for(node), lses)
             if info is None:
@@ -323,9 +318,7 @@ class TntProber:
                 break
         accounting.probes += probes
         if corrupting:
-            hops = ParisTraceroute._corrupt_order(
-                hops, faults, flow_id, destination
-            )
+            hops = corrupt_order(hops, faults, flow_id, destination)
         trace = Trace(
             vp=vp_name or f"vp{vp_router_id}",
             vp_router_id=vp_router_id,

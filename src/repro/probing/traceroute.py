@@ -14,8 +14,9 @@ probe, and every retry, is forwarded hop by hop through
 TNT prober's fused loop (:meth:`repro.probing.tnt.TntProber.trace`)
 synthesizes the same traces from recorded walks, about one per VP and
 destination router; ``TntProber(fast_path=False)`` probes through this
-client instead, as the oracle the fused loop is tested against.  The
-reply-corruption helpers here serve both.
+client instead, as the oracle the fused loop is tested against.  Both
+corrupt a reply through the one step here, :func:`corrupt_reply`, and
+a trace's hop order through :func:`corrupt_order`.
 """
 
 from __future__ import annotations
@@ -138,10 +139,10 @@ class ParisTraceroute:
         if flow_id is None:
             flow_id = derive_flow_id(vp_router_id, destination)
         faults = self._engine.faults
-        corrupting = faults is not None and faults.plan.corruption_active
+        corrupting = faults is not None and faults.corrupting
         reroute = (
             faults.rerouted_flow(flow_id, destination, self._max_ttl)
-            if corrupting
+            if faults is not None and faults.rerouting
             else None
         )
         churning = self._engine.dynamics is not None
@@ -178,21 +179,35 @@ class ParisTraceroute:
                 continue
             stars = 0
             is_destination = reply.kind is not ReplyKind.TIME_EXCEEDED
-            hop = self._hop_from_reply(ttl, reply, flow_id, is_destination)
+            address, reply_ip_ttl, node = (
+                reply.source_ip, reply.reply_ip_ttl, reply.truth_router_id
+            )
+            stack = reply.quoted_stack
+            lses = None if stack is None else _quote_entries(stack)
             if corrupting:
-                hop = self._corrupt_hop(
-                    hop,
+                address, reply_ip_ttl, lses, node = corrupt_reply(
+                    faults, flow_id, destination, ttl,
+                    address, reply_ip_ttl, lses, node,
                     hops[-1].lses if hops else None,
-                    faults,
-                    flow_id,
-                    destination,
                 )
-            hops.append(hop)
+            rtt = (
+                (ttl + reply.truth_forward_hops) * _HOP_LATENCY_MS
+                + _rtt_jitter(self._seed, flow_id, ttl)
+            )
+            hops.append(TraceHop(
+                probe_ttl=ttl,
+                address=address,
+                rtt_ms=round(rtt, 3),
+                reply_ip_ttl=reply_ip_ttl,
+                lses=lses,
+                destination_reply=is_destination,
+                truth_router_id=node,
+            ))
             if is_destination:
                 reached = True
                 break
         if corrupting:
-            hops = self._corrupt_order(hops, faults, flow_id, destination)
+            hops = corrupt_order(hops, faults, flow_id, destination)
         return Trace(
             vp=vp_name or f"vp{vp_router_id}",
             vp_router_id=vp_router_id,
@@ -234,112 +249,98 @@ class ParisTraceroute:
             self.accounting.exhausted += 1
         return reply
 
-    def _hop_from_reply(
-        self,
-        ttl: int,
-        reply: ProbeReply,
-        flow_id: int,
-        is_destination: bool = False,
-    ) -> TraceHop:
-        round_trip_hops = ttl + reply.truth_forward_hops
-        jitter = _rtt_jitter(self._seed, flow_id, ttl)
-        rtt = round_trip_hops * _HOP_LATENCY_MS + jitter
-        lses = (
-            None
-            if reply.quoted_stack is None
-            else _quote_entries(reply.quoted_stack)
-        )
-        return TraceHop(
-            probe_ttl=ttl,
-            address=reply.source_ip,
-            rtt_ms=round(rtt, 3),
-            reply_ip_ttl=reply.reply_ip_ttl,
-            lses=lses,
-            destination_reply=is_destination,
-            truth_router_id=reply.truth_router_id,
-        )
 
-    # -- corruption application (decisions live in the fault injector) -----------
+# -- corruption application (decisions live in the fault injector) -----------
 
-    @staticmethod
-    def _corrupt_hop(
-        hop: TraceHop,
-        prev_lses: tuple[QuotedLse, ...] | None,
-        faults: FaultInjector,
-        flow_id: int,
-        destination: IPv4Address,
-    ) -> TraceHop:
-        """Apply per-hop corruption faults to one recorded reply.
 
-        Decisions are keyed on ``(flow, destination, probe TTL)`` so the
-        schedule is independent of call order; only applicable faults
-        draw, keeping counters equal to applied corruptions.
-        """
-        ttl = hop.probe_ttl
-        if prev_lses and faults.stale_replayed(flow_id, destination, ttl):
-            hop = hop.with_annotation(lses=prev_lses)
-        if hop.lses and faults.stack_suppressed(flow_id, destination, ttl):
-            hop = hop.with_annotation(lses=None)
-        if (
-            hop.lses
-            and len(hop.lses) > 1
-            and faults.stack_truncated(flow_id, destination, ttl)
-        ):
-            # the kept top entry retains bottom_of_stack=False: exactly
-            # the structural wound the sanitizer detects and repairs
-            hop = hop.with_annotation(lses=(hop.lses[0],))
-        if hop.lses:
-            garbled = faults.garbled_label(
-                flow_id, destination, ttl, hop.lses[0].label
-            )
-            if garbled is not None:
-                top = hop.lses[0]
-                hop = hop.with_annotation(
-                    lses=(
-                        QuotedLse(
-                            label=garbled,
-                            tc=top.tc,
-                            bottom_of_stack=top.bottom_of_stack,
-                            ttl=top.ttl,
-                        ),
-                    )
-                    + hop.lses[1:]
-                )
-        if hop.reply_ip_ttl is not None:
-            delta = faults.ttl_perturbation(flow_id, destination, ttl)
-            if delta:
-                hop = hop.with_annotation(
-                    reply_ip_ttl=hop.reply_ip_ttl + delta
-                )
-        if hop.responded:
-            spoofed = faults.spoofed_source(flow_id, destination, ttl)
-            if spoofed is not None:
-                hop = hop.with_annotation(
-                    address=IPv4Address(spoofed), truth_router_id=None
-                )
-        return hop
+def corrupt_reply(
+    faults: FaultInjector,
+    flow_id: int,
+    destination: IPv4Address,
+    ttl: int,
+    address: IPv4Address,
+    reply_ip_ttl: int | None,
+    lses: tuple[QuotedLse, ...] | None,
+    node: int | None,
+    prev_lses: tuple[QuotedLse, ...] | None,
+) -> tuple[
+    IPv4Address, int | None, tuple[QuotedLse, ...] | None, int | None
+]:
+    """Apply the per-hop corruption classes to one reply's fields.
 
-    @staticmethod
-    def _corrupt_order(
-        hops: list[TraceHop],
-        faults: FaultInjector,
-        flow_id: int,
-        destination: IPv4Address,
-    ) -> list[TraceHop]:
-        """Duplicate and reorder recorded hops per the fault plan."""
+    Takes and returns ``(address, reply_ip_ttl, lses, node)`` (``node``
+    is the responder's ``truth_router_id``); ``prev_lses`` is the
+    previous recorded hop's quote.  Both walkers call it before they
+    build the hop, so a corrupted hop is built once.  Decisions are
+    keyed on ``(flow, destination, probe TTL)``, so the schedule is
+    independent of call order; a class draws only where it applies, so
+    the counters equal the corruptions applied, and a class at rate 0
+    costs no call.
+    """
+    plan = faults.plan
+    if (
+        prev_lses
+        and plan.stale_replay_rate
+        and faults.stale_replayed(flow_id, destination, ttl)
+    ):
+        lses = prev_lses
+    if (
+        lses
+        and plan.stack_suppress_rate
+        and faults.stack_suppressed(flow_id, destination, ttl)
+    ):
+        lses = None
+    if (
+        lses
+        and len(lses) > 1
+        and plan.stack_truncate_rate
+        and faults.stack_truncated(flow_id, destination, ttl)
+    ):
+        # the kept top entry retains bottom_of_stack=False: exactly
+        # the structural wound the sanitizer detects and repairs
+        lses = (lses[0],)
+    if lses and plan.label_garble_rate:
+        top = lses[0]
+        garbled = faults.garbled_label(flow_id, destination, ttl, top.label)
+        if garbled is not None:
+            lses = (
+                QuotedLse(garbled, top.tc, top.bottom_of_stack, top.ttl),
+            ) + lses[1:]
+    if reply_ip_ttl is not None and plan.ttl_perturb_rate:
+        reply_ip_ttl += faults.ttl_perturbation(flow_id, destination, ttl)
+    if address is not None and plan.spoof_rate:
+        spoofed = faults.spoofed_source(flow_id, destination, ttl)
+        if spoofed is not None:
+            address, node = IPv4Address(spoofed), None
+    return address, reply_ip_ttl, lses, node
+
+
+def corrupt_order(
+    hops: list[TraceHop],
+    faults: FaultInjector,
+    flow_id: int,
+    destination: IPv4Address,
+) -> list[TraceHop]:
+    """Duplicate and reorder recorded hops per the fault plan.
+
+    Every hop draws its duplicate, then every adjacent pair of the
+    result its swap; a class at rate 0 draws nothing.  Swaps happen in
+    place: the caller hands over its list.
+    """
+    plan = faults.plan
+    if plan.duplicate_hop_rate:
         duplicated: list[TraceHop] = []
         for hop in hops:
             duplicated.append(hop)
             if faults.hop_duplicated(flow_id, destination, hop.probe_ttl):
                 duplicated.append(hop)
+        hops = duplicated
+    if plan.reorder_rate:
         i = 0
-        while i < len(duplicated) - 1:
+        while i < len(hops) - 1:
             if faults.hops_swapped(flow_id, destination, i):
-                duplicated[i], duplicated[i + 1] = (
-                    duplicated[i + 1],
-                    duplicated[i],
-                )
+                hops[i], hops[i + 1] = hops[i + 1], hops[i]
                 i += 2
             else:
                 i += 1
-        return duplicated
+    return hops

@@ -4,6 +4,9 @@ Every stochastic decision in the simulator and the campaign hashes a
 stable key instead of consuming a shared RNG stream, so adding or
 reordering computations never perturbs unrelated results.  Experiments
 are reproducible bit-for-bit across runs and machines.
+
+A key's *text* is its parts stringified and joined by ``"\\x1f"``; the
+draw is the first 64 bits of that text's SHA-256.
 """
 
 from __future__ import annotations
@@ -13,16 +16,31 @@ import random
 from functools import lru_cache
 
 
-@lru_cache(maxsize=1 << 16)
-def _digest64(text: str) -> int:
-    """The first 64 bits of SHA-256(text), memoized.
+def text_hash(text: str) -> int:
+    """The first 64 bits of SHA-256(text), not memoized.
 
-    Fault draws and flow derivations re-hash the same small key set
-    millions of times per campaign; caching the digest preserves
-    bit-identical outputs while skipping the SHA-256 on repeats.
+    ``int_hash(*parts) == text_hash("\\x1f".join(map(str, parts)))``.
+    For keys that never repeat: a caller that builds such key text
+    itself (the fault injector's per-probe and per-hop draws) hashes it
+    here, instead of missing the LRU of :func:`int_hash` on every call
+    and evicting the keys that do repeat.
     """
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+@lru_cache(maxsize=1 << 16)
+def _digest64(text: str) -> int:
+    """:func:`text_hash`, memoized.
+
+    Every :func:`int_hash` and :func:`unit_hash` key goes through it:
+    topology keys and flow derivations, which re-hash the same small
+    key set many times per campaign, so caching the digest skips the
+    SHA-256 on repeats.  Keys that never repeat (anything carrying a
+    probe's flow, TTL and attempt) must not go through it: they would
+    only miss and evict.
+    """
+    return text_hash(text)
 
 
 def int_hash(*parts: object) -> int:

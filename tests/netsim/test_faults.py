@@ -1,8 +1,11 @@
 """Unit tests for the fault-injection subsystem."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.netsim.faults import FaultCounters, FaultInjector, FaultPlan
+from repro.util.determinism import _digest64
 
 
 class TestFaultPlan:
@@ -171,6 +174,32 @@ class TestReproducibility:
         fates_a = [a.probe_lost(1, "10.1.2.3", t, 0) for t in range(1, 65)]
         fates_b = [b.probe_lost(1, "10.1.2.3", t, 0) for t in range(1, 65)]
         assert fates_a != fates_b
+
+    def test_draws_bypass_the_digest_cache(self):
+        """Per-probe keys never repeat, so no draw goes through (and
+        evicts from) the digest LRU the repeating keys use."""
+        plan = FaultPlan.corruption(1.0, seed=3)
+        plan = replace(
+            plan, probe_loss=1.0, blackout_rate=1.0, snmp_timeout_rate=1.0
+        )
+        injector = FaultInjector(plan, "as", 46)
+        before = _digest64.cache_info()
+        for ttl in range(1, 9):
+            injector.probe_lost(1, "10.1.2.3", ttl, 0)
+            injector.blacked_out(ttl)
+            injector.snmp_timeout(ttl)
+            injector.reveal_lost(1, (ttl,), 0)
+            injector.stack_suppressed(1, "10.1.2.3", ttl)
+            injector.stack_truncated(1, "10.1.2.3", ttl)
+            injector.garbled_label(1, "10.1.2.3", ttl, 16_000)
+            injector.ttl_perturbation(1, "10.1.2.3", ttl)
+            injector.spoofed_source(1, "10.1.2.3", ttl)
+            injector.hop_duplicated(1, "10.1.2.3", ttl)
+            injector.hops_swapped(1, "10.1.2.3", ttl)
+            injector.rerouted_flow(1, "10.1.2.3", 30)
+        assert injector.counters.labels_garbled == 8
+        after = _digest64.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestCounters:

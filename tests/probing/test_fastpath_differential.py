@@ -27,6 +27,7 @@ the flow's ECMP choices, the topology epoch, and the fields a reused
 walk redoes for its destination and flow.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -356,6 +357,62 @@ def test_no_blackout_draws_at_blackout_rate_zero(monkeypatch):
     assert calls == []
     _legs(_PINNED_CHAIN, plan=PINNED_BUCKETS_PLAN, hosts=[10])
     assert calls
+
+
+#: the corruption draws the ``scale-lossy`` plan switches off
+_OFF_UNDER_SCALE_LOSSY = (
+    "stale_replayed",
+    "stack_suppressed",
+    "stack_truncated",
+    "ttl_perturbation",
+    "spoofed_source",
+    "hops_swapped",
+    "rerouted_flow",
+)
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_no_corruption_draws_for_classes_at_rate_zero(monkeypatch, fast):
+    """Under the ``scale-lossy`` plan neither walker calls the draw of a
+    corruption class it switches off; with every class on, each is
+    called.  ``FaultPlan.corruption`` leaves stale replay out of its
+    mix, so the second plan adds it."""
+    calls = []
+
+    def counting(name):
+        original = getattr(FaultInjector, name)
+
+        def draw(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        return draw
+
+    for name in _OFF_UNDER_SCALE_LOSSY + ("hop_duplicated", "garbled_label"):
+        monkeypatch.setattr(FaultInjector, name, counting(name))
+
+    def traced(plan):
+        calls.clear()
+        chain = build_chain(_PINNED_CHAIN)
+        chain.engine.faults = FaultInjector(plan, "vp", TARGET_ASN, 0)
+        prober = TntProber(
+            chain.engine,
+            seed=_PINNED_CHAIN["seed"],
+            retry=SCALE_LOSSY_RETRY,
+            fast_path=fast,
+        )
+        for host in range(10, 20):
+            prober.trace(
+                chain.vp.router_id, chain.prefix.address_at(host), "vp"
+            )
+        return set(calls)
+
+    drawn = traced(SCALE_LOSSY_PLAN)
+    assert drawn == {"hop_duplicated", "garbled_label"}
+    every_class = replace(
+        FaultPlan.corruption(0.2, seed=1), stale_replay_rate=0.1
+    )
+    assert traced(every_class) >= set(_OFF_UNDER_SCALE_LOSSY)
 
 
 # -- walk reuse across destinations -------------------------------------------
